@@ -22,8 +22,6 @@ from .fields import (
     DerivedAB,
     ForceField,
     HWPair,
-    a_from_hW,
-    b_from_W,
     closedness_residual,
     collinearity_defect,
     force_ab,
@@ -36,7 +34,6 @@ from .pfaff import (
     AdmissibleF,
     MonodromyMap,
     PathSpec,
-    Vw_along_path,
     continue_V,
     extract_h,
     f_norm_estimate,
@@ -65,11 +62,11 @@ __all__ = [
     "metric_at", "christoffel", "surface_frame", "deck_apply",
     "raise_index", "lower_index",
     "HWPair", "ABFields", "DerivedAB", "ForceField",
-    "b_from_W", "a_from_hW", "force_hw", "force_ab", "force_from_one_form",
+    "force_hw", "force_ab", "force_from_one_form",
     "closedness_residual", "normalizing_residual", "collinearity_defect",
     "State", "Trajectory", "integrate",
     "PathSpec", "AdmissibleF", "MonodromyMap",
-    "continue_V", "Vw_along_path", "path_independence_defect", "invert_V",
+    "continue_V", "path_independence_defect", "invert_V",
     "straight_path_factory", "f_norm_estimate", "monodromy",
     "gauge_transform", "extract_h",
     "NuField", "ShiftFamily", "solve_nu", "normal_shift",

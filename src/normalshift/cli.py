@@ -13,8 +13,7 @@ extract-h.  Gated checks appear in the report as lines
 and the exit status is 0 when every gate passes, 1 on a gated failure or
 computation error, 2 on usage/configuration errors.  All floating-point
 output carries 17 significant digits and reruns are byte-identical: the
-run section's seed pins every randomized sample, and NORMALSHIFT_THREADS
-only splits independent node batches.
+run section's seed pins every randomized sample.
 """
 
 from __future__ import annotations

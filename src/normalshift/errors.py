@@ -80,10 +80,6 @@ class ContinuationError(NormalShiftError):
         self.point = point
 
 
-class BracketingError(NormalShiftError):
-    """Root bracketing failed; the target value is out of reach."""
-
-
 class TableError(NormalShiftError):
     """Monotone sample table is invalid or queried outside its range."""
 

@@ -35,7 +35,6 @@ _ONE = _parse("1")
 
 __all__ = [
     "HWPair", "ABFields", "DerivedAB", "ForceField",
-    "b_from_W", "a_from_hW",
     "force_hw", "force_ab", "force_from_one_form",
     "closedness_residual", "normalizing_residual", "collinearity_defect",
 ]
@@ -232,18 +231,6 @@ class DerivedAB:
                - wx[..., :, None] * wxv[..., None, :]) / wv[..., None, None] ** 2
         dv = -(wxv * wv[..., None] - wx * wvv[..., None]) / wv[..., None] ** 2
         return b, dx, dv
-
-
-def b_from_W(hw: HWPair, x, v) -> np.ndarray:
-    """Covector b_i = -(dW/dx^i)/(dW/dv) at (x, v)."""
-    _, wx, wv = hw.w_jet1(x, v)
-    return -wx / wv[..., None]
-
-
-def a_from_hW(hw: HWPair, x, v):
-    """Scalar a = h(W(x,v)) / (dW/dv)(x,v)."""
-    W, _, wv = hw.w_jet1(x, v)
-    return hw.h_val(W) / wv
 
 
 # --- velocity frame and forces ----------------------------------------------------

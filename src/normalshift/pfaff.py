@@ -14,8 +14,9 @@ respect to the initial datum,
     V_w(t) = exp( integral of sum_i (db_i/dv)(x, V) dx^i/dt ),
 
 is integrated jointly (in log form), which keeps it positive by
-construction.  Solving V(x, w) = v for w realizes the global scalar
-W(x, v) with the normalization W(p0, v) = v.
+construction.  The flow runs backward as well as forward: continued from
+(x, v) back to p0, it ends at the global scalar W(x, v) with the
+normalization W(p0, v) = v, and its V_w there is W_v.
 
 Step counts scale with the chart length of each path segment, so `dt`
 means "step per unit chart length" for polylines and "step in the curve
@@ -24,13 +25,13 @@ parameter" for parametric paths.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .errors import (
-    BracketingError,
     CompatibilityError,
     ContinuationError,
     DeckInvarianceError,
@@ -51,7 +52,7 @@ from .geometry import (
 __all__ = [
     "PathSpec", "ContinuationTrace", "AdmissibleF", "MonodromyMap",
     "ClosedFormRho", "TransformedHW", "FNormEstimate", "ExtractedH",
-    "continue_V", "Vw_along_path", "path_independence_defect",
+    "continue_V", "path_independence_defect",
     "invert_V", "straight_path_factory", "f_norm_estimate",
     "monodromy", "gauge_transform", "extract_h",
 ]
@@ -127,9 +128,11 @@ class PathSpec:
         return self._parametric_eval(np.asarray(self.t1))[0]
 
     def reversed(self) -> "PathSpec":
-        if self.kind != "polyline":
-            raise PathError("only polylines can be reversed")
-        return PathSpec("polyline", points=tuple(reversed(self.points)))
+        if self.kind == "polyline":
+            return PathSpec("polyline", points=tuple(reversed(self.points)))
+        # a parametric curve runs backward from t1 to t0
+        return PathSpec("parametric", exprs=self.exprs, t0=self.t1,
+                        t1=self.t0, samples=self.samples)
 
     def _parametric_eval(self, ts):
         xs, xds = [], []
@@ -174,51 +177,69 @@ class ContinuationTrace:
         return None if self.Vw is None else self.Vw[-1]
 
 
-def _stage_rate(ab, env_x, V, delta, want_vw, t, x_now):
+def _stage_rate(ab, x, V, d, want_vw, t):
     """dV/dt and (optionally) d(log V_w)/dt at one RK4 stage."""
     try:
         if want_vw:
-            b, _, bv = ab.b_jet(env_x, V)
+            b, _, bv = ab.b_jet(x, V)
         else:
-            b = ab.b_values(env_x, V)
-            bv = None
+            b, bv = ab.b_values(x, V), None
     except NormalShiftError as err:
-        raise ContinuationError(f"field evaluation failed: {err}",
-                                t=t, point=np.atleast_2d(x_now)[0]) from err
-    rate = np.einsum("...i,...i->...", b, delta)
+        # a failed batch names no lane: give the point only when all
+        # lanes share it
+        raise ContinuationError(f"field evaluation failed: {err}", t=t,
+                                point=x if np.ndim(x) == 1 else None) \
+            from err
+    rate = np.einsum("...i,...i->...", b, d)
     if want_vw:
-        return rate, np.einsum("...i,...i->...", bv, delta)
+        return rate, np.einsum("...i,...i->...", bv, d)
     return rate, None
 
 
-def _guard_positive(V, t, x_now):
-    if np.any(~np.isfinite(V)) or np.any(V <= 0.0):
+def _guard_positive(V, t, x):
+    """Raise for the first lane of V off the positive axis, naming that
+    lane and its own point among the stage points x (..., n)."""
+    bad = ~np.isfinite(V) | (V <= 0.0)
+    if np.any(bad):
+        shape = np.broadcast_shapes(np.shape(x)[:-1], np.shape(V))
+        lane = np.unravel_index(int(np.argmax(np.broadcast_to(bad, shape))),
+                                shape)
+        where = f" in lane {tuple(int(i) for i in lane)}" if shape else ""
         raise ContinuationError(
-            "continued parameter left the positive axis",
-            t=t, point=np.atleast_2d(x_now)[0])
+            "continued parameter left the positive axis" + where, t=t,
+            point=np.broadcast_to(x, shape + np.shape(x)[-1:])[lane])
 
 
-def _continue_polyline(ab, points, w0, dt, want_vw, store):
-    """RK4 continuation along one polyline (points (K+1, n)) or a batch of
-    polylines (points (P, K+1, n), w0 lanes (P, ...))."""
-    pts = np.asarray(points, dtype=float)
-    multi = pts.ndim == 3
-    V = np.array(w0, dtype=float)
+def _rk4_run(ab, steps, V, want_vw):
+    """Classical RK4 for dV = b(x, V) . dx along a path, jointly with
+    d(log V_w) = (db/dv)(x, V) . dx when want_vw.
+
+    `steps` yields (h, t0, t1, xs, ds) per step: the signed step h in the
+    path parameter, the parameter at the step's start and end, the stage
+    points xs = (start, middle, end) and the path tangents ds at them.
+    Yields (t1, end point, V, log V_w or None) after each step."""
     logZ = np.zeros_like(V) if want_vw else None
-    nseg = pts.shape[-2] - 1
-    t_accum = 0.0
-    ts, xs, Vs, Zs = [0.0], [pts[..., 0, :]], [V.copy()], \
-        [np.ones_like(V) if want_vw else None]
-    # in multi-path mode with extra value lanes, x stages get a lane axis
-    expand = multi and V.ndim > pts.ndim - 2
+    for h, t0, t1, xs, ds in steps:
+        k1, g1 = _stage_rate(ab, xs[0], V, ds[0], want_vw, t0)
+        k2, g2 = _stage_rate(ab, xs[1], V + 0.5 * h * k1, ds[1], want_vw, t0)
+        k3, g3 = _stage_rate(ab, xs[1], V + 0.5 * h * k2, ds[1], want_vw, t0)
+        k4, g4 = _stage_rate(ab, xs[2], V + h * k3, ds[2], want_vw, t0)
+        V = V + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        _guard_positive(V, t1, xs[2])
+        if want_vw:
+            logZ = logZ + (h / 6.0) * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
+        yield t1, xs[2], V, logZ
 
-    def env_of(x_stage):
-        return x_stage[..., None, :] if expand else x_stage
 
-    for seg in range(nseg):
+def _polyline_steps(pts, dt):
+    """Steps along one polyline (K+1, n), or along a batch of polylines
+    (P, K+1, n) whose lanes are the last axis of V.  Each segment takes
+    round(length / dt) steps in its own fraction; the path parameter is
+    chart length (the longest of a batch)."""
+    t = 0.0
+    for seg in range(pts.shape[-2] - 1):
         p = pts[..., seg, :]
-        q = pts[..., seg + 1, :]
-        delta = q - p
+        delta = pts[..., seg + 1, :] - p
         length = float(np.max(np.linalg.norm(
             np.atleast_2d(delta), axis=-1)))
         nsub = max(1, int(round(length / dt)))
@@ -226,97 +247,51 @@ def _continue_polyline(ab, points, w0, dt, want_vw, store):
         dl = length / nsub
         for j in range(nsub):
             s = j * h
-            x1 = p + s * delta
-            x2 = p + (s + 0.5 * h) * delta
-            x3 = p + (s + h) * delta
-            d = delta[..., None, :] if expand else delta
-            e1, e2, e3 = env_of(x1), env_of(x2), env_of(x3)
-            k1, g1 = _stage_rate(ab, e1, V, d, want_vw, t_accum, x1)
-            k2, g2 = _stage_rate(ab, e2, V + 0.5 * h * k1, d, want_vw,
-                                 t_accum, x2)
-            k3, g3 = _stage_rate(ab, e2, V + 0.5 * h * k2, d, want_vw,
-                                 t_accum, x2)
-            k4, g4 = _stage_rate(ab, e3, V + h * k3, d, want_vw, t_accum, x3)
-            V = V + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t_accum += dl
-            _guard_positive(V, t_accum, x3)
-            if want_vw:
-                logZ = logZ + (h / 6.0) * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
-            if store:
-                ts.append(t_accum)
-                xs.append(x3)
-                Vs.append(V.copy())
-                Zs.append(np.exp(logZ) if want_vw else None)
-    if not store:
-        ts, xs = [0.0, t_accum], [pts[..., 0, :], pts[..., -1, :]]
-        Vs = [Vs[0], V]
-        Zs = [Zs[0], np.exp(logZ) if want_vw else None]
-    return ContinuationTrace(
-        np.asarray(ts), np.asarray(xs), np.asarray(Vs),
-        np.asarray(Zs) if want_vw else None)
+            xs = (p + s * delta, p + (s + 0.5 * h) * delta,
+                  p + (s + h) * delta)
+            yield h, t, t + dl, xs, (delta, delta, delta)
+            t += dl
 
 
-def _continue_parametric(ab, path, w0, dt, want_vw, store):
-    V = np.array(w0, dtype=float)
-    logZ = np.zeros_like(V) if want_vw else None
+def _parametric_steps(path, dt):
+    """Steps in the curve parameter from path.t0 to path.t1, in either
+    direction (the step is signed)."""
     span = path.t1 - path.t0
-    nsteps = max(1, int(round(span / dt)))
+    nsteps = max(1, int(round(abs(span) / dt)))
     h = span / nsteps
-    ts = [path.t0]
-    x0 = path._parametric_eval(np.asarray(path.t0))[0]
-    xs, Vs, Zs = [x0], [V.copy()], [np.ones_like(V) if want_vw else None]
     for j in range(nsteps):
         t = path.t0 + j * h
-        stage_t = np.array([t, t + 0.5 * h, t + h])
-        x_st, xd_st = path._parametric_eval(stage_t)
-
-        def rate(idx, Vcur):
-            return _stage_rate(ab, x_st[idx], Vcur, xd_st[idx], want_vw,
-                               t, x_st[idx])
-
-        k1, g1 = rate(0, V)
-        k2, g2 = rate(1, V + 0.5 * h * k1)
-        k3, g3 = rate(1, V + 0.5 * h * k2)
-        k4, g4 = rate(2, V + h * k3)
-        V = V + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        _guard_positive(V, t + h, x_st[2])
-        if want_vw:
-            logZ = logZ + (h / 6.0) * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
-        if store:
-            ts.append(t + h)
-            xs.append(x_st[2])
-            Vs.append(V.copy())
-            Zs.append(np.exp(logZ) if want_vw else None)
-    if not store:
-        ts = [path.t0, path.t1]
-        xs = [x0, xs[0] if nsteps == 0 else x_st[2]]
-        Vs = [Vs[0], V]
-        Zs = [Zs[0], np.exp(logZ) if want_vw else None]
-    return ContinuationTrace(
-        np.asarray(ts), np.asarray(xs), np.asarray(Vs),
-        np.asarray(Zs) if want_vw else None)
+        x, xd = path._parametric_eval(np.array([t, t + 0.5 * h, t + h]))
+        yield h, t, t + h, x, xd
 
 
 def _continue(ab, path, w0, dt, want_vw, store):
-    if np.any(np.asarray(w0, dtype=float) <= 0.0):
+    V = np.array(w0, dtype=float)
+    if np.any(V <= 0.0):
         raise PositivityError(f"initial datum must be positive, got {w0}")
     if isinstance(path, PathSpec) and path.kind == "parametric":
-        return _continue_parametric(ab, path, w0, dt, want_vw, store)
-    pts = path.points if isinstance(path, PathSpec) else path
-    return _continue_polyline(ab, pts, w0, dt, want_vw, store)
+        start = (path.t0, path.start())
+        steps = _parametric_steps(path, dt)
+    else:
+        pts = np.asarray(path.points if isinstance(path, PathSpec) else path,
+                         dtype=float)
+        start = (0.0, pts[..., 0, :])
+        steps = _polyline_steps(pts, dt)
+    run = _rk4_run(ab, steps, V, want_vw)
+    rows = [(*start, V, np.zeros_like(V) if want_vw else None)]
+    rows += run if store else deque(run, maxlen=1)
+    t, x, Vs, logZ = zip(*rows)
+    return ContinuationTrace(
+        np.asarray(t), np.asarray(x), np.asarray(Vs),
+        np.asarray([np.exp(z) for z in logZ]) if want_vw else None)
 
 
 def continue_V(ab, path: PathSpec, w0, dt=1e-3) -> ContinuationTrace:
     """Continue the positive parameter V from V(start) = w0 along the path.
 
-    Returns the sampled trace including the endpoint value; V_w samples are
-    included (they come from the same joint integration)."""
-    return _continue(ab, path, w0, dt, want_vw=True, store=True)
-
-
-def Vw_along_path(ab, path: PathSpec, w0, dt=1e-3) -> ContinuationTrace:
-    """Continuation with emphasis on the derivative V_w of the endpoint
-    value with respect to the initial datum; always positive."""
+    Returns the sampled trace including the endpoint value, with the
+    datum derivative V_w (always positive) from the same joint
+    integration."""
     return _continue(ab, path, w0, dt, want_vw=True, store=True)
 
 
@@ -333,49 +308,22 @@ def path_independence_defect(ab, path1: PathSpec, path2: PathSpec, w0,
 
 # --- inversion: w = W(x, v) ----------------------------------------------------------
 
-def _invert_on_path(ab, path_points, v_targets, dt):
-    """Solve V(path end, w) = v for each target: log-bisection on the fixed
-    bracket, then Newton polish using the exact V_w.  Fully batched."""
-    v = np.asarray(v_targets, dtype=float)
-    lo = np.full(v.shape, INVERT_BRACKET[0])
-    hi = np.full(v.shape, INVERT_BRACKET[1])
-
-    def ends(w, want_vw=False):
-        tr = _continue(ab, path_points, w, dt, want_vw=want_vw, store=False)
-        return (tr.end_V, tr.end_Vw) if want_vw else (tr.end_V, None)
-
-    v_lo, _ = ends(lo)
-    v_hi, _ = ends(hi)
-    if np.any(v < v_lo) or np.any(v > v_hi):
-        bad = np.argwhere((np.atleast_1d(v) < np.atleast_1d(v_lo))
-                          | (np.atleast_1d(v) > np.atleast_1d(v_hi)))
-        raise BracketingError(
-            f"target speed outside the reachable range "
-            f"[{float(np.min(v_lo)):.3e}, {float(np.max(v_hi)):.3e}] for "
-            f"bracket w in {INVERT_BRACKET} (first bad target index "
-            f"{tuple(bad[0])})")
-    for _ in range(INVERT_BISECTIONS):
-        mid = np.sqrt(lo * hi)
-        v_mid, _ = ends(mid)
-        below = v_mid < v
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    w = np.sqrt(lo * hi)
-    vw_end = None
-    for _ in range(INVERT_NEWTON):
-        v_cur, vw_end = ends(w, want_vw=True)
-        if np.max(np.abs(v_cur - v)) <= 1e-13 * max(1.0, float(np.max(v))):
-            break
-        step = (v_cur - v) / vw_end
-        w_new = w - step
-        w = np.where(w_new > 0.0, w_new, w)
-    return w, vw_end
+def _invert_on_path(ab, path, v_targets, dt):
+    """(W, W_v) at the path end for each target v: one continuation run
+    backward from (end, v) to the start.  Its end value is W and its V_w
+    is W_v.  Batches of polylines (P, K, n) take targets (..., P)."""
+    back = (path.reversed() if isinstance(path, PathSpec)
+            else np.asarray(path, dtype=float)[..., ::-1, :])
+    tr = _continue(ab, back, v_targets, dt, want_vw=True, store=False)
+    return tr.end_V, tr.end_Vw
 
 
 def invert_V(ab, path_factory, x, v, dt=1e-3):
-    """w with |V(x, w) - v| below solver tolerance, along the canonical
-    path from the base point to x.  This is the global scalar W(x, v)
-    under the normalization W(base, v) = v."""
+    """The global scalar W(x, v) under the normalization W(base, v) = v:
+    the datum w with V(x, w) = v, found by running the continuation
+    backward from (x, v) to the base point along the canonical path.
+    Raises ContinuationError when that run leaves the positive axis (no
+    datum reaches v at x)."""
     if np.any(np.asarray(v, dtype=float) <= 0.0):
         raise PositivityError(f"target speed must be positive, got {v}")
     path = path_factory(np.asarray(x, dtype=float))
@@ -719,10 +667,9 @@ def extract_h(ab, p0, v_grid, dt=1e-2, check_points=None,
     v_sub = v_grid[:: max(1, len(v_grid) // 4)]
     paths = np.stack([np.stack([p0, np.asarray(p, dtype=float)])
                       for p in check_points])          # (P, 2, n)
-    targets = np.broadcast_to(v_sub, (len(check_points), len(v_sub))).copy()
-    w, vw_end = _invert_on_path(ab, paths, targets, dt)
-    a_there = ab.a_values(paths[:, 1, :][:, None, :], targets)
-    product = a_there / vw_end                        # a * W_v with W_v = 1/V_w
+    targets = np.broadcast_to(v_sub[:, None], (len(v_sub), len(check_points)))
+    w, w_v = _invert_on_path(ab, paths, targets, dt)
+    product = ab.a_values(paths[:, 1, :], targets) * w_v
     h_at_w = ab.a_values(p0, w)
     defect = float(np.max(np.abs(product - h_at_w)))
     return ExtractedH(v_grid, h_vals, defect, tuple(check_points))

@@ -19,14 +19,13 @@ collapse instead of assuming the layers stay immersed.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
     CompatibilityError,
+    ContinuationError,
     FrameError,
     IntegrationAborted,
     PathError,
@@ -44,7 +43,7 @@ from .geometry import (
     metric_at,
     surface_grid,
 )
-from .pfaff import PathSpec, _continue, fd_weights
+from .pfaff import PathSpec, _continue, _rk4_run, fd_weights
 
 __all__ = ["NuField", "ShiftFamily", "solve_nu", "normal_shift",
            "orthogonality_defect", "loop_closure_defect",
@@ -79,32 +78,34 @@ def _nu_sweep_axis(ab, s: Hypersurface, u_fixed, axis, s_values, nu_start,
     nu_start: (...,) starting values.  Returns nu at each node of
     s_values[1:], stacked along a new first axis.
     """
-    nu = np.array(nu_start, dtype=float)
-    u = np.array(u_fixed, dtype=float)
-    out = []
-    for s0, s1 in zip(s_values[:-1], s_values[1:]):
-        span = s1 - s0
-        nsub = max(1, int(round(abs(span) / du)))
-        h = span / nsub
+    u_fixed = np.asarray(u_fixed, dtype=float)
+
+    def stage(value):
+        u = u_fixed.copy()
+        u[..., axis] = value
+        x, tau = embed_with_tangents(s, u)
+        return x, tau[..., axis, :]
+
+    def steps(s0, s1):
+        nsub = max(1, int(round(abs(s1 - s0) / du)))
+        h = (s1 - s0) / nsub
         for j in range(nsub):
             a = s0 + j * h
+            xs, taus = zip(stage(a), stage(a + 0.5 * h), stage(a + h))
+            yield h, a, a + h, xs, taus
 
-            def rate(s_val, nu_cur):
-                u[..., axis] = s_val
-                x, tau = embed_with_tangents(s, u)
-                b = ab.b_values(x, nu_cur)
-                return np.einsum("...i,...i->...", b, tau[..., axis, :])
-
-            k1 = rate(a, nu)
-            k2 = rate(a + 0.5 * h, nu + 0.5 * h * k1)
-            k3 = rate(a + 0.5 * h, nu + 0.5 * h * k2)
-            k4 = rate(a + h, nu + h * k3)
-            nu = nu + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if np.any(~np.isfinite(nu)) or np.any(nu <= 0.0):
-                raise PositivityError(
-                    f"nu left the positive axis while sweeping parameter "
-                    f"axis {axis + 1} near u_{axis + 1}={a + h:.6g}")
-        out.append(nu.copy())
+    nu = np.array(nu_start, dtype=float)
+    out = []
+    for s0, s1 in zip(s_values[:-1], s_values[1:]):
+        try:
+            *_, (_, _, nu, _) = _rk4_run(ab, steps(s0, s1), nu, False)
+        except ContinuationError as err:
+            if err.__cause__ is not None:  # the field itself failed
+                raise
+            raise PositivityError(
+                f"nu left the positive axis while sweeping parameter "
+                f"axis {axis + 1} near u_{axis + 1}={err.t:.6g}") from err
+        out.append(nu)
     return out
 
 
@@ -191,45 +192,18 @@ class ShiftFamily:
         return self.x.shape[1:-1]
 
 
-def _worker_count(max_workers=None):
-    if max_workers is not None:
-        return max(1, int(max_workers))
-    env = os.environ.get("NORMALSHIFT_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
-
-
 def normal_shift(s: Hypersurface, nu: NuField, force: ForceField,
-                 m: MetricSpec, t_max, dt, store_every=1,
-                 max_workers=None) -> ShiftFamily:
+                 m: MetricSpec, t_max, dt, store_every=1) -> ShiftFamily:
     """Launch one trajectory per grid node with initial state
-    (x(u), nu(u) * unit normal) and collect the stored layers.
-
-    Node batches are independent; NORMALSHIFT_THREADS (or max_workers)
-    splits them across worker threads without changing any arithmetic,
-    and layers are assembled in grid order either way."""
+    (x(u), nu(u) * unit normal) and collect the stored layers."""
     sg = surface_grid(s, m)
     grid_shape = sg.points.shape[:-1]
     n = s.dimension
     x0 = sg.points.reshape(-1, n)
     xd0 = (nu.values[..., None] * sg.normals).reshape(-1, n)
-    workers = _worker_count(max_workers)
     try:
-        if workers == 1 or x0.shape[0] < 2 * workers:
-            times, xs, xds = integrate_batch(force, m, x0, xd0, t_max, dt,
-                                             store_every=store_every)
-        else:
-            chunks = np.array_split(np.arange(x0.shape[0]), workers)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(integrate_batch, force, m,
-                                       x0[c], xd0[c], t_max, dt, store_every)
-                           for c in chunks]
-                results = [f.result() for f in futures]
-            times = results[0][0]
-            xs = np.concatenate([r[1] for r in results], axis=1)
-            xds = np.concatenate([r[2] for r in results], axis=1)
+        times, xs, xds = integrate_batch(force, m, x0, xd0, t_max, dt,
+                                         store_every=store_every)
     except IntegrationAborted as err:
         raise IntegrationAborted(
             f"shift family is partial: {err}", partial=err.partial,
@@ -324,8 +298,6 @@ def loop_closure_defect(loop: PathSpec, ab, nu0, dt=1e-3, manifold=None):
     """|nu_end - nu0| after continuing the launch-speed equation once
     around a loop (closed in the chart, or closed up to a deck translation
     when a covering manifold is supplied)."""
-    if nu0 <= 0.0:
-        raise PositivityError(f"nu0 must be positive, got {nu0}")
     if manifold is not None:
         gap = loop.end() - loop.start()
         gens = np.asarray(manifold.deck_generators, dtype=float)

@@ -12,8 +12,6 @@ from normalshift.fields import (
     DerivedAB,
     ForceField,
     HWPair,
-    a_from_hW,
-    b_from_W,
     closedness_residual,
     collinearity_defect,
     force_ab,
@@ -44,32 +42,38 @@ def rand_states(rng, n, count, lo=-1.0, hi=1.0):
 
 # --- conversions -----------------------------------------------------------------
 
+# b_i = -(dW/dx^i)/(dW/dv) and a = h(W)/(dW/dv), computed by DerivedAB
+
 def test_b_from_W_no_position_dependence():
-    assert b_from_W(hw("v"), [0.3, -0.2], 1.7) == pytest.approx([0.0, 0.0])
+    b = DerivedAB(hw("v")).b_values([0.3, -0.2], 1.7)
+    assert b == pytest.approx([0.0, 0.0])
 
 
 def test_b_from_W_hand_value():
     # grad_x W = (0.5 v e^{x1/2}, 0), W_v = e^{x1/2} -> b = (-0.5, 0) at v=1
-    b = b_from_W(hw("v*exp(0.5*x1)"), [0.0, 0.0], 1.0)
+    b = DerivedAB(hw("v*exp(0.5*x1)")).b_values([0.0, 0.0], 1.0)
     assert b == pytest.approx([-0.5, 0.0], abs=1e-15)
 
 
 def test_b_from_W_linear_case():
-    b = b_from_W(hw("v+0.3*x2"), [0.7, -0.4], 2.0)
+    b = DerivedAB(hw("v+0.3*x2")).b_values([0.7, -0.4], 2.0)
     assert b == pytest.approx([0.0, -0.3], abs=1e-15)
 
 
 def test_a_from_hW_values():
-    assert a_from_hW(hw("v"), [0.1, 0.2], 1.5) == pytest.approx(1.0)
-    assert a_from_hW(hw("v*exp(0.5*x1)"), [0.0, 0.0], 1.0) == pytest.approx(1.0)
-    assert a_from_hW(hw("v", h="w^2"), [0.0, 0.0], 3.0) == pytest.approx(9.0)
+    for W, h, x, v, want in (("v", "1", [0.1, 0.2], 1.5, 1.0),
+                             ("v*exp(0.5*x1)", "1", [0.0, 0.0], 1.0, 1.0),
+                             ("v", "w^2", [0.0, 0.0], 3.0, 9.0)):
+        a = DerivedAB(hw(W, h=h)).a_values(x, v)
+        assert a == pytest.approx(want)
 
 
 def test_vanishing_wv_is_an_error():
     # W = x1 has no speed dependence at all
-    pair = hw("x1")
-    with pytest.raises(VanishingDerivativeError):
-        b_from_W(pair, [0.5, 0.5], 1.0)
+    derived = DerivedAB(hw("x1"))
+    for values in (derived.b_values, derived.a_values):
+        with pytest.raises(VanishingDerivativeError):
+            values([0.5, 0.5], 1.0)
 
 
 # --- forces -----------------------------------------------------------------------

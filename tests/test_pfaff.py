@@ -4,9 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from normalshift.errors import (
-    BracketingError,
     CompatibilityError,
     ContinuationError,
     DeckInvarianceError,
@@ -22,7 +22,8 @@ from normalshift.pfaff import (
     ClosedFormRho,
     MonodromyMap,
     PathSpec,
-    Vw_along_path,
+    _continue,
+    _invert_on_path,
     continue_V,
     extract_h,
     f_norm_estimate,
@@ -66,9 +67,12 @@ def test_continue_closed_form_decay():
 
 
 def test_continue_reversal_returns_datum():
-    there = continue_V(DECAY, UNIT_SEG, 1.3, dt=1e-3).end_V
-    back = continue_V(DECAY, UNIT_SEG.reversed(), there, dt=1e-3).end_V
-    assert back == pytest.approx(1.3, abs=1e-10)
+    arc = PathSpec.parametric([parse("cos(t)"), parse("sin(t)")],
+                              0.0, math.pi / 2, samples=32)
+    for path in (UNIT_SEG, arc):
+        there = continue_V(DECAY, path, 1.3, dt=1e-3).end_V
+        back = continue_V(DECAY, path.reversed(), there, dt=1e-3).end_V
+        assert back == pytest.approx(1.3, abs=1e-10)
 
 
 def test_continue_rk4_order():
@@ -103,6 +107,16 @@ def test_continuation_leaves_domain():
         continue_V(sink, UNIT_SEG, 0.8, dt=1e-3)
 
 
+def test_continuation_error_names_the_failing_lane():
+    # two paths in one batch; only the one at x2 = 5 sees b != 0, and its
+    # V^2 = 1 - 5 s reaches zero near s = 0.2
+    paths = np.array([[(0.0, 0.0), (3.0, 0.0)], [(0.0, 5.0), (3.0, 5.0)]])
+    with pytest.raises(ContinuationError,
+                       match=r"in lane \(1,\).*x=\(0\.201, 5\.0\)"):
+        _continue(ab("1", ("-0.5*x2/v", "0")), paths, np.ones(2), 1e-3,
+                  want_vw=False, store=False)
+
+
 def test_degenerate_point_path():
     factory = straight_path_factory((0.0, 0.0))
     tr = continue_V(DECAY, factory(np.zeros(2)), 1.7, dt=1e-3)
@@ -122,9 +136,9 @@ def test_path_validation():
 # --- the datum derivative -----------------------------------------------------------
 
 def test_vw_trivial_and_closed_form():
-    tr0 = Vw_along_path(ZERO_B, UNIT_SEG, 1.0, dt=1e-2)
+    tr0 = continue_V(ZERO_B, UNIT_SEG, 1.0, dt=1e-2)
     assert np.max(np.abs(tr0.Vw - 1.0)) == 0.0
-    tr = Vw_along_path(DECAY, UNIT_SEG, 1.0, dt=1e-3)
+    tr = continue_V(DECAY, UNIT_SEG, 1.0, dt=1e-3)
     assert tr.end_Vw == pytest.approx(math.exp(-0.5), rel=1e-10)
     assert np.all(tr.Vw > 0.0)
 
@@ -135,7 +149,7 @@ def test_vw_matches_finite_differences():
     pair = hw("v*exp(0.4*x1-0.3*x2)")
     derived = DerivedAB(pair)
     path = PathSpec.polyline([(0.0, 0.0), (0.8, 0.5)])
-    tr = Vw_along_path(derived, path, w0, dt=2e-3)
+    tr = continue_V(derived, path, w0, dt=2e-3)
     up = continue_V(derived, path, w0 + eps, dt=2e-3).end_V
     dn = continue_V(derived, path, w0 - eps, dt=2e-3).end_V
     fd = (up - dn) / (2 * eps)
@@ -194,10 +208,33 @@ def test_invert_round_trip():
     assert w == pytest.approx(1.4, abs=1e-9)
 
 
-def test_invert_bracket_failure():
+def test_invert_zero_b_is_identity_at_any_speed():
     factory = straight_path_factory((0.0, 0.0))
-    with pytest.raises(BracketingError):
-        invert_V(ZERO_B, factory, (1.0, 0.0), 1e12)
+    assert invert_V(ZERO_B, factory, (1.0, 0.0), 1e12) == 1e12
+
+
+def test_invert_unreachable_target():
+    # forward values at x = (1, 0) are sqrt(w^2 + 1) >= 1, so no datum
+    # reaches v = 0.8: the backward run leaves the positive axis
+    factory = straight_path_factory((0.0, 0.0))
+    with pytest.raises(ContinuationError):
+        invert_V(ab("1", ("0.5/v", "0")), factory, (1.0, 0.0), 0.8)
+
+
+@settings(max_examples=25, deadline=None)
+@given(alpha=st.floats(-1.0, 1.0), beta=st.floats(-1.0, 1.0),
+       x1=st.floats(-1.0, 1.0), x2=st.floats(-1.0, 1.0),
+       w=st.floats(0.1, 10.0))
+def test_invert_round_trip_property(alpha, beta, x1, x2, w):
+    # closed data W = v exp(alpha x1 + beta x2), i.e. b = -(alpha, beta) v
+    data = ab("1", (f"{-alpha!r}*v", f"{-beta!r}*v"))
+    factory = straight_path_factory((0.0, 0.0))
+    forward = continue_V(data, factory(np.array([x1, x2])), w, dt=1e-2)
+    assert invert_V(data, factory, (x1, x2), float(forward.end_V),
+                    dt=1e-2) == pytest.approx(w, rel=1e-9)
+    _, w_v = _invert_on_path(data, factory(np.array([x1, x2])),
+                             forward.end_V, 1e-2)
+    assert w_v * forward.end_Vw == pytest.approx(1.0, rel=1e-12)
 
 
 def test_foliation_monotone_in_datum():

@@ -112,6 +112,13 @@ def test_nu_requires_positive_datum():
         solve_nu(circle(16), ab("1", ("0", "0")), EUC2, -1.0)
 
 
+def test_nu_sweep_leaving_positive_axis_names_the_axis():
+    # d nu/du = -1 along the line: nu = 0.895 - u is negative from u = 0.9
+    with pytest.raises(PositivityError, match=r"axis 1 near u_1=0\.9\b"):
+        solve_nu(vertical_line(), ab("1", ("0", "-1")), EUC2, 0.895,
+                 du=1e-2)
+
+
 # --- shift families -------------------------------------------------------------------
 
 def radial_circle_family(nodes=256, dt=1e-3, t_max=0.5):
@@ -186,23 +193,6 @@ def test_constant_force_is_not_normal():
     fam = normal_shift(s, nu, force, EUC2, 0.5, 1e-2, store_every=10)
     per_layer = orthogonality_defect(fam)
     assert per_layer[-1] > 1e-3
-
-
-def test_thread_count_does_not_change_results(monkeypatch):
-    s = circle(64)
-    pair = HWPair(parse("v*exp(0.2*x1)"), parse("1"), 2)
-    force = ForceField(pair, EUC2)
-    nu = solve_nu(s, DerivedAB(pair), EUC2, 1.0, du=1e-2)
-    fam1 = normal_shift(s, nu, force, EUC2, 0.2, 1e-2, store_every=5,
-                        max_workers=1)
-    fam4 = normal_shift(s, nu, force, EUC2, 0.2, 1e-2, store_every=5,
-                        max_workers=4)
-    assert np.array_equal(fam1.x, fam4.x)
-    assert np.array_equal(fam1.xdot, fam4.xdot)
-    # the environment variable takes the same code path
-    monkeypatch.setenv("NORMALSHIFT_THREADS", "3")
-    fam_env = normal_shift(s, nu, force, EUC2, 0.2, 1e-2, store_every=5)
-    assert np.array_equal(fam1.x, fam_env.x)
 
 
 def test_shift_family_csv(tmp_path):
