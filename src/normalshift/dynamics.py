@@ -15,7 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntegrationAborted, NormalShiftError, ZeroSpeedError
+from .errors import (
+    IntegrationAborted,
+    NormalShiftError,
+    ZeroSpeedError,
+    first_bad,
+    point_str,
+)
 from .fields import SPEED_EPS, ForceField
 from .geometry import MetricSpec, christoffel, metric_at
 
@@ -120,10 +126,10 @@ def _check_speed(metric, x, xdot):
     g = metric_at(metric, x)
     v2 = np.einsum("...i,...ij,...j->...", xdot, g, xdot)
     if np.any(v2 <= SPEED_EPS ** 2):
-        lane = int(np.argmax(np.atleast_1d(v2).ravel() <= SPEED_EPS ** 2))
+        lane, (pt,) = first_bad(v2 <= SPEED_EPS ** 2, x)
         raise ZeroSpeedError(
             f"velocity modulus collapsed below {SPEED_EPS} mid-integration "
-            f"(state index {lane})")
+            f"(state {lane} at x={point_str(pt)})")
 
 
 def integrate(force: ForceField, metric: MetricSpec, s0: State,

@@ -1,4 +1,29 @@
-"""Exception hierarchy for the normalshift package."""
+"""Exception hierarchy for the normalshift package, and the locator that
+error messages use to name the state that failed."""
+
+import numpy as np
+
+
+def first_bad(mask, *arrays):
+    """Locate the first True entry of `mask` on the broadcast batch grid.
+
+    Each array carries its components on the last axis (pass a scalar
+    field s as s[..., None]); its leading axes broadcast with `mask`.
+    Returns the index on the broadcast grid and each array's components
+    there, so an error names the failing lane's own point even when the
+    inputs were broadcast against each other."""
+    arrays = [np.asarray(a, dtype=float) for a in arrays]
+    shape = np.broadcast_shapes(np.shape(mask),
+                                *(a.shape[:-1] for a in arrays))
+    flat = int(np.argmax(np.broadcast_to(mask, shape)))
+    idx = tuple(int(i) for i in np.unravel_index(flat, shape))
+    return idx, [np.broadcast_to(a, shape + a.shape[-1:])[idx]
+                 for a in arrays]
+
+
+def point_str(p):
+    """A point as a tuple of floats, for error messages."""
+    return str(tuple(float(c) for c in np.ravel(p)))
 
 
 class NormalShiftError(Exception):
@@ -74,7 +99,7 @@ class ContinuationError(NormalShiftError):
         if t is not None:
             ctx = f" at path parameter t={t:.6g}"
             if point is not None:
-                ctx += f", x={tuple(float(c) for c in point)}"
+                ctx += f", x={point_str(point)}"
         super().__init__(message + ctx)
         self.t = t
         self.point = point

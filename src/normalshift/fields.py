@@ -27,7 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FrameError, VanishingDerivativeError, ZeroSpeedError
+from .errors import (
+    FrameError,
+    VanishingDerivativeError,
+    ZeroSpeedError,
+    first_bad,
+    point_str,
+)
 from .expr import FieldExpr, parse as _parse, taylor_eval
 from .geometry import MetricSpec, coordinate_names, metric_at
 
@@ -41,6 +47,7 @@ __all__ = [
 
 SPEED_EPS = 1e-12   # structural: unit velocity direction must exist
 WV_EPS = 1e-10      # structural: dW/dv sits in denominators
+CANCEL_ULPS = 8     # rounding left by a sum that cancels, in ulps of its terms
 
 
 def _env(n, x, v=None):
@@ -111,14 +118,12 @@ class HWPair:
 
 
 def _guard_wv(wv, x, v):
-    if np.any(np.abs(wv) <= WV_EPS):
-        bad = int(np.argmax(np.abs(np.atleast_1d(wv)).ravel() <= WV_EPS))
-        pt = np.asarray(x, dtype=float).reshape(-1, np.asarray(x).shape[-1])
-        pt = pt[min(bad, pt.shape[0] - 1)]
-        vv = np.ravel(np.broadcast_to(v, np.atleast_1d(wv).shape))[bad]
+    bad = np.abs(wv) <= WV_EPS
+    if np.any(bad):
+        _, (pt, vv) = first_bad(bad, x, np.asarray(v, dtype=float)[..., None])
         raise VanishingDerivativeError(
             f"dW/dv vanished (|dW/dv| <= {WV_EPS}) at "
-            f"x={tuple(float(c) for c in pt)}, v={float(vv)}")
+            f"x={point_str(pt)}, v={float(vv[0])}")
 
 
 # --- the (a, b) presentation ----------------------------------------------------
@@ -244,10 +249,9 @@ def _velocity_frame(m: MetricSpec, x, xdot):
     v2 = np.einsum("...i,...i->...", xdot, xdot_low)
     v = np.sqrt(v2)
     if np.any(v <= SPEED_EPS):
-        bad = int(np.argmax(np.atleast_1d(v).ravel() <= SPEED_EPS))
-        pt = x.reshape(-1, x.shape[-1])[min(bad, x.reshape(-1, x.shape[-1]).shape[0] - 1)]
+        _, (pt,) = first_bad(v <= SPEED_EPS, x)
         raise ZeroSpeedError(
-            f"velocity modulus <= {SPEED_EPS} at x={tuple(float(c) for c in pt)}")
+            f"velocity modulus <= {SPEED_EPS} at x={point_str(pt)}")
     n_up = xdot / v[..., None]
     n_low = xdot_low / v[..., None]
     return v, n_up, n_low, g
@@ -392,24 +396,30 @@ def collinearity_defect(ab, w_expr: FieldExpr, x, v):
     """Relative non-collinearity of d(a * W_v) with dW in the (n+1)
     coordinate-gradient sense; 0 when the two one-forms are parallel.
 
-    A zero gradient of the product counts as collinear.  Requires a
-    nonzero dW."""
+    A zero gradient of the product counts as collinear, and so does one
+    within CANCEL_ULPS of the scale of its summands: each component is a
+    sum of two products, and where they cancel exactly (a * W_v constant)
+    rounding leaves only that much.  Requires a nonzero dW."""
     n = ab.dimension
     hw = HWPair(w_expr, _ONE, n)
     W, wx, wv, wxx, wxv, wvv = hw.w_jet2(x, v)
     a, ax, av = ab.a_jet(x, v)
     dW = np.concatenate([wx, wv[..., None]], axis=-1)
-    prod_x = ax * wv[..., None] + a[..., None] * wxv
-    prod_v = av * wv + a * wvv
-    dprod = np.concatenate([prod_x, prod_v[..., None]], axis=-1)
+    # each component of d(a * W_v) is a sum of two products
+    first = np.concatenate([ax * wv[..., None], (av * wv)[..., None]], axis=-1)
+    second = np.concatenate([a[..., None] * wxv, (a * wvv)[..., None]],
+                            axis=-1)
+    dprod = first + second
+    scale = np.abs(first) + np.abs(second)
     norm_w = np.linalg.norm(dW, axis=-1)
     if np.any(norm_w <= 1e-12):
         raise VanishingDerivativeError("dW vanished where the collinearity "
                                        "defect was requested")
     norm_p = np.linalg.norm(dprod, axis=-1)
+    nonzero = norm_p > (CANCEL_ULPS * np.finfo(float).eps
+                        * np.linalg.norm(scale, axis=-1))
     unit = dW / norm_w[..., None]
     ortho = dprod - np.einsum("...i,...i->...", dprod, unit)[..., None] * unit
-    safe = np.where(norm_p > 0.0, norm_p, 1.0)
-    return np.where(norm_p > 0.0,
-                    np.linalg.norm(ortho, axis=-1) / safe,
+    safe = np.where(nonzero, norm_p, 1.0)
+    return np.where(nonzero, np.linalg.norm(ortho, axis=-1) / safe,
                     np.zeros_like(norm_p))

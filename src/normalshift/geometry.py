@@ -15,7 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DeckInvarianceError, FrameError, MetricError, PathError
+from .errors import (
+    DeckInvarianceError,
+    FrameError,
+    MetricError,
+    PathError,
+    first_bad,
+    point_str,
+)
 from .expr import FieldExpr, taylor_eval
 
 __all__ = [
@@ -26,6 +33,8 @@ __all__ = [
     "surface_frame", "surface_grid", "grid_axes",
     "raise_index", "lower_index",
 ]
+
+GRAM_TOL = 1e-10   # structural: normalized Gram determinant of a frame
 
 
 def coordinate_names(n):
@@ -93,13 +102,12 @@ def _check_positive_definite(g, pts):
     # leading principal minors > 0 at every evaluated point
     n = g.shape[-1]
     for k in range(1, n + 1):
-        minors = np.atleast_1d(np.linalg.det(g[..., :k, :k]))
+        minors = np.linalg.det(g[..., :k, :k])
         if np.any(minors <= 0.0):
-            bad = int(np.argmax(minors.ravel() <= 0.0))
-            where = np.asarray(pts, dtype=float).reshape(-1, n)[bad]
+            _, (where,) = first_bad(minors <= 0.0, pts)
             raise MetricError(
                 f"metric not positive-definite: leading minor {k} is "
-                f"non-positive at x={tuple(float(c) for c in where)}")
+                f"non-positive at x={point_str(where)}")
 
 
 def metric_at(m: MetricSpec, x) -> np.ndarray:
@@ -395,6 +403,17 @@ def _unit_normal(taus, g, orientation):
     return normal * sign[..., None]
 
 
+def normalized_gram_det(taus, g):
+    """det(gram) / prod_k g(tau_k, tau_k) for tangent rows taus (..., k, n)
+    under the metric g (..., n, n): in [0, 1] by Hadamard's inequality (a
+    squared sine for two tangents), independent of the tangents' lengths,
+    and NaN where a tangent vanishes."""
+    gram = np.einsum("...ki,...ij,...lj->...kl", taus, g, taus)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.linalg.det(gram) / np.prod(
+            np.diagonal(gram, axis1=-2, axis2=-1), axis=-1)
+
+
 def surface_frame(s: Hypersurface, m: MetricSpec, u):
     """(x, tangents, unit normal) at a parameter point.
 
@@ -405,13 +424,14 @@ def surface_frame(s: Hypersurface, m: MetricSpec, u):
     u = np.asarray(u, dtype=float)
     x, taus = embed_with_tangents(s, u)
     g = metric_at(m, x)
-    gram = np.einsum("...ki,...ij,...lj->...kl", taus, g, taus)
-    det = np.linalg.det(gram)
-    if np.any(det <= 1e-10):
-        bad = np.argwhere(np.atleast_1d(det) <= 1e-10)[0]
+    det = normalized_gram_det(taus, g)
+    bad = ~(det > GRAM_TOL)
+    if np.any(bad):
+        node, (where,) = first_bad(bad, u)
         raise FrameError(
-            f"degenerate tangent frame (Gram determinant <= 1e-10) at "
-            f"flat node index {int(bad[0])}")
+            f"degenerate tangent frame (normalized Gram determinant "
+            f"<= {GRAM_TOL}) at u={point_str(where)}"
+            + (f", node {node}" if node else ""))
     normal = _unit_normal(taus, g, s.orientation)
     return x, taus, normal
 

@@ -21,15 +21,19 @@ normalization W(p0, v) = v, and its V_w there is W_v.
 Step counts scale with the chart length of each path segment, so `dt`
 means "step per unit chart length" for polylines and "step in the curve
 parameter" for parametric paths.
+
+scipy is imported only when a sampled `MonodromyMap` is first evaluated
+(its PCHIP interpolants are built on first use), so importing this module,
+or any CLI command, does not load it.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import (
     CompatibilityError,
@@ -39,6 +43,7 @@ from .errors import (
     PathError,
     PositivityError,
     TableError,
+    first_bad,
 )
 from .expr import FieldExpr, taylor_eval
 from .fields import closedness_residual, normalizing_residual
@@ -199,15 +204,13 @@ def _stage_rate(ab, x, V, d, want_vw, t):
 def _guard_positive(V, t, x):
     """Raise for the first lane of V off the positive axis, naming that
     lane and its own point among the stage points x (..., n)."""
-    bad = ~np.isfinite(V) | (V <= 0.0)
-    if np.any(bad):
-        shape = np.broadcast_shapes(np.shape(x)[:-1], np.shape(V))
-        lane = np.unravel_index(int(np.argmax(np.broadcast_to(bad, shape))),
-                                shape)
-        where = f" in lane {tuple(int(i) for i in lane)}" if shape else ""
+    ok = (V > 0.0) & (V < np.inf)   # False for NaN as well
+    if not ok.all():
+        lane, (point,) = first_bad(~ok, x)
+        where = f" in lane {lane}" if lane else ""
         raise ContinuationError(
             "continued parameter left the positive axis" + where, t=t,
-            point=np.broadcast_to(x, shape + np.shape(x)[-1:])[lane])
+            point=point)
 
 
 def _rk4_run(ab, steps, V, want_vw):
@@ -217,13 +220,24 @@ def _rk4_run(ab, steps, V, want_vw):
     `steps` yields (h, t0, t1, xs, ds) per step: the signed step h in the
     path parameter, the parameter at the step's start and end, the stage
     points xs = (start, middle, end) and the path tangents ds at them.
-    Yields (t1, end point, V, log V_w or None) after each step."""
+    Yields (t1, end point, V, log V_w or None) after each step.
+
+    Every stage input is guarded, not only the step ends: a step can
+    cross a square-root zero of V, where the stages go negative, and land
+    back on the positive axis."""
     logZ = np.zeros_like(V) if want_vw else None
     for h, t0, t1, xs, ds in steps:
+        tm = 0.5 * (t0 + t1)
         k1, g1 = _stage_rate(ab, xs[0], V, ds[0], want_vw, t0)
-        k2, g2 = _stage_rate(ab, xs[1], V + 0.5 * h * k1, ds[1], want_vw, t0)
-        k3, g3 = _stage_rate(ab, xs[1], V + 0.5 * h * k2, ds[1], want_vw, t0)
-        k4, g4 = _stage_rate(ab, xs[2], V + h * k3, ds[2], want_vw, t0)
+        V2 = V + 0.5 * h * k1
+        _guard_positive(V2, tm, xs[1])
+        k2, g2 = _stage_rate(ab, xs[1], V2, ds[1], want_vw, tm)
+        V3 = V + 0.5 * h * k2
+        _guard_positive(V3, tm, xs[1])
+        k3, g3 = _stage_rate(ab, xs[1], V3, ds[1], want_vw, tm)
+        V4 = V + h * k3
+        _guard_positive(V4, t1, xs[2])
+        k4, g4 = _stage_rate(ab, xs[2], V4, ds[2], want_vw, t1)
         V = V + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         _guard_positive(V, t1, xs[2])
         if want_vw:
@@ -446,7 +460,9 @@ def _table_derivatives(w, rho):
 @dataclass(eq=False)
 class MonodromyMap:
     """Sampled map of the continuation parameter induced by a deck word,
-    with a monotone interpolant.  Strictly increasing and positive."""
+    with a monotone (PCHIP) interpolant.  Strictly increasing and
+    positive.  The table is validated at construction; the interpolants
+    of the map and of its derivative are built on first evaluation."""
 
     word: str
     w: np.ndarray
@@ -455,14 +471,35 @@ class MonodromyMap:
     def __post_init__(self):
         self.w = np.asarray(self.w, dtype=float)
         self.rho = np.asarray(self.rho, dtype=float)
+        table = f"monodromy table '{self.word}'"
+        if self.w.ndim != 1 or self.rho.shape != self.w.shape:
+            raise TableError(
+                f"{table}: w and rho must be 1-D of equal length, got "
+                f"shapes {self.w.shape} and {self.rho.shape}")
+        if len(self.w) < 2:
+            raise TableError(f"{table}: needs at least 2 nodes, got "
+                             f"{len(self.w)}")
+        for name, vals in (("w", self.w), ("rho", self.rho)):
+            if not np.all(np.isfinite(vals)):
+                node = int(np.argmax(~np.isfinite(vals)))
+                raise TableError(f"{table}: {name} is not finite at node "
+                                 f"{node} ({vals[node]})")
         if np.any(self.rho <= 0.0):
-            raise TableError("monodromy values must be positive")
+            raise TableError(f"{table}: rho must be positive")
         if np.any(np.diff(self.w) <= 0.0) or np.any(np.diff(self.rho) <= 0.0):
-            raise TableError("monodromy table must be strictly increasing")
-        self._interp = PchipInterpolator(self.w, self.rho, extrapolate=False)
-        self._dtable = _table_derivatives(self.w, self.rho)
-        self._dinterp = PchipInterpolator(self.w, self._dtable,
-                                          extrapolate=False)
+            raise TableError(f"{table}: w and rho must be strictly "
+                             "increasing")
+
+    @cached_property
+    def _interp(self):
+        from scipy.interpolate import PchipInterpolator
+        return PchipInterpolator(self.w, self.rho, extrapolate=False)
+
+    @cached_property
+    def _dinterp(self):
+        from scipy.interpolate import PchipInterpolator
+        return PchipInterpolator(self.w, _table_derivatives(self.w, self.rho),
+                                 extrapolate=False)
 
     def _check_range(self, w):
         w = np.asarray(w, dtype=float)

@@ -34,6 +34,7 @@ from .errors import (
 from .dynamics import integrate_batch
 from .fields import ForceField
 from .geometry import (
+    GRAM_TOL,
     Hypersurface,
     MetricSpec,
     base_node_index,
@@ -41,6 +42,7 @@ from .geometry import (
     grid_axes,
     grid_spacings,
     metric_at,
+    normalized_gram_det,
     surface_grid,
 )
 from .pfaff import PathSpec, _continue, _rk4_run, fd_weights
@@ -255,7 +257,8 @@ def orthogonality_defect(fam: ShiftFamily) -> np.ndarray:
     and tangent directions: the figure of merit for normality.
 
     Caches the per-(node, layer) defect field on the family for CSV
-    output, and raises on grid collapse (degenerate Gram determinant)."""
+    output, and raises on grid collapse (degenerate normalized Gram
+    determinant)."""
     s = fam.surface
     k = s.n_params
     spacings = grid_spacings(s)
@@ -279,14 +282,14 @@ def orthogonality_defect(fam: ShiftFamily) -> np.ndarray:
             defect = np.abs(np.einsum("...i,...i->...", xd_low, tau)) \
                 / (speed * norm_tau)
             fields[li] = np.maximum(fields[li], defect)
-        tau_stack = np.stack(taus, axis=-2)
-        gram = np.einsum("...ki,...ij,...lj->...kl", tau_stack, g, tau_stack)
-        det = np.linalg.det(gram)
-        if np.any(det <= 1e-10):
-            bad = np.unravel_index(int(np.argmax(det <= 1e-10)), det.shape)
+        det = normalized_gram_det(np.stack(taus, axis=-2), g)
+        bad = ~(det > GRAM_TOL)
+        if np.any(bad):
+            node = np.unravel_index(int(np.argmax(bad)), bad.shape)
             raise FrameError(
                 f"shifted layer {li} (t={fam.times[li]:.6g}) degenerates at "
-                f"node {bad}: Gram determinant {float(det[bad]):.3e}")
+                f"node {tuple(int(i) for i in node)}: normalized Gram "
+                f"determinant {float(det[node]):.3e}")
         per_layer[li] = float(np.max(fields[li]))
     fam.node_defects = fields
     return per_layer

@@ -1,10 +1,14 @@
 """Command-line front end: reports, gates, exit codes, reproducibility."""
 
 import filecmp
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import normalshift
 from normalshift.cli import main
 from normalshift.errors import ConfigError, ScenarioError
 from normalshift.scenario import load_scenario, parse_config
@@ -217,3 +221,25 @@ def test_reruns_are_byte_identical(tmp_path):
     match, mismatch, errors = filecmp.cmpfiles(
         out3, out4, ["report.txt", "shift_family.csv"], shallow=False)
     assert mismatch == [] and errors == []
+
+
+def test_cli_start_up_does_not_import_scipy():
+    # scipy is loaded only when a sampled monodromy map is evaluated: not
+    # by importing the CLI, and not by building a map
+    probe = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import normalshift.cli\n"
+        "from normalshift.pfaff import MonodromyMap\n"
+        "print('scipy' in sys.modules)\n"
+        "rho = MonodromyMap('g1', np.array([1.0, 2.0]), np.array([2.0, 4.0]))\n"
+        "print('scipy' in sys.modules)\n"
+        "rho(1.5)\n"
+        "print('scipy' in sys.modules)\n")
+    src = str(Path(normalshift.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, timeout=120,
+                         check=True)
+    assert out.stdout.split() == ["False", "False", "True"]

@@ -5,9 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from normalshift.errors import IntegrationAborted
+from normalshift.errors import IntegrationAborted, ZeroSpeedError
 from normalshift.expr import parse
-from normalshift.dynamics import State, integrate, write_trajectory_csv
+from normalshift.dynamics import (
+    State,
+    _check_speed,
+    integrate,
+    write_trajectory_csv,
+)
 from normalshift.fields import DerivedAB, ForceField, HWPair
 from normalshift.geometry import CoveringManifold, MetricSpec, deck_apply
 
@@ -86,6 +91,16 @@ def test_speed_collapse_aborts_with_partial():
     assert 0.0 < err.time < 1.0
     times, xs, _ = err.partial
     assert len(times) == len(xs)
+
+
+def test_speed_collapse_names_the_failing_lane():
+    # the velocity at k = 1 is zero: the first failing state is (0, 1),
+    # whose point is x[0]
+    x = np.array([[[0.1, 0.2]], [[0.3, 0.4]], [[0.5, 0.6]]])
+    xdot = np.array([[[1.0, 0.0], [0.0, 0.0]]])
+    with pytest.raises(ZeroSpeedError,
+                       match=r"state \(0, 1\) at x=\(0\.1, 0\.2\)"):
+        _check_speed(EUC2, x, xdot)
 
 
 def test_curved_metric_straight_geodesic_check():

@@ -5,7 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from normalshift.errors import VanishingDerivativeError, ZeroSpeedError
+from normalshift.errors import (
+    VanishingDerivativeError,
+    ZeroSpeedError,
+    first_bad,
+)
 from normalshift.expr import parse
 from normalshift.fields import (
     ABFields,
@@ -74,6 +78,36 @@ def test_vanishing_wv_is_an_error():
     for values in (derived.b_values, derived.a_values):
         with pytest.raises(VanishingDerivativeError):
             values([0.5, 0.5], 1.0)
+
+
+def test_first_bad_indexes_the_broadcast_grid():
+    x = np.arange(6.0).reshape(3, 1, 2)
+    v = np.array([[10.0, 20.0]])
+    mask = np.zeros((3, 2), dtype=bool)
+    mask[1, 1] = True
+    lane, (pt, vv) = first_bad(mask, x, v[..., None])
+    assert lane == (1, 1)
+    assert pt.tolist() == [2.0, 3.0] and vv.tolist() == [20.0]
+    assert first_bad(np.array(True), [1.0, 2.0])[0] == ()
+
+
+def test_vanishing_wv_names_the_failing_lane():
+    # W_v = v - x1 vanishes only at lane (1, 1) of the (3, 1) x (1, 2)
+    # grid, whose flat index 3 is past the three x rows
+    x = np.array([[[0.3, 0.0]], [[0.7, 0.0]], [[0.9, 1.0]]])
+    v = np.array([[0.5, 0.7]])
+    with pytest.raises(VanishingDerivativeError,
+                       match=r"x=\(0\.7, 0\.0\), v=0\.7"):
+        DerivedAB(hw("0.5*v^2 - x1*v")).b_values(x, v)
+
+
+def test_zero_speed_names_the_failing_lane():
+    # the velocity at k = 1 is zero: the first failing lane is (0, 1),
+    # whose point is x[0] (flat index 1 would name x[1])
+    x = np.array([[[0.1, 0.2]], [[0.3, 0.4]], [[0.5, 0.6]]])
+    xdot = np.array([[[1.0, 0.0], [0.0, 0.0]]])
+    with pytest.raises(ZeroSpeedError, match=r"x=\(0\.1, 0\.2\)"):
+        force_hw(hw("v"), EUC2, x, xdot)
 
 
 # --- forces -----------------------------------------------------------------------
@@ -207,6 +241,33 @@ def test_collinearity_detects_violation():
 def test_collinearity_constant_product_counts_as_collinear():
     d = collinearity_defect(ab("2", ("0", "0")), parse("v"), [0.5, 0.5], 1.0)
     assert d == 0.0
+
+
+@pytest.mark.parametrize("points", [5, 6, 60])
+def test_collinearity_of_consistent_data_on_any_grid(points):
+    # check_consistent.toml's data: a * W_v = h = 1, so d(a * W_v) = 0 and
+    # rounding leaves ~1e-16 of it on grids off the 5-point lattice
+    axis = np.linspace(-1.0, 1.0, points)
+    x = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
+    x = x.reshape(-1, 2)[:, None, :]
+    v = np.linspace(0.5, 2.0, 5)[None, :]
+    d = collinearity_defect(DerivedAB(hw("v*exp(0.5*x1)")),
+                            parse("v*exp(0.5*x1)"), x, v)
+    assert np.max(d) == 0.0
+
+
+def test_collinearity_of_non_collinear_pair_is_order_one():
+    # a * W_v = (1 + x2) e^{x1/2} has a dx2 part that dW lacks; at the
+    # origin with v = 1 the defect is sqrt(0.96)
+    a = ab("1 + x2", ("0", "0"))
+    w = parse("v*exp(0.5*x1)")
+    assert collinearity_defect(a, w, [0.0, 0.0], 1.0) == pytest.approx(
+        math.sqrt(0.96), rel=1e-12)
+    axis = np.linspace(-1.0, 1.0, 6)
+    x = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
+    d = collinearity_defect(a, w, x.reshape(-1, 2)[:, None, :],
+                            np.linspace(0.5, 2.0, 5)[None, :])
+    assert np.min(d) > 0.1
 
 
 def test_ab_components_may_only_use_position_and_speed():

@@ -34,10 +34,11 @@ def conformal(n, lam):
     return MetricSpec(n, kind="conformal", conformal=parse(lam))
 
 
-def circle(orientation=1, nodes=16):
+def circle(orientation=1, nodes=16, radius=1.0):
     return Hypersurface(
         dimension=2,
-        parametrization=(parse("cos(u1)"), parse("sin(u1)")),
+        parametrization=(parse(f"{radius!r}*cos(u1)"),
+                         parse(f"{radius!r}*sin(u1)")),
         ranges=((0.0, 2 * math.pi),),
         grid=(nodes,),
         base_point=(0.0,),
@@ -46,12 +47,12 @@ def circle(orientation=1, nodes=16):
     )
 
 
-def sphere(nodes=(16, 9), margin=0.15):
+def sphere(nodes=(16, 9), margin=0.15, radius=1.0):
     return Hypersurface(
         dimension=3,
-        parametrization=(parse("sin(u2)*cos(u1)"),
-                         parse("sin(u2)*sin(u1)"),
-                         parse("cos(u2)")),
+        parametrization=(parse(f"{radius!r}*sin(u2)*cos(u1)"),
+                         parse(f"{radius!r}*sin(u2)*sin(u1)"),
+                         parse(f"{radius!r}*cos(u2)")),
         ranges=((0.0, 2 * math.pi), (margin, math.pi - margin)),
         grid=nodes,
         base_point=(0.0, math.pi / 2),
@@ -254,6 +255,50 @@ def test_degenerate_frame_detected():
     )
     with pytest.raises(FrameError):
         surface_frame(s, EUC2, (0.0,))
+    # on a batch the error names the failing node and its own parameter
+    u = np.array([[0.5, -0.5, 0.25], [0.75, 0.1, 0.0]])[..., None]
+    with pytest.raises(FrameError, match=r"u=\(0\.0,\), node \(1, 2\)"):
+        surface_frame(s, EUC2, u)
+
+
+@pytest.mark.parametrize("radius", [1e-6, 1e6])
+def test_frames_do_not_depend_on_scale(radius):
+    sg = surface_grid(circle(radius=radius), EUC2)
+    assert sg.normals[0] == pytest.approx([1.0, 0.0], abs=1e-12)
+    sg = surface_grid(sphere(radius=radius), EUC3)
+    # radial unit normals (this parametrization's orientation points inward)
+    nn = np.sum(sg.normals * sg.points, axis=-1) / radius
+    assert np.abs(nn) == pytest.approx(np.ones(sg.points.shape[:-1]),
+                                       abs=1e-12)
+    _, _, n = surface_frame(circle(radius=radius), EUC2, (0.0,))
+    assert n == pytest.approx([1.0, 0.0], abs=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_collinear_tangents_rejected_at_any_scale(scale):
+    # both tangents are (1, 2, 0) * scale
+    s = Hypersurface(
+        dimension=3,
+        parametrization=(parse(f"{scale!r}*(u1 + u2)"),
+                         parse(f"{scale!r}*(2*u1 + 2*u2)"),
+                         parse("0")),
+        ranges=((0.0, 1.0), (0.0, 1.0)),
+        grid=(3, 3),
+        base_point=(0.0, 0.0),
+        closed=(False, False),
+    )
+    with pytest.raises(FrameError, match="degenerate tangent frame"):
+        surface_grid(s, EUC3)
+
+
+def test_metric_error_names_the_failing_point():
+    # g22 = x1 fails at the third of the (3, 1) points only
+    m = MetricSpec(2, kind="explicit",
+                   entries=((parse("1"), parse("0")),
+                            (parse("0"), parse("x1"))))
+    x = np.array([[[1.0, 0.0]], [[2.0, 0.0]], [[-1.0, 5.0]]])
+    with pytest.raises(MetricError, match=r"x=\(-1\.0, 5\.0\)"):
+        metric_at(m, x)
 
 
 def test_grid_axes_closed_excludes_endpoint():

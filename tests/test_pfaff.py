@@ -109,12 +109,37 @@ def test_continuation_leaves_domain():
 
 def test_continuation_error_names_the_failing_lane():
     # two paths in one batch; only the one at x2 = 5 sees b != 0, and its
-    # V^2 = 1 - 5 s reaches zero near s = 0.2
+    # V^2 = 1 - 5 s reaches zero at s = 0.2, where a midpoint stage of the
+    # step [0.200, 0.201] leaves the positive axis
     paths = np.array([[(0.0, 0.0), (3.0, 0.0)], [(0.0, 5.0), (3.0, 5.0)]])
     with pytest.raises(ContinuationError,
-                       match=r"in lane \(1,\).*x=\(0\.201, 5\.0\)"):
+                       match=r"in lane \(1,\).*, 5\.0\)") as exc:
         _continue(ab("1", ("-0.5*x2/v", "0")), paths, np.ones(2), 1e-3,
                   want_vw=False, store=False)
+    assert exc.value.t == pytest.approx(0.2005, abs=1e-12)
+    assert exc.value.point == pytest.approx([0.2005, 5.0], abs=1e-12)
+
+
+def test_stage_values_are_guarded():
+    # V dV/du = -1 from V = 0.9: V^2 = 0.81 - 2u dies at u = 0.405.  At
+    # dt = 1e-2 a step crosses the zero with negative stage values and
+    # lands back on the positive axis (V_end ~ 11.6 unguarded).
+    with pytest.raises(ContinuationError,
+                       match="left the positive axis") as exc:
+        continue_V(ab("1", ("0", "-1/v")),
+                   PathSpec.polyline([(0.0, 0.0), (0.0, 1.0)]), 0.9, dt=1e-2)
+    assert 0.4 <= exc.value.t <= 0.41
+
+
+def test_field_failure_names_the_stage_that_failed():
+    # sqrt(0.503 - x2) is defined at the step start x2 = 0.5 but not at
+    # the midpoint stage x2 = 0.505, which the error names with its own t
+    with pytest.raises(ContinuationError,
+                       match="field evaluation failed") as exc:
+        continue_V(ab("1", ("0", "sqrt(0.503 - x2)")),
+                   PathSpec.polyline([(0.0, 0.0), (0.0, 1.0)]), 1.0, dt=1e-2)
+    assert exc.value.t == pytest.approx(0.505, abs=1e-12)
+    assert exc.value.point == pytest.approx([0.0, 0.505], abs=1e-12)
 
 
 def test_degenerate_point_path():
@@ -355,6 +380,44 @@ def test_monodromy_map_table_validation():
                         np.array([2.0, 4.0, 8.0]))
     with pytest.raises(TableError):
         good(8.0)
+
+
+@pytest.mark.parametrize("w, rho", [
+    ([1.0], [2.0]),                       # one node
+    ([1.0, 2.0], [np.nan, 3.0]),          # NaN rho
+    ([1.0, np.inf], [1.0, 2.0]),          # infinite w
+    ([1.0, 2.0, 3.0], [1.0, 2.0]),        # lengths differ
+    ([[1.0, 2.0]], [[1.0, 2.0]]),         # not 1-D
+])
+def test_monodromy_map_rejects_bad_tables_at_construction(w, rho):
+    with pytest.raises(TableError, match="monodromy table 'g7'"):
+        MonodromyMap("g7", np.array(w), np.array(rho))
+
+
+def test_monodromy_map_values_unchanged():
+    # reference values from the eagerly built interpolants (PCHIP of the
+    # table, and of its fourth-order node derivatives)
+    w = np.array([0.5, 0.8, 1.0, 1.7, 2.5, 4.0])
+    rho = MonodromyMap("g1", w, w ** 2 + 0.3 * w)
+    q = np.array([0.5, 0.65, 1.3, 2.0, 3.9, 4.0])
+    assert rho(q) == pytest.approx(
+        [0.4, 0.6200227272727273, 2.097569172174303, 4.585967472760755,
+         16.380039563262685, 17.2], rel=1e-14)
+    assert rho.derivative(q) == pytest.approx(
+        [1.3000000000000007, 1.6000000000000008, 2.900000000000002,
+         4.300000000000002, 8.10000000000001, 8.300000000000011], rel=1e-14)
+    assert rho.inverse(np.array([0.4, 1.0, 2.9, 7.0, 17.2])) == \
+        pytest.approx([0.5, 0.8627870984100423, 1.5558083303215604, 2.5,
+                       4.0], rel=1e-14)
+    assert rho(1.3) == pytest.approx(2.097569172174303, rel=1e-14)
+    assert rho.derivative(1.3) == pytest.approx(2.900000000000002,
+                                                rel=1e-14)
+    assert rho.inverse(2.9) == pytest.approx(1.5558083303215604, rel=1e-14)
+    two = MonodromyMap("g2", np.array([1.0, 3.0]), np.array([2.0, 5.0]))
+    assert two(np.array([1.0, 2.2, 3.0])) == pytest.approx(
+        [2.0, 3.8000000000000003, 5.0], rel=1e-14)
+    assert two.derivative(2.2) == pytest.approx(1.5, rel=1e-14)
+    assert two.inverse(4.0) == pytest.approx(2.3333333333333335, rel=1e-14)
 
 
 # --- gauge transformations ------------------------------------------------------------

@@ -113,8 +113,9 @@ def test_nu_requires_positive_datum():
 
 
 def test_nu_sweep_leaving_positive_axis_names_the_axis():
-    # d nu/du = -1 along the line: nu = 0.895 - u is negative from u = 0.9
-    with pytest.raises(PositivityError, match=r"axis 1 near u_1=0\.9\b"):
+    # d nu/du = -1 along the line: nu = 0.895 - u reaches 0 at u = 0.895,
+    # the midpoint stage of the step [0.89, 0.9]
+    with pytest.raises(PositivityError, match=r"axis 1 near u_1=0\.895\b"):
         solve_nu(vertical_line(), ab("1", ("0", "-1")), EUC2, 0.895,
                  du=1e-2)
 
@@ -165,6 +166,24 @@ def test_free_motion_translates_surface():
                          - surface_grid(s, EUC2).points[..., 1])) < 1e-12
     per_layer = orthogonality_defect(fam)
     assert np.max(per_layer) < 1e-12
+
+
+@pytest.mark.parametrize("radius", [1e-6, 1e6])
+def test_orthogonality_gate_does_not_depend_on_scale(radius):
+    # free radial motion of a circle: every layer is a concentric circle
+    s = Hypersurface(
+        dimension=2,
+        parametrization=(parse(f"{radius!r}*cos(u1)"),
+                         parse(f"{radius!r}*sin(u1)")),
+        ranges=((0.0, 2 * math.pi),),
+        grid=(64,),
+        base_point=(0.0,),
+        closed=(True,),
+    )
+    force = ForceField((parse("0"), parse("0")), EUC2)
+    nu = solve_nu(s, ab("1", ("0", "0")), EUC2, 1.0, du=1e-2)
+    fam = normal_shift(s, nu, force, EUC2, 0.1, 1e-2, store_every=5)
+    assert np.max(orthogonality_defect(fam)) < 1e-10
 
 
 def test_zero_duration_family():
