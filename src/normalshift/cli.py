@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, NormalShiftError, ScenarioError
 from .expr import parse as parse_expr
-from .dynamics import State, integrate, write_trajectory_csv
+from .dynamics import State, integrate, write_csv, write_trajectory_csv
 from .fields import (
     closedness_residual,
     collinearity_defect,
@@ -138,13 +138,6 @@ def _random_states(sc: Scenario, count):
     return x, xdot
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
 # --- commands --------------------------------------------------------------------
 
 def cmd_check(sc: Scenario, out_dir, report: Report):
@@ -223,11 +216,10 @@ def cmd_pfaff(sc: Scenario, out_dir, report: Report):
     run = sc.run
     path = _path_from(run, "path", sc.dimension)
     trace = continue_V(sc.ab, path, float(run["w0"]), dt=float(run["dt"]))
-    rows = [[trace.t[i]] + list(trace.x[i]) + [trace.V[i], trace.Vw[i]]
-            for i in range(len(trace.t))]
     header = (["t"] + [f"x{i + 1}" for i in range(sc.dimension)]
               + ["V", "V_w"])
-    _write_csv(os.path.join(out_dir, "continuation.csv"), header, rows)
+    write_csv(os.path.join(out_dir, "continuation.csv"), header,
+              [np.column_stack([trace.t, trace.x, trace.V, trace.Vw])])
     report.info(f"endpoint V {_fmt(trace.end_V)}, V_w {_fmt(trace.end_Vw)}")
     if "path2" in run:
         other = _path_from(run, "path2", sc.dimension)
@@ -272,8 +264,8 @@ def cmd_monodromy(sc: Scenario, out_dir, report: Report):
     p0 = [float(c) for c in run.get("p0", [0.0] * sc.dimension)]
     w = _w_grid(run)
     rho = monodromy(sc.ab, sc.manifold, word, p0, w, dt=float(run["dt"]))
-    _write_csv(os.path.join(out_dir, "monodromy.csv"), ["w", "rho_w"],
-               list(zip(rho.w, rho.rho)))
+    write_csv(os.path.join(out_dir, "monodromy.csv"), ["w", "rho_w"],
+              [np.column_stack([rho.w, rho.rho])])
     report.info(f"word '{word}', {len(w)} samples, "
                 f"rho range [{_fmt(rho.rho[0])}, {_fmt(rho.rho[-1])}]")
     if not word.strip():
@@ -304,8 +296,8 @@ def cmd_extract_h(sc: Scenario, out_dir, report: Report):
     p0 = [float(c) for c in run.get("p0", [0.0] * sc.dimension)]
     v = _v_grid(run)
     out = extract_h(sc.ab, p0, v, dt=float(run.get("extract_dt", 1e-2)))
-    _write_csv(os.path.join(out_dir, "h_table.csv"), ["v", "h"],
-               list(zip(out.v, out.h)))
+    write_csv(os.path.join(out_dir, "h_table.csv"), ["v", "h"],
+              [np.column_stack([out.v, out.h])])
     report.metric("h_consistency_defect", out.consistency_defect,
                   float(run["h_tol"]))
 

@@ -26,7 +26,9 @@ from .fields import SPEED_EPS, ForceField
 from .geometry import MetricSpec, christoffel, metric_at
 
 __all__ = ["State", "Trajectory", "integrate", "integrate_batch",
-           "write_trajectory_csv"]
+           "write_csv", "write_trajectory_csv"]
+
+CSV_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -123,8 +125,11 @@ def integrate_batch(force: ForceField, metric: MetricSpec, x0, xdot0,
 
 
 def _check_speed(metric, x, xdot):
-    g = metric_at(metric, x)
-    v2 = np.einsum("...i,...ij,...j->...", xdot, g, xdot)
+    if metric.is_euclidean:
+        v2 = np.einsum("...i,...i->...", xdot, xdot)
+    else:
+        v2 = np.einsum("...i,...ij,...j->...", xdot, metric_at(metric, x),
+                       xdot)
     if np.any(v2 <= SPEED_EPS ** 2):
         lane, (pt,) = first_bad(v2 <= SPEED_EPS ** 2, x)
         raise ZeroSpeedError(
@@ -140,15 +145,32 @@ def integrate(force: ForceField, metric: MetricSpec, s0: State,
     return Trajectory(times + s0.t, xs, xds, force, metric, dt)
 
 
+def write_csv(path, header, blocks, int_cols=0):
+    """Write the header line, then the rows of each 2-d block
+    (rows, len(header)) in order; the first int_cols columns hold
+    integer-valued entries and are written without a decimal point.
+
+    Every other value is written with '%.17g', which gives the same bytes
+    as format(x, '.17g'), -0, nan and inf included, so tables round-trip
+    every double and reruns are byte-identical.  Rows are formatted
+    CSV_BLOCK_ROWS at a time with one %-template and written as they are
+    formatted, so no table is held in memory as one string."""
+    row = ",".join(["%d"] * int_cols
+                   + ["%.17g"] * (len(header) - int_cols)) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for block in blocks:
+            block = np.asarray(block, dtype=float)
+            for lo in range(0, len(block), CSV_BLOCK_ROWS):
+                part = block[lo:lo + CSV_BLOCK_ROWS]
+                fh.write(row * len(part) % tuple(part.ravel().tolist()))
+
+
 def write_trajectory_csv(path, traj: Trajectory):
     """Columns t, x1..xn, xdot1..xdotn, speed at full double precision."""
     n = traj.x.shape[-1]
     speeds = traj.speeds()
     header = (["t"] + [f"x{i + 1}" for i in range(n)]
               + [f"xdot{i + 1}" for i in range(n)] + ["speed"])
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(len(traj.times)):
-            row = ([traj.times[i]] + list(traj.x[i]) + list(traj.xdot[i])
-                   + [speeds[i]])
-            fh.write(",".join(f"{val:.17g}" for val in row) + "\n")
+    write_csv(path, header, [np.column_stack([traj.times, traj.x,
+                                              traj.xdot, speeds])])

@@ -241,11 +241,15 @@ class DerivedAB:
 # --- velocity frame and forces ----------------------------------------------------
 
 def _velocity_frame(m: MetricSpec, x, xdot):
-    """g-speed, unit direction (contravariant and covariant), metric pair."""
+    """g-speed, unit direction (contravariant and covariant), and the
+    metric matrix (None for a euclidean metric, which lowers nothing)."""
     x = np.asarray(x, dtype=float)
     xdot = np.asarray(xdot, dtype=float)
-    g = metric_at(m, x)
-    xdot_low = np.einsum("...ij,...j->...i", g, xdot)
+    if m.is_euclidean:
+        g, xdot_low = None, xdot
+    else:
+        g = metric_at(m, x)
+        xdot_low = np.einsum("...ij,...j->...i", g, xdot)
     v2 = np.einsum("...i,...i->...", xdot, xdot_low)
     v = np.sqrt(v2)
     if np.any(v <= SPEED_EPS):

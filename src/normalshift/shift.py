@@ -6,7 +6,11 @@ surfaces stay to the trajectories.
 nu is continued from the base node along axis-ordered staircase paths in
 the parameter domain (RK4 per grid cell); the same solve with the axis
 order reversed audits the compatibility of the continuation, and the
-maximal discrepancy is reported on the result.
+maximal discrepancy is reported on the result.  The two solves share the
+first-axis line through the base node, which both compute identically:
+the reversed solve runs first and the forward solve starts from its line.
+Each grid interval of a sweep evaluates the embedding once, on the stage
+parameters of all of its RK4 steps, so the RK4 loop evaluates only b.
 
 Orthogonality of a shifted layer is measured against tangents estimated
 by finite differences on the node grid, since shifted surfaces have no
@@ -31,7 +35,7 @@ from .errors import (
     PathError,
     PositivityError,
 )
-from .dynamics import integrate_batch
+from .dynamics import integrate_batch, write_csv
 from .fields import ForceField
 from .geometry import (
     GRAM_TOL,
@@ -79,28 +83,26 @@ def _nu_sweep_axis(ab, s: Hypersurface, u_fixed, axis, s_values, nu_start,
     decreasing node coordinates starting at the current position;
     nu_start: (...,) starting values.  Returns nu at each node of
     s_values[1:], stacked along a new first axis.
+
+    The stage points of a grid interval depend on the grid only, not on
+    nu, so each interval evaluates the embedding once, on all of its
+    (step, stage) parameters, and the RK4 loop evaluates only b.
     """
     u_fixed = np.asarray(u_fixed, dtype=float)
-
-    def stage(value):
-        u = u_fixed.copy()
-        u[..., axis] = value
-        x, tau = embed_with_tangents(s, u)
-        return x, tau[..., axis, :]
-
-    def steps(s0, s1):
-        nsub = max(1, int(round(abs(s1 - s0) / du)))
-        h = (s1 - s0) / nsub
-        for j in range(nsub):
-            a = s0 + j * h
-            xs, taus = zip(stage(a), stage(a + 0.5 * h), stage(a + h))
-            yield h, a, a + h, xs, taus
-
+    lane_axes = (1,) * (u_fixed.ndim - 1)
     nu = np.array(nu_start, dtype=float)
     out = []
     for s0, s1 in zip(s_values[:-1], s_values[1:]):
+        nsub = max(1, int(round(abs(s1 - s0) / du)))
+        h = (s1 - s0) / nsub
+        a = s0 + np.arange(nsub) * h
+        stages = np.stack([a, a + 0.5 * h, a + h], axis=-1)  # (nsub, 3)
+        u = np.broadcast_to(u_fixed, stages.shape + u_fixed.shape).copy()
+        u[..., axis] = stages.reshape(stages.shape + lane_axes)
+        x, tau = embed_with_tangents(s, u)
+        steps = zip([h] * nsub, a, stages[:, 2], x, tau[..., axis, :])
         try:
-            *_, (_, _, nu, _) = _rk4_run(ab, steps(s0, s1), nu, False)
+            *_, (_, _, nu, _) = _rk4_run(ab, steps, nu, False)
         except ContinuationError as err:
             if err.__cause__ is not None:  # the field itself failed
                 raise
@@ -111,13 +113,16 @@ def _nu_sweep_axis(ab, s: Hypersurface, u_fixed, axis, s_values, nu_start,
     return out
 
 
-def _solve_nu_grid(s: Hypersurface, ab, nu0, du, axis_order):
-    """Fill the nu grid by sweeping the axes in the given order."""
+def _solve_nu_grid(s: Hypersurface, ab, nu0, du, axis_order, start=None):
+    """Fill the nu grid by sweeping the axes in the given order.
+
+    `start` is an optional partially filled grid (NaN where not yet
+    computed); a sweep whose target nodes are all filled there is
+    skipped, and later sweeps start from its values."""
     axes = grid_axes(s)
     base = base_node_index(s)
     shape = tuple(len(a) for a in axes)
-    k = len(shape)
-    nu = np.full(shape, np.nan)
+    nu = np.full(shape, np.nan) if start is None else np.array(start)
     nu[base] = nu0
 
     filled = [slice(b, b + 1) for b in base]  # region already computed
@@ -125,23 +130,25 @@ def _solve_nu_grid(s: Hypersurface, ab, nu0, du, axis_order):
         coords = axes[axis]
         b = base[axis]
         prefix = tuple(filled)
+        filled[axis] = slice(None)
+        if not np.isnan(nu[tuple(filled)]).any():
+            continue
         lane_shape = nu[prefix].shape
         # lanes: every filled node; sweep this axis in both directions
         mesh = np.meshgrid(*[axes[d][fl] for d, fl in enumerate(prefix)],
                            indexing="ij")
-        u_lanes = np.stack([m for m in mesh], axis=-1)  # lane_shape + (k,)
+        u_lanes = np.stack(mesh, axis=-1)  # lane_shape + (k,)
         for direction in (+1, -1):
             node_path = coords[b:] if direction > 0 else coords[b::-1]
             if len(node_path) < 2:
                 continue
-            start = nu[prefix].reshape(lane_shape)
-            values = _nu_sweep_axis(ab, s, u_lanes.reshape(lane_shape + (k,)),
-                                    axis, node_path, start, du)
+            start_nu = nu[prefix].reshape(lane_shape)
+            values = _nu_sweep_axis(ab, s, u_lanes, axis, node_path,
+                                    start_nu, du)
             for step, vals in enumerate(values):
                 idx = list(prefix)
                 idx[axis] = b + direction * (step + 1)
                 nu[tuple(idx)] = vals.reshape(nu[tuple(idx)].shape)
-        filled[axis] = slice(None)
     return nu
 
 
@@ -152,18 +159,27 @@ def solve_nu(s: Hypersurface, ab, m: MetricSpec, nu0, du=1e-2,
         d nu / d u^k = sum_i b_i(x(u), nu) * dx^i/du^k
 
     from nu(base) = nu0 to every grid node along axis-ordered staircase
-    paths.  A full re-solve with the axis order reversed audits the
-    compatibility; its maximal discrepancy must stay below compat_tol
-    (closed covector data and trivial surface loops give ~0)."""
+    paths.  A solve with the axis order reversed audits the compatibility;
+    its maximal discrepancy must stay below compat_tol (closed covector
+    data and trivial surface loops give ~0).
+
+    The reversed solve runs first.  Its last sweep (the first parameter
+    axis, over every node) carries the lane through the base node along
+    the same path, from the same nu0, as the forward solve's first sweep,
+    so the forward solve starts from that line instead of recomputing it."""
     if nu0 <= 0.0:
         raise PositivityError(f"nu0 must be positive, got {nu0}")
     k = s.n_params
-    nu = _solve_nu_grid(s, ab, nu0, du, list(range(k)))
+    nu = _solve_nu_grid(s, ab, nu0, du, list(range(k))[::-1])
+    defect = 0.0
     if k > 1:
-        nu_rev = _solve_nu_grid(s, ab, nu0, du, list(range(k))[::-1])
+        nu_rev = nu
+        line = list(base_node_index(s))
+        line[0] = slice(None)
+        start = np.full_like(nu_rev, np.nan)
+        start[tuple(line)] = nu_rev[tuple(line)]
+        nu = _solve_nu_grid(s, ab, nu0, du, list(range(k)), start)
         defect = float(np.max(np.abs(nu - nu_rev)))
-    else:
-        defect = 0.0
     if defect > compat_tol:
         raise CompatibilityError(
             f"mixed-path continuation defect {defect:.3e} exceeds "
@@ -328,17 +344,12 @@ def write_shift_family_csv(path, fam: ShiftFamily):
     header = ([f"i{j + 1}" for j in range(k)] + ["t"]
               + [f"x{i + 1}" for i in range(n)]
               + [f"xdot{i + 1}" for i in range(n)] + ["nu", "defect"])
-    grid_shape = fam.grid_shape
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for li, t in enumerate(fam.times):
-            for flat in range(int(np.prod(grid_shape))):
-                node = np.unravel_index(flat, grid_shape)
-                row = ([float(i) for i in node] + [float(t)]
-                       + list(fam.x[(li,) + node])
-                       + list(fam.xdot[(li,) + node])
-                       + [float(fam.nu.values[node]),
-                          float(fam.node_defects[(li,) + node])])
-                fh.write(",".join(
-                    f"{int(val)}" if j < k else f"{val:.17g}"
-                    for j, val in enumerate(row)) + "\n")
+    count = int(np.prod(fam.grid_shape))
+    nodes = np.indices(fam.grid_shape).reshape(k, count).T  # row-major
+    layers = (np.column_stack([nodes, np.full(count, t),
+                               fam.x[li].reshape(count, n),
+                               fam.xdot[li].reshape(count, n),
+                               fam.nu.values.ravel(),
+                               fam.node_defects[li].ravel()])
+              for li, t in enumerate(fam.times))
+    write_csv(path, header, layers, int_cols=k)

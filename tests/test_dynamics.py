@@ -7,10 +7,12 @@ import pytest
 
 from normalshift.errors import IntegrationAborted, ZeroSpeedError
 from normalshift.expr import parse
+from normalshift import dynamics
 from normalshift.dynamics import (
     State,
     _check_speed,
     integrate,
+    write_csv,
     write_trajectory_csv,
 )
 from normalshift.fields import DerivedAB, ForceField, HWPair
@@ -125,3 +127,19 @@ def test_trajectory_csv_format(tmp_path):
     row = lines[5].split(",")
     assert float(row[0]) == traj.times[4]
     assert float(row[1]) == traj.x[4][0]
+
+
+def test_csv_blocks_match_per_value_format(tmp_path, monkeypatch):
+    # blocks longer than the formatting chunk are split across chunks
+    monkeypatch.setattr(dynamics, "CSV_BLOCK_ROWS", 3)
+    rng = np.random.default_rng(5)
+    blocks = [np.column_stack([np.arange(7), rng.normal(size=(7, 2))]),
+              np.empty((0, 3)),
+              np.array([[7, -0.0, 5e-324], [8, np.inf, np.nan]])]
+    out = tmp_path / "table.csv"
+    write_csv(out, ["i", "a", "b"], blocks, int_cols=1)
+    rows = np.concatenate(blocks)
+    expected = "i,a,b\n" + "".join(
+        f"{int(r[0])},{format(r[1], '.17g')},{format(r[2], '.17g')}\n"
+        for r in rows)
+    assert out.read_text() == expected

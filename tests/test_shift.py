@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from normalshift import shift
 from normalshift.errors import CompatibilityError, PathError, PositivityError
 from normalshift.expr import parse
 from normalshift.fields import ABFields, DerivedAB, ForceField, HWPair
@@ -18,6 +20,7 @@ from normalshift.geometry import (
 from normalshift.pfaff import PathSpec
 from normalshift.shift import (
     NuField,
+    _solve_nu_grid,
     loop_closure_defect,
     normal_shift,
     orthogonality_defect,
@@ -120,6 +123,74 @@ def test_nu_sweep_leaving_positive_axis_names_the_axis():
                  du=1e-2)
 
 
+# --- batched nu solve ----------------------------------------------------------------
+
+def test_nu_solve_evaluates_geometry_once_per_grid_interval(monkeypatch):
+    calls = []
+    embed = shift.embed_with_tangents
+
+    def counted(s, u):
+        calls.append(np.shape(u))
+        return embed(s, u)
+
+    monkeypatch.setattr(shift, "embed_with_tangents", counted)
+    s = sphere((16, 9))
+    solve_nu(s, DerivedAB(HWPair(parse("v*exp(0.3*x1)"), parse("1"), 3)),
+             EUC3, 1.0, du=1e-2)
+    # the reversed solve sweeps axis 2 from the base node, then axis 1 over
+    # every node; the forward solve reuses the axis-1 line through the
+    # base node and sweeps axis 2 only
+    n1, n2 = s.grid
+    assert 0 < len(calls) <= (n2 - 1) + (n1 - 1) + (n2 - 1)
+
+
+def test_forward_solve_starts_from_the_reversed_solves_line():
+    # b is not closed, so the two staircase orders disagree off the line
+    s = sphere((16, 9))
+    data = ab("1", ("0.3*x2*v", "0", "0.1*v"))
+    fwd = _solve_nu_grid(s, data, 1.0, 1e-2, [0, 1])
+    rev = _solve_nu_grid(s, data, 1.0, 1e-2, [1, 0])
+    line = (slice(None),) + base_node_index(s)[1:]
+    assert np.array_equal(fwd[line], rev[line])
+    out = solve_nu(s, data, EUC3, 1.0, du=1e-2, compat_tol=np.inf)
+    assert np.array_equal(out.values, fwd)
+    assert out.mixed_path_defect == np.max(np.abs(fwd - rev)) > 1e-3
+
+
+def sphere_patch(base):
+    u1 = np.linspace(0.0, 0.6, 7)
+    u2 = np.linspace(1.2, 1.8, 6)
+    return Hypersurface(
+        dimension=3,
+        parametrization=(parse("sin(u2)*cos(u1)"),
+                         parse("sin(u2)*sin(u1)"),
+                         parse("cos(u2)")),
+        ranges=((0.0, 0.6), (1.2, 1.8)),
+        grid=(7, 6),
+        base_point=(float(u1[base[0]]), float(u2[base[1]])),
+        closed=(False, False),
+        orientation=-1,
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(coef=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+       base=st.tuples(st.integers(0, 6), st.integers(0, 5)),
+       nu0=st.floats(0.5, 2.0))
+def test_nu_is_a_level_set_of_W(coef, base, nu0):
+    # closed data W = v exp(c . x): nu keeps W(x(u), nu(u)) at its base value
+    s = sphere_patch(base)
+    w_expr = "v*exp(" + "+".join(f"({c!r})*x{i + 1}"
+                                 for i, c in enumerate(coef)) + ")"
+    pair = HWPair(parse(w_expr), parse("1"), 3)
+    out = solve_nu(s, DerivedAB(pair), EUC3, nu0, du=5e-3)
+    pts = surface_grid(s, EUC3).points
+    level = out.values * np.exp(pts @ np.array(coef))
+    target = nu0 * np.exp(pts[out.base_index] @ np.array(coef))
+    assert np.max(np.abs(level / target - 1.0)) < 1e-9
+    assert out.mixed_path_defect < 1e-10
+
+
 # --- shift families -------------------------------------------------------------------
 
 def radial_circle_family(nodes=256, dt=1e-3, t_max=0.5):
@@ -216,11 +287,25 @@ def test_constant_force_is_not_normal():
 
 def test_shift_family_csv(tmp_path):
     s, fam = radial_circle_family(nodes=16, t_max=0.1)
+    orthogonality_defect(fam)
+    fam.x[0, 3, 0] = -0.0
+    fam.xdot[1, 5, 1] = 5e-324
+    fam.node_defects[-1, 7] = 1e300
+    fam.node_defects[0, 2] = np.nan
     out = tmp_path / "family.csv"
     write_shift_family_csv(out, fam)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "i1,t,x1,x2,xdot1,xdot2,nu,defect"
-    assert len(lines) == 1 + len(fam.times) * 16
+    # reference: one row per (layer, node), each value through format()
+    lines = ["i1,t,x1,x2,xdot1,xdot2,nu,defect"]
+    for li, t in enumerate(fam.times):
+        for node in range(16):
+            row = [t, *fam.x[li, node], *fam.xdot[li, node],
+                   fam.nu.values[node], fam.node_defects[li, node]]
+            lines.append(",".join([str(node)] + [format(float(val), ".17g")
+                                                 for val in row]))
+    data = out.read_bytes()
+    assert data == ("\n".join(lines) + "\n").encode()
+    for special in (b",-0,", b"e-324,", b"e+300\n", b",nan\n"):
+        assert special in data
 
 
 # --- loop closure -------------------------------------------------------------------------
