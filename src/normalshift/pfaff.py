@@ -65,7 +65,6 @@ __all__ = [
 INVERT_BRACKET = (1e-8, 1e8)
 INVERT_BISECTIONS = 80
 INVERT_NEWTON = 5
-PARAMETRIC_BLOCK = 64  # steps per parametric-path evaluation
 
 
 # --- paths -----------------------------------------------------------------------
@@ -270,16 +269,14 @@ def _polyline_steps(pts, dt):
 
 def _parametric_steps(path, dt):
     """Steps in the curve parameter from path.t0 to path.t1, in either
-    direction (the step is signed).  The stage points do not depend on V,
-    so one path evaluation covers those of PARAMETRIC_BLOCK steps."""
+    direction (the step is signed)."""
     span = path.t1 - path.t0
     nsteps = max(1, int(round(abs(span) / dt)))
     h = span / nsteps
-    for lo in range(0, nsteps, PARAMETRIC_BLOCK):
-        t = path.t0 + np.arange(lo, min(lo + PARAMETRIC_BLOCK, nsteps)) * h
-        x, xd = path._parametric_eval(
-            np.stack([t, t + 0.5 * h, t + h], axis=-1))
-        yield from zip([h] * len(t), t, t + h, x, xd)
+    for j in range(nsteps):
+        t = path.t0 + j * h
+        x, xd = path._parametric_eval(np.array([t, t + 0.5 * h, t + h]))
+        yield h, t, t + h, x, xd
 
 
 def _continue(ab, path, w0, dt, want_vw, store):

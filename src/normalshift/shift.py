@@ -9,8 +9,9 @@ order reversed audits the compatibility of the continuation, and the
 maximal discrepancy is reported on the result.  The two solves share the
 first-axis line through the base node, which both compute identically:
 the reversed solve runs first and the forward solve starts from its line.
-Each grid interval of a sweep evaluates the embedding once, on the stage
-parameters of all of its RK4 steps, so the RK4 loop evaluates only b.
+A sweep evaluates the embedding on the stage parameters of many RK4 steps
+at once (a whole grid interval, up to NU_BATCH_POINTS stage points), so
+the RK4 loop evaluates only b.
 
 Orthogonality of a shifted layer is measured against tangents estimated
 by finite differences on the node grid, since shifted surfaces have no
@@ -23,6 +24,7 @@ collapse instead of assuming the layers stay immersed.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +57,8 @@ __all__ = ["NuField", "ShiftFamily", "solve_nu", "normal_shift",
            "orthogonality_defect", "loop_closure_defect",
            "write_shift_family_csv"]
 
+NU_BATCH_POINTS = 4096  # stage points per embedding call in a nu sweep
+
 
 # --- launch-speed field -----------------------------------------------------------
 
@@ -85,24 +89,35 @@ def _nu_sweep_axis(ab, s: Hypersurface, u_fixed, axis, s_values, nu_start,
     s_values[1:], stacked along a new first axis.
 
     The stage points of a grid interval depend on the grid only, not on
-    nu, so each interval evaluates the embedding once, on all of its
-    (step, stage) parameters, and the RK4 loop evaluates only b.
+    nu, so the embedding is evaluated on the (step, stage) parameters of
+    many RK4 steps at once, and the RK4 loop evaluates only b.  A batch
+    holds at most NU_BATCH_POINTS stage points (or one step's 3 per lane,
+    if the lanes alone exceed that), so memory does not grow with
+    spacing / du.
     """
     u_fixed = np.asarray(u_fixed, dtype=float)
     lane_axes = (1,) * (u_fixed.ndim - 1)
+    lanes = int(np.prod(u_fixed.shape[:-1]))
+    block = max(1, NU_BATCH_POINTS // (3 * lanes))  # RK4 steps per batch
+
+    def interval_steps(s0, s1):
+        nsub = max(1, int(round(abs(s1 - s0) / du)))
+        h = (s1 - s0) / nsub
+        for lo in range(0, nsub, block):
+            a = s0 + np.arange(lo, min(lo + block, nsub)) * h
+            stages = np.stack([a, a + 0.5 * h, a + h], axis=-1)  # (steps, 3)
+            u = np.broadcast_to(u_fixed, stages.shape + u_fixed.shape).copy()
+            u[..., axis] = stages.reshape(stages.shape + lane_axes)
+            x, tau = embed_with_tangents(s, u)
+            yield from zip([h] * len(a), a, stages[:, 2], x,
+                           tau[..., axis, :])
+
     nu = np.array(nu_start, dtype=float)
     out = []
     for s0, s1 in zip(s_values[:-1], s_values[1:]):
-        nsub = max(1, int(round(abs(s1 - s0) / du)))
-        h = (s1 - s0) / nsub
-        a = s0 + np.arange(nsub) * h
-        stages = np.stack([a, a + 0.5 * h, a + h], axis=-1)  # (nsub, 3)
-        u = np.broadcast_to(u_fixed, stages.shape + u_fixed.shape).copy()
-        u[..., axis] = stages.reshape(stages.shape + lane_axes)
-        x, tau = embed_with_tangents(s, u)
-        steps = zip([h] * nsub, a, stages[:, 2], x, tau[..., axis, :])
+        run = _rk4_run(ab, interval_steps(s0, s1), nu, False)
         try:
-            *_, (_, _, nu, _) = _rk4_run(ab, steps, nu, False)
+            (_, _, nu, _), = deque(run, maxlen=1)
         except ContinuationError as err:
             if err.__cause__ is not None:  # the field itself failed
                 raise

@@ -151,10 +151,41 @@ def test_forward_solve_starts_from_the_reversed_solves_line():
     fwd = _solve_nu_grid(s, data, 1.0, 1e-2, [0, 1])
     rev = _solve_nu_grid(s, data, 1.0, 1e-2, [1, 0])
     line = (slice(None),) + base_node_index(s)[1:]
-    assert np.array_equal(fwd[line], rev[line])
+    # the same path from the same nu0, on 1 lane here and on 9 in rev
+    np.testing.assert_allclose(fwd[line], rev[line], rtol=1e-12, atol=0)
+    start = np.full_like(rev, np.nan)
+    start[line] = rev[line]
+    shared = _solve_nu_grid(s, data, 1.0, 1e-2, [0, 1], start)
     out = solve_nu(s, data, EUC3, 1.0, du=1e-2, compat_tol=np.inf)
-    assert np.array_equal(out.values, fwd)
-    assert out.mixed_path_defect == np.max(np.abs(fwd - rev)) > 1e-3
+    assert np.array_equal(out.values, shared)
+    assert out.mixed_path_defect == np.max(np.abs(shared - rev)) > 1e-3
+    np.testing.assert_allclose(out.values, fwd, rtol=1e-12, atol=0)
+
+
+def test_nu_sweep_batches_are_bounded(monkeypatch):
+    # a coarse grid and a fine du: a grid interval takes 63 RK4 steps
+    calls = []
+    embed = shift.embed_with_tangents
+
+    def counted(s, u):
+        calls.append(np.shape(u))
+        return embed(s, u)
+
+    s = sphere((6, 5))
+    data = DerivedAB(HWPair(parse("v*exp(0.3*x1)"), parse("1"), 3))
+    whole = solve_nu(s, data, EUC3, 1.0, du=2e-2)
+    monkeypatch.setattr(shift, "embed_with_tangents", counted)
+    monkeypatch.setattr(shift, "NU_BATCH_POINTS", 10)
+    split = solve_nu(s, data, EUC3, 1.0, du=2e-2)
+    # (steps, 3) + lanes + (k,): at most 10 stage points, or one step
+    # when 3 stages x 5 or 6 lanes alone exceed the cap
+    points = [int(np.prod(shape[:-1])) for shape in calls]
+    assert max(points) > 10
+    assert all(p <= 10 or shape[0] == 1 for p, shape in zip(points, calls))
+    assert max(shape[0] for shape in calls) == 3  # 1-lane sweeps: 3 steps
+    np.testing.assert_allclose(split.values, whole.values, rtol=1e-12,
+                               atol=0)
+    assert abs(split.mixed_path_defect - whole.mixed_path_defect) < 1e-12
 
 
 def sphere_patch(base):
