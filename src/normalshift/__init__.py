@@ -3,18 +3,14 @@ verification of the defining equations, global continuation, monodromy,
 gauge transformations, and the shift itself."""
 
 from .errors import NormalShiftError
-from .expr import FieldExpr, Jet, eval_jet, eval_value, parse
+from .expr import FieldExpr, eval_tuple, eval_value, parse
 from .geometry import (
     CoveringManifold,
-    Covector,
     Hypersurface,
     MetricSpec,
-    TangentVector,
     christoffel,
     deck_apply,
-    lower_index,
     metric_at,
-    raise_index,
     surface_frame,
 )
 from .fields import (
@@ -56,11 +52,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "NormalShiftError",
-    "FieldExpr", "Jet", "parse", "eval_jet", "eval_value",
+    "FieldExpr", "parse", "eval_tuple", "eval_value",
     "MetricSpec", "CoveringManifold", "Hypersurface",
-    "TangentVector", "Covector",
     "metric_at", "christoffel", "surface_frame", "deck_apply",
-    "raise_index", "lower_index",
     "HWPair", "ABFields", "DerivedAB", "ForceField",
     "force_hw", "force_ab", "force_from_one_form",
     "closedness_residual", "normalizing_residual", "collinearity_defect",

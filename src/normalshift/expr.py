@@ -39,7 +39,8 @@ from .errors import (
     UnknownFunctionError,
 )
 
-__all__ = ["FieldExpr", "Jet", "parse", "eval_jet", "eval_value", "taylor_eval"]
+__all__ = ["FieldExpr", "parse", "bind", "eval_tuple", "eval_value",
+           "taylor_eval"]
 
 
 # --- AST -------------------------------------------------------------------
@@ -110,19 +111,6 @@ class FieldExpr:
 
     def __str__(self):
         return self.unparse()
-
-
-@dataclass(frozen=True)
-class Jet:
-    """Value with exact first and second derivatives at a point.
-
-    `hess` holds every ordered pair, with hess[(p, q)] identical to
-    hess[(q, p)] by construction.
-    """
-
-    value: float
-    grad: dict
-    hess: dict
 
 
 # --- tokenizer -------------------------------------------------------------
@@ -412,8 +400,9 @@ class _Taylor:
             grad = ug * v[..., None] + u[..., None] * vg
         if self.order >= 2:
             cross = ug[..., :, None] * vg[..., None, :]
+            # the pair is summed first, so the Hessian is bitwise symmetric
             hess = (uh * v[..., None, None] + u[..., None, None] * vh
-                    + cross + np.swapaxes(cross, -1, -2))
+                    + (cross + np.swapaxes(cross, -1, -2)))
         return val, grad, hess
 
     def _div(self, u, ug, uh, v, vg, vh, node):
@@ -423,7 +412,7 @@ class _Taylor:
             grad = (ug - val[..., None] * vg) / v[..., None]
         if self.order >= 2:
             cross = grad[..., :, None] * vg[..., None, :]
-            hess = (uh - cross - np.swapaxes(cross, -1, -2)
+            hess = (uh - (cross + np.swapaxes(cross, -1, -2))
                     - val[..., None, None] * vh) / v[..., None, None]
         return val, grad, hess
 
@@ -532,17 +521,41 @@ def eval_value(e: FieldExpr, env: Mapping[str, object]):
     return taylor_eval(e, env, (), order=0)[0]
 
 
-def eval_jet(e: FieldExpr, env: Mapping[str, float],
-             wrt: Sequence[str]) -> Jet:
-    """Scalar evaluation with exact gradient and symmetric Hessian maps."""
-    wrt = tuple(wrt)
-    val, grad, hess = taylor_eval(e, env, wrt, order=2)
-    gmap = {name: float(grad[..., i]) for i, name in enumerate(wrt)}
-    hmap = {}
-    for i, p in enumerate(wrt):
-        for j, q in enumerate(wrt):
-            if j < i:
-                hmap[(p, q)] = hmap[(q, p)]
-            else:
-                hmap[(p, q)] = float(hess[..., i, j])
-    return Jet(float(val), gmap, hmap)
+def bind(names, points, **extra):
+    """Variable binding: names[i] to points[..., i], plus the keyword
+    variables as given."""
+    points = np.asarray(points, dtype=float)
+    env = {name: points[..., i] for i, name in enumerate(names)}
+    env.update(extra)
+    return env
+
+
+def eval_tuple(exprs: Sequence[FieldExpr], env: Mapping[str, object],
+               wrt: Sequence[str], order: int):
+    """Evaluate every expression of `exprs` on one binding.
+
+    Returns (values, gradients, hessians) of shapes batch + (m,),
+    batch + (k, m) and batch + (k, k, m) for m expressions and k = len(wrt),
+    where batch is the broadcast shape of the bound values; entries above
+    `order` are None.  Constant results are broadcast to the batch.  For a
+    single expression the arrays are views of its own (read-only where
+    broadcast); otherwise they are new.
+    """
+    # np.broadcast costs a quarter of np.broadcast_shapes, which shows on
+    # one-lane batches, but takes at most 64 arrays
+    values = tuple(env.values())
+    batch = (np.broadcast(*values).shape if len(values) <= 64
+             else np.broadcast_shapes(*map(np.shape, values)))
+    shapes = [batch + (len(wrt),) * rank for rank in range(order + 1)]
+    if len(exprs) == 1:
+        # nothing to stack: views of the expression's own arrays, since a
+        # copy would double the peak memory of a wide order-2 call
+        parts = taylor_eval(exprs[0], env, wrt, order)
+        out = [(p if p.shape == s else np.broadcast_to(p, s))[..., None]
+               for p, s in zip(parts, shapes)]
+    else:
+        out = [np.empty(s + (len(exprs),)) for s in shapes]
+        for i, e in enumerate(exprs):
+            for arr, part in zip(out, taylor_eval(e, env, wrt, order)):
+                arr[..., i] = part
+    return tuple(out) + (None,) * (2 - order)

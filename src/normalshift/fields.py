@@ -34,7 +34,7 @@ from .errors import (
     first_bad,
     point_str,
 )
-from .expr import FieldExpr, parse as _parse, taylor_eval
+from .expr import FieldExpr, bind, eval_tuple, parse as _parse
 from .geometry import MetricSpec, coordinate_names, metric_at
 
 _ONE = _parse("1")
@@ -50,12 +50,10 @@ WV_EPS = 1e-10      # structural: dW/dv sits in denominators
 CANCEL_ULPS = 8     # rounding left by a sum that cancels, in ulps of its terms
 
 
-def _env(n, x, v=None):
-    x = np.asarray(x, dtype=float)
-    env = {name: x[..., i] for i, name in enumerate(coordinate_names(n))}
-    if v is not None:
-        env["v"] = np.asarray(v, dtype=float)
-    return env
+def _state_eval(exprs, n, x, v, order):
+    """`eval_tuple` on the state (x, v), differentiated along x1..xn, v."""
+    names = coordinate_names(n) + ("v",)
+    return eval_tuple(exprs, bind(names[:-1], x, v=v), names, order)
 
 
 # --- the (h, W) presentation ---------------------------------------------------
@@ -80,41 +78,26 @@ class HWPair:
 
     def w_jet1(self, x, v):
         """(W, dW/dx (..., n), dW/dv), with the dW/dv != 0 guard."""
-        names = coordinate_names(self.dimension) + ("v",)
-        val, grad, _ = taylor_eval(self.W, _env(self.dimension, x, v),
-                                   names, order=1)
-        shape = np.broadcast_shapes(np.shape(val),
-                                    np.asarray(x, dtype=float).shape[:-1])
-        val = np.broadcast_to(val, shape)
-        grad = np.broadcast_to(grad, shape + (self.dimension + 1,))
-        wx = grad[..., :-1]
-        wv = grad[..., -1]
+        val, grad, _ = _state_eval((self.W,), self.dimension, x, v, 1)
+        wv = grad[..., -1, 0]
         _guard_wv(wv, x, v)
-        return val, wx, wv
+        return val[..., 0], grad[..., :-1, 0], wv
 
     def w_jet2(self, x, v):
         """Adds the second derivatives: (W, Wx, Wv, Wxx, Wxv, Wvv)."""
-        n = self.dimension
-        names = coordinate_names(n) + ("v",)
-        val, grad, hess = taylor_eval(self.W, _env(n, x, v), names, order=2)
-        shape = np.broadcast_shapes(np.shape(val),
-                                    np.asarray(x, dtype=float).shape[:-1])
-        val = np.broadcast_to(val, shape)
-        grad = np.broadcast_to(grad, shape + (n + 1,))
-        hess = np.broadcast_to(hess, shape + (n + 1, n + 1))
-        wx, wv = grad[..., :-1], grad[..., -1]
+        val, grad, hess = _state_eval((self.W,), self.dimension, x, v, 2)
+        grad, hess = grad[..., 0], hess[..., 0]
+        wv = grad[..., -1]
         _guard_wv(wv, x, v)
-        return (val, wx, wv,
+        return (val[..., 0], grad[..., :-1], wv,
                 hess[..., :-1, :-1], hess[..., :-1, -1], hess[..., -1, -1])
 
     def h_val(self, w):
-        return taylor_eval(self.h, {"w": np.asarray(w, dtype=float)},
-                           (), order=0)[0]
+        return eval_tuple((self.h,), {"w": w}, (), 0)[0][..., 0]
 
     def h_jet1(self, w):
-        val, grad, _ = taylor_eval(self.h, {"w": np.asarray(w, dtype=float)},
-                                   ("w",), order=1)
-        return val, grad[..., 0]
+        val, grad, _ = eval_tuple((self.h,), {"w": w}, ("w",), 1)
+        return val[..., 0], grad[..., 0, 0]
 
 
 def _guard_wv(wv, x, v):
@@ -154,53 +137,22 @@ class ABFields:
                     f"{label} uses unknown variables {sorted(extra)}")
 
     def a_values(self, x, v):
-        n = self.dimension
-        shape = np.broadcast_shapes(np.asarray(x, dtype=float).shape[:-1],
-                                    np.shape(v))
-        val = taylor_eval(self.a, _env(n, x, v), (), order=0)[0]
-        return np.broadcast_to(val, shape)
+        return _state_eval((self.a,), self.dimension, x, v, 0)[0][..., 0]
 
     def a_jet(self, x, v):
         """(a, da/dx (..., n), da/dv)."""
-        n = self.dimension
-        names = coordinate_names(n) + ("v",)
-        shape = np.broadcast_shapes(np.asarray(x, dtype=float).shape[:-1],
-                                    np.shape(v))
-        val, grad, _ = taylor_eval(self.a, _env(n, x, v), names, order=1)
-        val = np.broadcast_to(val, shape)
-        grad = np.broadcast_to(grad, shape + (n + 1,))
-        return val, grad[..., :-1], grad[..., -1]
+        val, grad, _ = _state_eval((self.a,), self.dimension, x, v, 1)
+        return val[..., 0], grad[..., :-1, 0], grad[..., -1, 0]
 
     def b_values(self, x, v):
         # value-only path: the continuation inner loop lives here
-        n = self.dimension
-        env = _env(n, x, v)
-        shape = np.broadcast_shapes(np.asarray(x, dtype=float).shape[:-1],
-                                    np.shape(v))
-        vals = np.empty(shape + (n,))
-        for i, comp in enumerate(self.b):
-            vals[..., i] = np.broadcast_to(
-                taylor_eval(comp, env, (), order=0)[0], shape)
-        return vals
+        return _state_eval(self.b, self.dimension, x, v, 0)[0]
 
     def b_jet(self, x, v):
         """(b (..., n), db/dx (..., n, n) [i, j] = d b_i / d x^j,
         db/dv (..., n))."""
-        n = self.dimension
-        names = coordinate_names(n) + ("v",)
-        env = _env(n, x, v)
-        shape = np.broadcast_shapes(np.asarray(x, dtype=float).shape[:-1],
-                                    np.shape(v))
-        vals = np.empty(shape + (n,))
-        dx = np.empty(shape + (n, n))
-        dv = np.empty(shape + (n,))
-        for i, comp in enumerate(self.b):
-            val, grad, _ = taylor_eval(comp, env, names, order=1)
-            vals[..., i] = np.broadcast_to(val, shape)
-            grad = np.broadcast_to(grad, shape + (n + 1,))
-            dx[..., i, :] = grad[..., :-1]
-            dv[..., i] = grad[..., -1]
-        return vals, dx, dv
+        vals, grad, _ = _state_eval(self.b, self.dimension, x, v, 1)
+        return vals, np.swapaxes(grad[..., :-1, :], -1, -2), grad[..., -1, :]
 
 
 class DerivedAB:
@@ -213,7 +165,8 @@ class DerivedAB:
         self.dimension = hw.dimension
 
     def a_values(self, x, v):
-        return self.a_jet(x, v)[0]
+        W, _, wv = self.hw.w_jet1(x, v)
+        return self.hw.h_val(W) / wv
 
     def a_jet(self, x, v):
         W, wx, wv, wxx, wxv, wvv = self.hw.w_jet2(x, v)
@@ -310,9 +263,7 @@ def force_from_one_form(w_expr: FieldExpr, m: MetricSpec, x, xdot,
     Independent arithmetic route from `force_hw`, kept for cross-checks."""
     n = dimension or (np.asarray(x).shape[-1])
     v, n_up, n_low, g = _velocity_frame(m, x, xdot)
-    names = coordinate_names(n) + ("v",)
-    _, omega, _ = taylor_eval(w_expr, _env(n, x, v), names, order=1)
-    omega = np.broadcast_to(omega, v.shape + (n + 1,))
+    omega = _state_eval((w_expr,), n, x, v, 1)[1][..., 0]
     last = omega[..., -1]
     if np.any(np.abs(last) <= WV_EPS):
         raise VanishingDerivativeError(
@@ -331,18 +282,12 @@ def custom_force(exprs, m: MetricSpec, x, xdot) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     xdot = np.asarray(xdot, dtype=float)
     n = x.shape[-1]
-    env = _env(n, x)
-    for i in range(n):
-        env[f"xdot{i + 1}"] = xdot[..., i]
+    env = bind(coordinate_names(n), x,
+               **bind([f"xdot{i + 1}" for i in range(n)], xdot))
     if any("v" in e.free_vars for e in exprs):
         g = metric_at(m, x)
         env["v"] = np.sqrt(np.einsum("...i,...ij,...j->...", xdot, g, xdot))
-    shape = np.broadcast_shapes(x.shape[:-1], xdot.shape[:-1])
-    out = np.empty(shape + (n,))
-    for i, e in enumerate(exprs):
-        out[..., i] = np.broadcast_to(taylor_eval(e, env, (), order=0)[0],
-                                      shape)
-    return out
+    return eval_tuple(exprs, env, (), 0)[0]
 
 
 @dataclass(frozen=True, eq=False)

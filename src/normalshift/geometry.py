@@ -23,18 +23,17 @@ from .errors import (
     first_bad,
     point_str,
 )
-from .expr import FieldExpr, taylor_eval
+from .expr import FieldExpr, bind, eval_tuple
 
 __all__ = [
     "MetricSpec", "CoveringManifold", "Hypersurface",
-    "TangentVector", "Covector",
     "metric_at", "inverse_metric_at", "christoffel",
     "deck_apply", "parse_word",
     "surface_frame", "surface_grid", "grid_axes",
-    "raise_index", "lower_index",
 ]
 
 GRAM_TOL = 1e-10   # structural: normalized Gram determinant of a frame
+DECK_TOL = 1e-12   # structural: relative deviation of deck-invariant data
 
 
 def coordinate_names(n):
@@ -43,11 +42,6 @@ def coordinate_names(n):
 
 def parameter_names(n):
     return tuple(f"u{i + 1}" for i in range(n))
-
-
-def _env_from_points(names, pts):
-    pts = np.asarray(pts, dtype=float)
-    return {name: pts[..., i] for i, name in enumerate(names)}
 
 
 # --- metric ------------------------------------------------------------------
@@ -97,6 +91,11 @@ class MetricSpec:
     def is_euclidean(self):
         return self.kind == "euclidean"
 
+    def _upper(self):
+        """Index arrays of the upper triangle and its explicit entries."""
+        iu = np.triu_indices(self.dimension)
+        return iu, tuple(self.entries[i][j] for i, j in zip(*iu))
+
 
 def _check_positive_definite(g, pts):
     # leading principal minors > 0 at every evaluated point
@@ -117,17 +116,16 @@ def metric_at(m: MetricSpec, x) -> np.ndarray:
     eye = np.eye(n)
     if m.is_euclidean:
         return np.broadcast_to(eye, x.shape[:-1] + (n, n)).copy()
-    env = _env_from_points(coordinate_names(n), x)
+    env = bind(coordinate_names(n), x)
     if m.kind == "conformal":
-        lam = taylor_eval(m.conformal, env, (), order=0)[0]
+        lam = eval_tuple((m.conformal,), env, (), 0)[0][..., 0]
         # e^{2*lam} > 0, so positive-definiteness is automatic
         return np.exp(2.0 * lam)[..., None, None] * eye
+    (iu, ju), entries = m._upper()
+    vals = eval_tuple(entries, env, (), 0)[0]
     g = np.empty(x.shape[:-1] + (n, n))
-    for i in range(n):
-        for j in range(i, n):
-            val = taylor_eval(m.entries[i][j], env, (), order=0)[0]
-            g[..., i, j] = val
-            g[..., j, i] = val
+    g[..., iu, ju] = vals
+    g[..., ju, iu] = vals
     _check_positive_definite(g, x)
     return g
 
@@ -145,28 +143,28 @@ def _metric_with_gradient(m: MetricSpec, x):
     x = np.asarray(x, dtype=float)
     n = m.dimension
     names = coordinate_names(n)
-    env = _env_from_points(names, x)
+    env = bind(names, x)
     shape = x.shape[:-1]
     if m.is_euclidean:
         return (np.broadcast_to(np.eye(n), shape + (n, n)).copy(),
                 np.zeros(shape + (n, n, n)))
     if m.kind == "conformal":
-        lam, dlam, _ = taylor_eval(m.conformal, env, names, order=1)
-        factor = np.exp(2.0 * lam)
+        lam, dlam, _ = eval_tuple((m.conformal,), env, names, 1)
+        factor = np.exp(2.0 * lam[..., 0])
         eye = np.eye(n)
         g = factor[..., None, None] * eye
         dg = (2.0 * factor[..., None, None, None]
-              * dlam[..., None, None, :] * eye[..., :, :, None])
+              * dlam[..., None, None, :, 0] * eye[..., :, :, None])
         return g, dg
+    (iu, ju), entries = m._upper()
+    vals, grads, _ = eval_tuple(entries, env, names, 1)
+    grads = np.swapaxes(grads, -1, -2)
     g = np.empty(shape + (n, n))
     dg = np.empty(shape + (n, n, n))
-    for i in range(n):
-        for j in range(i, n):
-            val, grad, _ = taylor_eval(m.entries[i][j], env, names, order=1)
-            g[..., i, j] = val
-            g[..., j, i] = val
-            dg[..., i, j, :] = grad
-            dg[..., j, i, :] = grad
+    g[..., iu, ju] = vals
+    g[..., ju, iu] = vals
+    dg[..., iu, ju, :] = grads
+    dg[..., ju, iu, :] = grads
     _check_positive_definite(g, x)
     return g, dg
 
@@ -184,32 +182,6 @@ def christoffel(m: MetricSpec, x) -> np.ndarray:
     d_j_gil = np.swapaxes(d_i_gjl, -3, -2)
     bracket = 0.5 * (d_i_gjl + d_j_gil - dg)
     return np.einsum("...kl,...ijl->...kij", ginv, bracket)
-
-
-# --- tangent vectors and covectors --------------------------------------------
-
-@dataclass(frozen=True)
-class TangentVector:
-    point: tuple
-    components: tuple
-
-
-@dataclass(frozen=True)
-class Covector:
-    point: tuple
-    components: tuple
-
-
-def lower_index(m: MetricSpec, vec: TangentVector) -> Covector:
-    g = metric_at(m, np.asarray(vec.point))
-    comp = g @ np.asarray(vec.components)
-    return Covector(vec.point, tuple(float(c) for c in comp))
-
-
-def raise_index(m: MetricSpec, cov: Covector) -> TangentVector:
-    ginv = inverse_metric_at(m, np.asarray(cov.point))
-    comp = ginv @ np.asarray(cov.components)
-    return TangentVector(cov.point, tuple(float(c) for c in comp))
 
 
 # --- covering manifolds and deck translations ---------------------------------
@@ -254,12 +226,11 @@ class CoveringManifold:
             pts = _sample_grid(n)
             g0 = metric_at(self.metric, pts)
             for gi, t in enumerate(gens):
-                g1 = metric_at(self.metric, pts + t)
-                err = float(np.max(np.abs(g1 - g0)))
-                if err > 1e-12:
+                err = relative_deviation(metric_at(self.metric, pts + t), g0)
+                if err > DECK_TOL:
                     raise DeckInvarianceError(
                         f"generator g{gi + 1} does not preserve the metric "
-                        f"(max deviation {err:.3e})")
+                        f"(max relative deviation {err:.3e})")
 
     def word(self, word: str):
         return parse_word(word, len(self.deck_generators))
@@ -364,19 +335,9 @@ def embed_with_tangents(s: Hypersurface, u):
     u: (..., n-1) parameter points.  Returns x (..., n) and
     tau (..., n-1, n) with tau[k] the tangent along axis k.
     """
-    u = np.asarray(u, dtype=float)
-    k = s.n_params
-    batch = u.shape[:-1]
-    names = parameter_names(k)
-    env = {name: u[..., i] for i, name in enumerate(names)}
-    xs, grads = [], []
-    for comp in s.parametrization:
-        val, grad, _ = taylor_eval(comp, env, names, order=1)
-        xs.append(np.broadcast_to(np.asarray(val, dtype=float), batch))
-        grads.append(np.broadcast_to(np.asarray(grad, dtype=float),
-                                     batch + (k,)))
-    x = np.stack(xs, axis=-1)        # batch + (n,)
-    tau = np.stack(grads, axis=-1)   # batch + (k, n); row q = tangent along u_q
+    names = parameter_names(s.n_params)
+    # tau: batch + (k, n); row q = tangent along u_q
+    x, tau, _ = eval_tuple(s.parametrization, bind(names, u), names, 1)
     return x, tau
 
 
@@ -401,6 +362,17 @@ def _unit_normal(taus, g, orientation):
     frame = np.concatenate([normal[..., None, :], taus], axis=-2)
     sign = np.sign(np.linalg.det(frame)) * orientation
     return normal * sign[..., None]
+
+
+def relative_deviation(a, b, *context):
+    """max |a - b| over the largest magnitude in a, b and the context
+    arrays (the data a and b were computed from); 0 when a equals b.  A
+    structural comparison made with it does not depend on the scale of
+    the data."""
+    diff = float(np.max(np.abs(np.subtract(a, b))))
+    if not diff:
+        return 0.0
+    return diff / max(float(np.max(np.abs(c))) for c in (a, b, *context))
 
 
 def normalized_gram_det(taus, g):

@@ -45,13 +45,15 @@ from .errors import (
     TableError,
     first_bad,
 )
-from .expr import FieldExpr, taylor_eval
+from .expr import FieldExpr, eval_tuple
 from .fields import closedness_residual, normalizing_residual
 from .geometry import (
+    DECK_TOL,
     CoveringManifold,
     MetricSpec,
     deck_apply,
     inverse_metric_at,
+    relative_deviation,
 )
 
 __all__ = [
@@ -132,6 +134,13 @@ class PathSpec:
             return np.asarray(self.points[-1], dtype=float)
         return self._parametric_eval(np.asarray(self.t1))[0]
 
+    def sample(self):
+        """The polyline's points, or the curve at `samples` parameters."""
+        if self.kind == "polyline":
+            return np.asarray(self.points, dtype=float)
+        ts = np.linspace(self.t0, self.t1, max(2, self.samples))
+        return self._parametric_eval(ts)[0]
+
     def reversed(self) -> "PathSpec":
         if self.kind == "polyline":
             return PathSpec("polyline", points=tuple(reversed(self.points)))
@@ -140,13 +149,8 @@ class PathSpec:
                         t1=self.t0, samples=self.samples)
 
     def _parametric_eval(self, ts):
-        xs, xds = [], []
-        for e in self.exprs:
-            val, grad, _ = taylor_eval(e, {"t": ts}, ("t",), order=1)
-            xs.append(np.broadcast_to(np.asarray(val, dtype=float),
-                                      np.shape(ts)))
-            xds.append(np.broadcast_to(grad[..., 0], np.shape(ts)))
-        return np.stack(xs, axis=-1), np.stack(xds, axis=-1)
+        x, xd, _ = eval_tuple(self.exprs, {"t": ts}, ("t",), 1)
+        return x, xd[..., 0, :]
 
 
 def straight_path_factory(p0):
@@ -311,9 +315,11 @@ def continue_V(ab, path: PathSpec, w0, dt=1e-3) -> ContinuationTrace:
 
 def path_independence_defect(ab, path1: PathSpec, path2: PathSpec, w0,
                              dt=1e-3):
-    """|V_path1(end) - V_path2(end)| for two paths sharing both endpoints."""
-    if (np.max(np.abs(path1.start() - path2.start())) > 1e-12
-            or np.max(np.abs(path1.end() - path2.end())) > 1e-12):
+    """|V_path1(end) - V_path2(end)| for two paths sharing both endpoints
+    (to 1e-12 relative to the paths' coordinates)."""
+    span = (path1.sample(), path2.sample())
+    if (relative_deviation(path1.start(), path2.start(), *span) > 1e-12
+            or relative_deviation(path1.end(), path2.end(), *span) > 1e-12):
         raise PathError("paths do not share start and end points")
     v1 = _continue(ab, path1, w0, dt, want_vw=False, store=False).end_V
     v2 = _continue(ab, path2, w0, dt, want_vw=False, store=False).end_V
@@ -366,17 +372,14 @@ class AdmissibleF:
             raise PositivityError(
                 f"f must be a function of v only, found {sorted(extra)}")
         v = np.logspace(-6, 6, 25)
-        vals = taylor_eval(self.f, {"v": v}, (), order=0)[0]
-        vals = np.broadcast_to(vals, v.shape)
+        vals = self.values(v)
         if np.any(~np.isfinite(vals)) or np.any(vals <= 0.0):
             bad = int(np.argmax(~((vals > 0.0) & np.isfinite(vals))))
             raise PositivityError(
                 f"f is not positive at v={v[bad]:.3e}")
 
     def values(self, v):
-        return np.broadcast_to(
-            taylor_eval(self.f, {"v": np.asarray(v, dtype=float)},
-                        (), order=0)[0], np.shape(v))
+        return eval_tuple((self.f,), {"v": v}, (), 0)[0][..., 0]
 
 
 @dataclass(frozen=True)
@@ -547,7 +550,7 @@ def monodromy(ab, manifold: CoveringManifold, word, p0, w_grid,
     Realized through the global scalar: rho(w) = W(g(p0), w), computed by
     inverting the continuation from p0 along the straight cover path.
     The covector data must be invariant under the deck word (spot-checked
-    to 1e-12)."""
+    to DECK_TOL relative)."""
     p0 = np.asarray(p0, dtype=float)
     w_grid = np.asarray(w_grid, dtype=float)
     if np.any(np.diff(w_grid) <= 0.0) or np.any(w_grid <= 0.0):
@@ -560,20 +563,18 @@ def monodromy(ab, manifold: CoveringManifold, word, p0, w_grid,
     return MonodromyMap(word_str, w_grid, np.atleast_1d(rho))
 
 
-def _check_deck_invariance(ab, manifold, word, p0, tol=1e-12):
+def _check_deck_invariance(ab, manifold, word, p0):
     n = manifold.metric.dimension
     offsets = np.concatenate([np.zeros((1, n)), np.eye(n) * 0.37,
                               np.full((1, n), -0.51)])
     pts = p0[None, :] + offsets
     moved = deck_apply(manifold, word, pts)
     for v in (0.5, 1.0, 2.3):
-        b0 = ab.b_values(pts, v)
-        b1 = ab.b_values(moved, v)
-        err = float(np.max(np.abs(b1 - b0)))
-        if err > tol:
+        err = relative_deviation(ab.b_values(moved, v), ab.b_values(pts, v))
+        if err > DECK_TOL:
             raise DeckInvarianceError(
                 f"covector data is not invariant under deck word "
-                f"'{word}' (max deviation {err:.3e} at v={v})")
+                f"'{word}' (max relative deviation {err:.3e} at v={v})")
 
 
 # --- gauge transformations ------------------------------------------------------------
@@ -591,17 +592,12 @@ class ClosedFormRho:
         self.expr = expr
 
     def __call__(self, w):
-        val = taylor_eval(self.expr, {"w": np.asarray(w, dtype=float)},
-                          (), order=0)[0]
-        out = np.broadcast_to(val, np.shape(w))
-        return float(out) if np.ndim(w) == 0 else out.copy()
+        out = eval_tuple((self.expr,), {"w": w}, (), 0)[0][..., 0]
+        return float(out) if np.ndim(w) == 0 else out
 
     def derivative(self, w):
-        val, grad, _ = taylor_eval(self.expr,
-                                   {"w": np.asarray(w, dtype=float)},
-                                   ("w",), order=1)
-        out = np.broadcast_to(grad[..., 0], np.shape(w))
-        return float(out) if np.ndim(w) == 0 else out.copy()
+        out = eval_tuple((self.expr,), {"w": w}, ("w",), 1)[1][..., 0, 0]
+        return float(out) if np.ndim(w) == 0 else out
 
     def inverse(self, y):
         y = np.asarray(y, dtype=float)

@@ -49,6 +49,7 @@ from .geometry import (
     grid_spacings,
     metric_at,
     normalized_gram_det,
+    relative_deviation,
     surface_grid,
 )
 from .pfaff import PathSpec, _continue, _rk4_run, fd_weights
@@ -331,17 +332,18 @@ def orthogonality_defect(fam: ShiftFamily) -> np.ndarray:
 def loop_closure_defect(loop: PathSpec, ab, nu0, dt=1e-3, manifold=None):
     """|nu_end - nu0| after continuing the launch-speed equation once
     around a loop (closed in the chart, or closed up to a deck translation
-    when a covering manifold is supplied)."""
+    when a covering manifold is supplied; either to 1e-9 relative to the
+    loop's coordinates)."""
     if manifold is not None:
-        gap = loop.end() - loop.start()
+        start, end, span = loop.start(), loop.end(), loop.sample()
         gens = np.asarray(manifold.deck_generators, dtype=float)
         if len(gens):
-            coeff, *_ = np.linalg.lstsq(gens.T, gap, rcond=None)
-            resid = gap - gens.T @ np.round(coeff)
-            if np.max(np.abs(resid)) > 1e-9:
+            coeff, *_ = np.linalg.lstsq(gens.T, end - start, rcond=None)
+            moved = start + gens.T @ np.round(coeff)
+            if relative_deviation(end, moved, span) > 1e-9:
                 raise PathError(
                     "loop endpoints do not differ by a deck translation")
-        elif np.max(np.abs(gap)) > 1e-9:
+        elif relative_deviation(end, start, span) > 1e-9:
             raise PathError("loop is not closed in the chart")
     end = _continue(ab, loop, nu0, dt, want_vw=False, store=False).end_V
     return float(np.abs(end - nu0))

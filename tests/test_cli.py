@@ -243,3 +243,56 @@ def test_cli_start_up_does_not_import_scipy():
                          capture_output=True, text=True, timeout=120,
                          check=True)
     assert out.stdout.split() == ["False", "False", "True"]
+
+
+# --- recorded results of every scenario ----------------------------------------------
+
+# Exit status and METRIC lines (name, value, threshold, verdict) of each
+# scenario run through its command, as recorded from the reports.  A
+# refactor that leaves the program's results alone reproduces them.
+RECORDED = {
+    "check_broken": ("check", 1, [
+        ("closedness_max", 0.0, 1e-10, "PASS"),
+        ("normalizing_max", 0.5, 1e-10, "FAIL")]),
+    "check_consistent": ("check", 0, [
+        ("closedness_max", 0.0, 1e-10, "PASS"),
+        ("normalizing_max", 0.0, 1e-10, "PASS"),
+        ("collinearity_max", 0.0, 1.0000000000000001e-09, "PASS")]),
+    "circle_shift": ("shift", 0, [
+        ("nu_mixed_path_defect", 0.0, 9.9999999999999995e-07, "PASS"),
+        ("initial_defect", 4.4408920985006262e-16, 1e-10, "PASS"),
+        ("defect_max", 1.1302241830312689e-14, 9.9999999999999995e-07,
+         "PASS")]),
+    "cylinder_monodromy": ("monodromy", 0, []),
+    "extract_square": ("extract-h", 0, [
+        ("h_consistency_defect", 0.0, 9.9999999999999995e-08, "PASS")]),
+    "fnorm_decay": ("fnorm", 0, []),
+    "gauge_scale": ("gauge", 0, [
+        ("gauge_force_discrepancy", 4.4408920985006262e-16,
+         1.0000000000000001e-09, "PASS")]),
+    "pfaff_paths": ("pfaff", 0, [
+        ("path_independence_defect", 8.8817841970012523e-16, 1e-08,
+         "PASS")]),
+    "sphere_shift": ("shift", 0, [
+        ("nu_mixed_path_defect", 4.9027448767446913e-13,
+         9.9999999999999995e-07, "PASS"),
+        ("initial_defect", 4.6749404093945415e-16, 1e-10, "PASS"),
+        ("defect_max", 5.5901057026976161e-06, 1.0000000000000001e-05,
+         "PASS")]),
+}
+METRIC_RTOL = 1e-12
+ZERO_FLOOR = 1e-15  # a recorded 0 may move by one rounding of an O(1) value
+
+
+@pytest.mark.parametrize("stem", sorted(RECORDED))
+def test_scenario_results_match_recorded_values(stem, tmp_path):
+    command, exit_code, metrics = RECORDED[stem]
+    assert run_cli(command, SCENARIOS / f"{stem}.toml", tmp_path) == exit_code
+    got = [line.split()[1:] for line in read_report(tmp_path).splitlines()
+           if line.startswith("METRIC ")]
+    assert [(name, verdict) for name, _, _, verdict in got] \
+        == [(name, verdict) for name, _, _, verdict in metrics]
+    for (name, value, threshold, _), want in zip(got, metrics):
+        assert float(threshold) == want[2], name
+        limit = METRIC_RTOL * abs(want[1]) if want[1] else ZERO_FLOOR
+        assert abs(float(value) - want[1]) <= limit, name

@@ -20,7 +20,7 @@ from normalshift.expr import (
     Neg,
     Num,
     Var,
-    eval_jet,
+    eval_tuple,
     eval_value,
     parse,
     taylor_eval,
@@ -114,21 +114,27 @@ def test_roundtrip_edge_spellings():
 
 # --- jets vs hand-derived oracle ---------------------------------------------
 
+def jet(e, env, wrt):
+    """(value, gradient (k,), Hessian (k, k)) of one expression at a point."""
+    val, grad, hess = eval_tuple((e,), env, wrt, 2)
+    return val[0], grad[:, 0], hess[:, :, 0]
+
+
 def test_eval_jet_hand_symbolic():
     # d/dv [v e^{x1/2}] = e^{x1/2}; d/dx1 = v e^{x1/2}/2; d2/dx1dv = e^{x1/2}/2
     e = parse("v*exp(0.5*x1)")
-    jet = eval_jet(e, {"x1": 0.0, "v": 2.0}, ["x1", "v"])
-    assert jet.value == pytest.approx(2.0, abs=1e-15)
-    assert jet.grad["v"] == pytest.approx(1.0, abs=1e-15)
-    assert jet.grad["x1"] == pytest.approx(1.0, abs=1e-15)
-    assert jet.hess[("x1", "v")] == pytest.approx(0.5, abs=1e-15)
+    val, grad, hess = jet(e, {"x1": 0.0, "v": 2.0}, ["x1", "v"])
+    assert val == pytest.approx(2.0, abs=1e-15)
+    assert grad[1] == pytest.approx(1.0, abs=1e-15)
+    assert grad[0] == pytest.approx(1.0, abs=1e-15)
+    assert hess[0, 1] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_eval_jet_identity():
-    jet = eval_jet(parse("v"), {"v": 3.0}, ["v"])
-    assert jet.value == 3.0
-    assert jet.grad["v"] == 1.0
-    assert jet.hess[("v", "v")] == 0.0
+    val, grad, hess = jet(parse("v"), {"v": 3.0}, ["v"])
+    assert val == 3.0
+    assert grad[0] == 1.0
+    assert hess[0, 0] == 0.0
 
 
 def _fd_grad(e, env, name, h=1e-5):
@@ -151,10 +157,10 @@ def test_random_polynomial_grad_matches_fd():
                f"+({coeffs[3]})*x2^3")
         e = parse(src)
         env = {"x1": rng.uniform(-1, 1), "x2": rng.uniform(-1, 1)}
-        jet = eval_jet(e, env, ["x1", "x2"])
-        for name in ("x1", "x2"):
+        _, grad, _ = jet(e, env, ["x1", "x2"])
+        for i, name in enumerate(("x1", "x2")):
             fd = _fd_grad(e, env, name)
-            assert abs(jet.grad[name] - fd) <= 1e-6 * max(1.0, abs(fd))
+            assert abs(grad[i] - fd) <= 1e-6 * max(1.0, abs(fd))
 
 
 def test_hundred_random_trees_grad_hess_match_fd():
@@ -166,13 +172,14 @@ def test_hundred_random_trees_grad_hess_match_fd():
         if not e.free_vars:
             continue
         env = {"x1": rng.uniform(-1.5, 1.5), "x2": rng.uniform(-1.5, 1.5)}
-        jet = eval_jet(e, env, ["x1", "x2"])
-        for name in ("x1", "x2"):
+        _, grad, hess = jet(e, env, ["x1", "x2"])
+        for i, name in enumerate(("x1", "x2")):
             fd = _fd_grad(e, env, name)
-            assert abs(jet.grad[name] - fd) <= 1e-5 * max(1.0, abs(fd)), src
-        for p, q in [("x1", "x1"), ("x1", "x2"), ("x2", "x2")]:
+            assert abs(grad[i] - fd) <= 1e-5 * max(1.0, abs(fd)), src
+        for (i, p), (j, q) in [((0, "x1"), (0, "x1")), ((0, "x1"), (1, "x2")),
+                               ((1, "x2"), (1, "x2"))]:
             fd = _fd_hess(e, env, p, q)
-            assert abs(jet.hess[(p, q)] - fd) <= 1e-4 * max(1.0, abs(fd)), src
+            assert abs(hess[i, j] - fd) <= 1e-4 * max(1.0, abs(fd)), src
         checked += 1
 
 
@@ -186,17 +193,12 @@ def test_differentiation_is_linear():
         combo = parse(f"({alpha})*({s1})+({beta})*({s2})")
         e1, e2 = parse(s1), parse(s2)
         env = {"x1": rng.uniform(-1, 1), "v": rng.uniform(0.5, 2.0)}
-        jc = eval_jet(combo, env, ["x1", "v"])
-        j1 = eval_jet(e1, env, ["x1", "v"])
-        j2 = eval_jet(e2, env, ["x1", "v"])
-        assert jc.value == pytest.approx(alpha * j1.value + beta * j2.value,
-                                         abs=1e-12, rel=1e-12)
-        for name in ("x1", "v"):
-            want = alpha * j1.grad[name] + beta * j2.grad[name]
-            assert jc.grad[name] == pytest.approx(want, abs=1e-12, rel=1e-12)
-        for pair in jc.hess:
-            want = alpha * j1.hess[pair] + beta * j2.hess[pair]
-            assert jc.hess[pair] == pytest.approx(want, abs=1e-12, rel=1e-12)
+        jc = jet(combo, env, ["x1", "v"])
+        j1 = jet(e1, env, ["x1", "v"])
+        j2 = jet(e2, env, ["x1", "v"])
+        for c, p1, p2 in zip(jc, j1, j2):
+            want = alpha * p1 + beta * p2
+            assert c == pytest.approx(want, abs=1e-12, rel=1e-12)
 
 
 def test_hessian_symmetry_is_exact():
@@ -205,9 +207,35 @@ def test_hessian_symmetry_is_exact():
         src = _random_tree(rng, 4, ["x1", "x2", "v"])
         e = parse(src)
         env = {"x1": 0.3, "x2": -0.7, "v": 1.3}
-        jet = eval_jet(e, env, ["x1", "x2", "v"])
-        for (p, q), value in jet.hess.items():
-            assert value == jet.hess[(q, p)]  # bitwise equal
+        _, _, hess = jet(e, env, ["x1", "x2", "v"])
+        assert np.array_equal(hess, hess.T)  # bitwise equal
+
+
+def test_eval_tuple_broadcasts_and_stacks():
+    # constants broadcast to the batch of the binding; components stack on
+    # a trailing axis, bit for bit as `taylor_eval` computes each one
+    env = {"x1": np.array([0.0, 1.0, 2.0]), "v": np.array([[1.0], [2.0]])}
+    exprs = (parse("v*exp(0.5*x1)"), parse("2"), parse("x1/v"))
+    val, grad, hess = eval_tuple(exprs, env, ("x1", "v"), 1)
+    assert val.shape == (2, 3, 3)
+    assert grad.shape == (2, 3, 2, 3)
+    assert hess is None
+    for i, e in enumerate(exprs):
+        v, g, _ = taylor_eval(e, env, ("x1", "v"), order=1)
+        assert np.array_equal(val[..., i], np.broadcast_to(v, (2, 3)))
+        assert np.array_equal(grad[..., i], np.broadcast_to(g, (2, 3, 2)))
+    val0, grad0, hess0 = eval_tuple(exprs, env, ("x1", "v"), 0)
+    assert np.array_equal(val0, val)
+    assert grad0 is None and hess0 is None
+    hess2 = eval_tuple(exprs, env, ("x1", "v"), 2)[2]
+    assert hess2.shape == (2, 3, 2, 2, 3)
+    # a single expression is not stacked, but is broadcast the same way
+    one = eval_tuple((parse("2"),), env, ("x1", "v"), 1)
+    assert np.array_equal(one[0], np.full((2, 3, 1), 2.0))
+    assert np.array_equal(one[1], np.zeros((2, 3, 2, 1)))
+    # more bound values than one np.broadcast call takes
+    wide = dict(env, **{f"y{i}": 1.0 for i in range(70)})
+    assert np.array_equal(eval_tuple(exprs, wide, (), 0)[0], val0)
 
 
 # --- domains and errors -------------------------------------------------------
@@ -215,9 +243,9 @@ def test_hessian_symmetry_is_exact():
 def test_integer_exponent_allows_negative_base():
     assert eval_value(parse("(-2.0)^3"), {}) == -8.0
     assert eval_value(parse("x1^2"), {"x1": -3.0}) == 9.0
-    jet = eval_jet(parse("x1^3"), {"x1": -2.0}, ["x1"])
-    assert jet.grad["x1"] == 12.0
-    assert jet.hess[("x1", "x1")] == -12.0
+    _, grad, hess = jet(parse("x1^3"), {"x1": -2.0}, ["x1"])
+    assert grad[0] == 12.0
+    assert hess[0, 0] == -12.0
 
 
 def test_non_integer_exponent_needs_positive_base():
@@ -254,6 +282,7 @@ def test_vectorized_environment():
 
 
 def test_wrt_not_free_gives_zero_derivative():
-    jet = eval_jet(parse("0"), {"x1": 1.0, "v": 2.0}, ["x1", "v"])
-    assert jet.value == 0.0
-    assert jet.grad == {"x1": 0.0, "v": 0.0}
+    val, grad, hess = jet(parse("0"), {"x1": 1.0, "v": 2.0}, ["x1", "v"])
+    assert val == 0.0
+    assert np.array_equal(grad, [0.0, 0.0])
+    assert np.array_equal(hess, np.zeros((2, 2)))

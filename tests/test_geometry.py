@@ -10,18 +10,14 @@ from normalshift.errors import DeckInvarianceError, FrameError, MetricError
 from normalshift.expr import parse
 from normalshift.geometry import (
     CoveringManifold,
-    Covector,
     Hypersurface,
     MetricSpec,
-    TangentVector,
     christoffel,
     deck_apply,
     grid_axes,
     inverse_metric_at,
-    lower_index,
     metric_at,
     parse_word,
-    raise_index,
     surface_frame,
     surface_grid,
 )
@@ -162,13 +158,13 @@ def test_christoffel_matches_finite_differences():
 # --- index raising/lowering -----------------------------------------------------
 
 def test_raise_then_lower_roundtrip():
+    # lowering with g after raising with g^-1 (and the reverse) is the
+    # identity
     m = conformal(2, "0.5*x1-0.2*x2")
-    vec = TangentVector((0.3, 0.8), (1.5, -2.5))
-    back = raise_index(m, lower_index(m, vec))
-    assert np.allclose(back.components, vec.components, atol=1e-12)
-    cov = Covector((0.3, 0.8), (0.25, 1.0))
-    back2 = lower_index(m, raise_index(m, cov))
-    assert np.allclose(back2.components, cov.components, atol=1e-12)
+    x = np.array([0.3, 0.8])
+    g, ginv = metric_at(m, x), inverse_metric_at(m, x)
+    assert np.allclose(g @ ginv, np.eye(2), atol=1e-12)
+    assert np.allclose(ginv @ g, np.eye(2), atol=1e-12)
 
 
 # --- deck transformations --------------------------------------------------------
@@ -189,6 +185,20 @@ def test_deck_generators_must_preserve_metric():
         CoveringManifold(conformal(2, "x1"), ((1.0, 0.0),))
     # but a translation along x2 preserves it
     CoveringManifold(conformal(2, "x1"), ((0.0, 2.0),))
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_deck_metric_check_does_not_depend_on_scale(scale):
+    # g_11 = scale * (2 + sin(x1)) is 2*pi-periodic up to rounding
+    def metric(g11):
+        zero, g22 = parse("0"), parse(repr(scale))
+        return MetricSpec(2, kind="explicit",
+                          entries=((parse(g11), zero), (zero, g22)))
+
+    CoveringManifold(metric(f"{scale!r}*(2+sin(x1))"), ((2 * math.pi, 0.0),))
+    with pytest.raises(DeckInvarianceError):
+        CoveringManifold(metric(f"{scale!r}*(2+0.1*x1)"),
+                         ((2 * math.pi, 0.0),))
 
 
 def test_parse_word_errors():

@@ -22,6 +22,7 @@ from normalshift.pfaff import (
     ClosedFormRho,
     MonodromyMap,
     PathSpec,
+    _check_deck_invariance,
     _continue,
     _invert_on_path,
     continue_V,
@@ -206,6 +207,20 @@ def test_path_independence_requires_shared_endpoints():
         path_independence_defect(ZERO_B, p1, p2, 1.0)
 
 
+@pytest.mark.parametrize("radius", [1e-6, 1.0, 1e4, 1e6])
+def test_endpoint_check_does_not_depend_on_scale(radius):
+    # the half circle ends at (-r, r*sin(pi)) = (-r, 1.2e-16*r)
+    r = repr(radius)
+    arc = PathSpec.parametric([parse(f"{r}*cos(t)"), parse(f"{r}*sin(t)")],
+                              0.0, math.pi)
+    dt = 0.1 * max(radius, 1.0)
+    chord = PathSpec.polyline([(radius, 0.0), (-radius, 0.0)])
+    assert path_independence_defect(ZERO_B, arc, chord, 1.0, dt=dt) == 0.0
+    short = PathSpec.polyline([(radius, 0.0), (-0.5 * radius, 0.0)])
+    with pytest.raises(PathError):
+        path_independence_defect(ZERO_B, arc, short, 1.0, dt=dt)
+
+
 # --- inversion --------------------------------------------------------------------------
 
 def test_invert_at_base_point_is_identity():
@@ -369,6 +384,17 @@ def test_monodromy_requires_deck_invariant_b():
     drift = ab("1", ("-0.1*x1*v", "0"))  # not periodic in x1
     with pytest.raises(DeckInvarianceError):
         monodromy(drift, CYL, "g1", (0.0, 0.0), W_GRID)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_deck_invariance_check_does_not_depend_on_scale(scale):
+    # sin(x1 + 2*pi) differs from sin(x1) by rounding only
+    p0 = np.array([0.3, -0.2])
+    _check_deck_invariance(ab("1", (f"{scale!r}*sin(x1)*v", "0")), CYL,
+                           "g1", p0)
+    with pytest.raises(DeckInvarianceError):
+        _check_deck_invariance(ab("1", (f"{scale!r}*x1*v", "0")), CYL,
+                               "g1", p0)
 
 
 def test_monodromy_map_table_validation():

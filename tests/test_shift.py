@@ -373,6 +373,32 @@ def test_loop_closure_rejects_open_path():
                             manifold=CYL)
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_loop_closure_check_does_not_depend_on_scale(scale):
+    # one period of a cylinder, starting at x1 = 1e8 * scale: the end
+    # point carries the rounding of that coordinate
+    period = 2 * math.pi * scale
+    cyl = CoveringManifold(EUC2, ((period, 0.0),))
+    start = 1e8 * scale
+    zero = ab("1", ("0", "0"))
+    loop = PathSpec.polyline([(start, 0.0), (start + period, 0.0)])
+    assert loop_closure_defect(loop, zero, 1.0, dt=0.1 * scale,
+                               manifold=cyl) == 0.0
+    short = PathSpec.polyline([(start, 0.0), (start + 1.25 * period, 0.0)])
+    with pytest.raises(PathError):
+        loop_closure_defect(short, zero, 1.0, dt=0.1 * scale, manifold=cyl)
+    # closed in the chart (no deck generators) at the same scale
+    flat = CoveringManifold(EUC2)
+    square = PathSpec.polyline([(start, 0.0), (start + scale, 0.0),
+                                (start, scale), (start, 0.0)])
+    assert loop_closure_defect(square, zero, 1.0, dt=0.1 * scale,
+                               manifold=flat) == 0.0
+    corner = PathSpec.polyline([(start, 0.0), (start + scale, 0.0),
+                                (start, scale)])
+    with pytest.raises(PathError):
+        loop_closure_defect(corner, zero, 1.0, dt=0.1 * scale, manifold=flat)
+
+
 def test_ellipsoid_shift_is_normal():
     theta = np.linspace(0.15, math.pi - 0.15, 25)
     base_theta = float(theta[np.argmin(np.abs(theta - math.pi / 2))])
