@@ -3,7 +3,7 @@ verification of the defining equations, global continuation, monodromy,
 gauge transformations, and the shift itself."""
 
 from .errors import NormalShiftError
-from .expr import FieldExpr, eval_tuple, eval_value, parse
+from .expr import FieldExpr, eval_tuple, parse
 from .geometry import (
     CoveringManifold,
     Hypersurface,
@@ -52,7 +52,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "NormalShiftError",
-    "FieldExpr", "parse", "eval_tuple", "eval_value",
+    "FieldExpr", "parse", "eval_tuple",
     "MetricSpec", "CoveringManifold", "Hypersurface",
     "metric_at", "christoffel", "surface_frame", "deck_apply",
     "HWPair", "ABFields", "DerivedAB", "ForceField",

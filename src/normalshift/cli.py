@@ -123,7 +123,7 @@ def _w_grid(run):
                        int(run.get("w_points", 10)))
 
 
-def _path_from(run, key, n):
+def _path_from(run, key):
     pts = run.get(key)
     if pts is None:
         raise ScenarioError("path is required by this command", f"run.{key}")
@@ -140,32 +140,34 @@ def _random_states(sc: Scenario, count):
 
 # --- commands --------------------------------------------------------------------
 
-def cmd_check(sc: Scenario, out_dir, report: Report):
+def _require_ab(sc: Scenario, command):
     if sc.ab is None:
-        raise ScenarioError("check needs field kind 'hw' or 'ab'",
+        raise ScenarioError(f"{command} needs field kind 'hw' or 'ab'",
                             "field.kind")
+    return sc.ab
+
+
+def _gate_max(sc: Scenario, report: Report, name, residual, x, v):
+    """Gate the largest |residual| over the (state, speed) grid against
+    run.<name>_tol, and report the state where it sits."""
+    worst = np.abs(residual).reshape(residual.shape[:2] + (-1,)).max(-1)
+    i, j = np.unravel_index(int(np.argmax(worst)), worst.shape)
+    report.metric(f"{name}_max", float(worst[i, j]),
+                  float(sc.run[f"{name}_tol"]))
+    report.info(f"{name} argmax at x={_point_str(x[i])} v={_fmt(v[j])}")
+
+
+def cmd_check(sc: Scenario, out_dir, report: Report):
+    ab = _require_ab(sc, "check")
     x, v = _state_grid(sc)
-    closed = closedness_residual(sc.ab, x[:, None, :], v[None, :])
-    worst_c = np.max(np.abs(closed), axis=(-1, -2))
-    ci = np.unravel_index(int(np.argmax(worst_c)), worst_c.shape)
-    report.metric("closedness_max", float(worst_c[ci]),
-                  float(sc.run["closedness_tol"]))
-    report.info(f"closedness argmax at x={_point_str(x[ci[0]])} "
-                f"v={_fmt(v[ci[1]])}")
-    normal = normalizing_residual(sc.ab, x[:, None, :], v[None, :])
-    worst_n = np.max(np.abs(normal), axis=-1)
-    ni = np.unravel_index(int(np.argmax(worst_n)), worst_n.shape)
-    report.metric("normalizing_max", float(worst_n[ni]),
-                  float(sc.run["normalizing_tol"]))
-    report.info(f"normalizing argmax at x={_point_str(x[ni[0]])} "
-                f"v={_fmt(v[ni[1]])}")
+    states = (x[:, None, :], v[None, :])
+    _gate_max(sc, report, "closedness", closedness_residual(ab, *states),
+              x, v)
+    _gate_max(sc, report, "normalizing", normalizing_residual(ab, *states),
+              x, v)
     if sc.field_kind == "hw":
-        coll = collinearity_defect(sc.ab, sc.hw.W, x[:, None, :], v[None, :])
-        wi = np.unravel_index(int(np.argmax(coll)), coll.shape)
-        report.metric("collinearity_max", float(coll[wi]),
-                      float(sc.run["collinearity_tol"]))
-        report.info(f"collinearity argmax at x={_point_str(x[wi[0]])} "
-                    f"v={_fmt(v[wi[1]])}")
+        _gate_max(sc, report, "collinearity",
+                  collinearity_defect(ab, sc.hw.W, *states), x, v)
 
 
 def cmd_trajectory(sc: Scenario, out_dir, report: Report):
@@ -210,43 +212,39 @@ def cmd_shift(sc: Scenario, out_dir, report: Report):
 
 
 def cmd_pfaff(sc: Scenario, out_dir, report: Report):
-    if sc.ab is None:
-        raise ScenarioError("pfaff needs field kind 'hw' or 'ab'",
-                            "field.kind")
+    ab = _require_ab(sc, "pfaff")
     run = sc.run
-    path = _path_from(run, "path", sc.dimension)
-    trace = continue_V(sc.ab, path, float(run["w0"]), dt=float(run["dt"]))
+    path = _path_from(run, "path")
+    trace = continue_V(ab, path, float(run["w0"]), dt=float(run["dt"]))
     header = (["t"] + [f"x{i + 1}" for i in range(sc.dimension)]
               + ["V", "V_w"])
     write_csv(os.path.join(out_dir, "continuation.csv"), header,
               [np.column_stack([trace.t, trace.x, trace.V, trace.Vw])])
     report.info(f"endpoint V {_fmt(trace.end_V)}, V_w {_fmt(trace.end_Vw)}")
     if "path2" in run:
-        other = _path_from(run, "path2", sc.dimension)
-        defect = path_independence_defect(sc.ab, path, other,
+        other = _path_from(run, "path2")
+        defect = path_independence_defect(ab, path, other,
                                           float(run["w0"]),
                                           dt=float(run["dt"]))
         report.metric("path_independence_defect", defect,
                       float(run["path_tol"]))
     if "loop" in run:
-        loop = _path_from(run, "loop", sc.dimension)
-        defect = loop_closure_defect(loop, sc.ab, float(run["nu0"]),
+        loop = _path_from(run, "loop")
+        defect = loop_closure_defect(loop, ab, float(run["nu0"]),
                                      dt=float(run["dt"]),
                                      manifold=sc.manifold)
         report.info(f"loop_closure_defect {_fmt(defect)}")
 
 
 def cmd_fnorm(sc: Scenario, out_dir, report: Report):
-    if sc.ab is None:
-        raise ScenarioError("fnorm needs field kind 'hw' or 'ab'",
-                            "field.kind")
+    ab = _require_ab(sc, "fnorm")
     f_expr = sc.run.get("f")
     if f_expr is None:
         raise ScenarioError("weight expression is required", "run.f")
     weight = AdmissibleF(parse_expr(f_expr))
     x, _ = _state_grid(sc)
     v = _v_grid(sc.run)
-    est = f_norm_estimate(sc.ab, weight, sc.metric, x, v)
+    est = f_norm_estimate(ab, weight, sc.metric, x, v)
     report.info(f"fnorm_estimate {_fmt(est.value)} (lower bound for the "
                 f"supremum)")
     report.info(f"argmax at x={_point_str(est.argmax_x)} "
@@ -256,14 +254,12 @@ def cmd_fnorm(sc: Scenario, out_dir, report: Report):
 
 
 def cmd_monodromy(sc: Scenario, out_dir, report: Report):
-    if sc.ab is None:
-        raise ScenarioError("monodromy needs field kind 'hw' or 'ab'",
-                            "field.kind")
+    ab = _require_ab(sc, "monodromy")
     run = sc.run
     word = run.get("word", "g1")
     p0 = [float(c) for c in run.get("p0", [0.0] * sc.dimension)]
     w = _w_grid(run)
-    rho = monodromy(sc.ab, sc.manifold, word, p0, w, dt=float(run["dt"]))
+    rho = monodromy(ab, sc.manifold, word, p0, w, dt=float(run["dt"]))
     write_csv(os.path.join(out_dir, "monodromy.csv"), ["w", "rho_w"],
               [np.column_stack([rho.w, rho.rho])])
     report.info(f"word '{word}', {len(w)} samples, "
@@ -289,13 +285,11 @@ def cmd_gauge(sc: Scenario, out_dir, report: Report):
 
 
 def cmd_extract_h(sc: Scenario, out_dir, report: Report):
-    if sc.ab is None:
-        raise ScenarioError("extract-h needs field kind 'hw' or 'ab'",
-                            "field.kind")
+    ab = _require_ab(sc, "extract-h")
     run = sc.run
     p0 = [float(c) for c in run.get("p0", [0.0] * sc.dimension)]
     v = _v_grid(run)
-    out = extract_h(sc.ab, p0, v, dt=float(run.get("extract_dt", 1e-2)))
+    out = extract_h(ab, p0, v, dt=float(run.get("extract_dt", 1e-2)))
     write_csv(os.path.join(out_dir, "h_table.csv"), ["v", "h"],
               [np.column_stack([out.v, out.h])])
     report.metric("h_consistency_defect", out.consistency_defect,

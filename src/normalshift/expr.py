@@ -39,8 +39,7 @@ from .errors import (
     UnknownFunctionError,
 )
 
-__all__ = ["FieldExpr", "parse", "bind", "eval_tuple", "eval_value",
-           "taylor_eval"]
+__all__ = ["FieldExpr", "parse", "bind", "eval_tuple", "taylor_eval"]
 
 
 # --- AST -------------------------------------------------------------------
@@ -195,29 +194,23 @@ class _Parser:
             return f"number '{tok[1]}'"
         return f"'{tok[1]}'"
 
-    def parse_expr(self):
-        node = self.parse_term()
-        while self.peek()[0] in ("+", "-"):
+    def _left_assoc(self, ops, operand):
+        """operand { op operand } for op in ops, folded to the left."""
+        node = operand()
+        while self.peek()[0] in ops:
             op = self.advance()
-            rhs = self.parse_term()
+            rhs = operand()
             node = BinOp(op[0], node, rhs, op[2])
         return node
+
+    def parse_expr(self):
+        return self._left_assoc(("+", "-"), self.parse_term)
 
     def parse_term(self):
-        node = self.parse_power()
-        while self.peek()[0] in ("*", "/"):
-            op = self.advance()
-            rhs = self.parse_power()
-            node = BinOp(op[0], node, rhs, op[2])
-        return node
+        return self._left_assoc(("*", "/"), self.parse_power)
 
     def parse_power(self):
-        node = self.parse_unary()
-        while self.peek()[0] == "^":
-            op = self.advance()
-            rhs = self.parse_unary()
-            node = BinOp("^", node, rhs, op[2])
-        return node
+        return self._left_assoc(("^",), self.parse_unary)
 
     def parse_unary(self):
         tok = self.peek()
@@ -332,9 +325,6 @@ class _Taylor:
         self.names = tuple(names)
         self.k = len(self.names)
         self.order = order
-
-    def run(self, node):
-        return self.eval(node)
 
     # Each eval returns (val, grad, hess); grad has trailing axis k,
     # hess trailing axes (k, k); entries may be None below the order.
@@ -513,12 +503,7 @@ def taylor_eval(e: FieldExpr, env: Mapping[str, object],
     if missing:
         raise UnboundVariableError(
             f"variable '{missing[0]}' is not bound in the environment")
-    return _Taylor(env, wrt, order).run(e.ast)
-
-
-def eval_value(e: FieldExpr, env: Mapping[str, object]):
-    """Plain evaluation without derivatives."""
-    return taylor_eval(e, env, (), order=0)[0]
+    return _Taylor(env, wrt, order).eval(e.ast)
 
 
 def bind(names, points, **extra):

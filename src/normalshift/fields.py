@@ -265,9 +265,7 @@ def force_from_one_form(w_expr: FieldExpr, m: MetricSpec, x, xdot,
     v, n_up, n_low, g = _velocity_frame(m, x, xdot)
     omega = _state_eval((w_expr,), n, x, v, 1)[1][..., 0]
     last = omega[..., -1]
-    if np.any(np.abs(last) <= WV_EPS):
-        raise VanishingDerivativeError(
-            "speed component of the one-form vanished")
+    _guard_wv(last, x, v)
     quot = omega[..., :-1] / last[..., None]
     corr = (2.0 * np.einsum("...i,...i->...", quot, n_up)[..., None] * n_low
             - quot)

@@ -131,11 +131,8 @@ def metric_at(m: MetricSpec, x) -> np.ndarray:
 
 
 def inverse_metric_at(m: MetricSpec, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if m.is_euclidean:
-        n = m.dimension
-        return np.broadcast_to(np.eye(n), x.shape[:-1] + (n, n)).copy()
-    return np.linalg.inv(metric_at(m, x))
+    g = metric_at(m, x)
+    return g if m.is_euclidean else np.linalg.inv(g)
 
 
 def _metric_with_gradient(m: MetricSpec, x):
@@ -339,10 +336,6 @@ def embed_with_tangents(s: Hypersurface, u):
     # tau: batch + (k, n); row q = tangent along u_q
     x, tau, _ = eval_tuple(s.parametrization, bind(names, u), names, 1)
     return x, tau
-
-
-def embed(s: Hypersurface, u):
-    return embed_with_tangents(s, u)[0]
 
 
 def _unit_normal(taus, g, orientation):

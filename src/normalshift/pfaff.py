@@ -22,9 +22,10 @@ Step counts scale with the chart length of each path segment, so `dt`
 means "step per unit chart length" for polylines and "step in the curve
 parameter" for parametric paths.
 
-scipy is imported only when a sampled `MonodromyMap` is first evaluated
-(its PCHIP interpolants are built on first use), so importing this module,
-or any CLI command, does not load it.
+Monotone maps of the positive axis (sampled monodromy maps, closed-form
+reparametrizations) are inverted by one routine, `_invert_increasing`:
+bisection of log w, then Newton.  Sampled maps interpolate their tables
+with the monotone piecewise-cubic `_pchip` of Fritsch & Carlson.
 """
 
 from __future__ import annotations
@@ -63,10 +64,6 @@ __all__ = [
     "invert_V", "straight_path_factory", "f_norm_estimate",
     "monodromy", "gauge_transform", "extract_h",
 ]
-
-INVERT_BRACKET = (1e-8, 1e8)
-INVERT_BISECTIONS = 80
-INVERT_NEWTON = 5
 
 
 # --- paths -----------------------------------------------------------------------
@@ -445,17 +442,85 @@ def fd_weights(z, nodes, order=1):
     return c[:, order]
 
 
-def _table_derivatives(w, rho):
-    """Derivative of the table at each node: fourth-order stencils (five
-    points, centered where possible, one-sided at the edges)."""
-    n = len(w)
-    width = min(5, n)
-    out = np.empty(n)
-    for i in range(n):
-        lo = min(max(i - width // 2, 0), n - width)
-        weights = fd_weights(w[i], w[lo:lo + width])
-        out[i] = float(weights @ rho[lo:lo + width])
-    return out
+def fd_matrix(nodes, width):
+    """Dense first-derivative matrix on the given nodes: `width`-point
+    stencils (at most len(nodes)), centered where possible and skewed at
+    the edges."""
+    m = len(nodes)
+    width = min(width, m)
+    d = np.zeros((m, m))
+    for i in range(m):
+        lo = min(max(i - width // 2, 0), m - width)
+        d[i, lo:lo + width] = fd_weights(nodes[i], nodes[lo:lo + width])
+    return d
+
+
+# --- monotone maps of the positive axis ---------------------------------------------
+
+def _pchip(x, y):
+    """Monotone piecewise-cubic Hermite interpolant of the table (x, y)
+    (Fritsch & Carlson, SIAM J. Numer. Anal. 17 (1980) 238-246): interior
+    slopes are the weighted harmonic means of the adjacent secants (Fritsch
+    & Butland, SIAM J. Sci. Stat. Comput. 5 (1984) 300-304), zero where
+    they differ in sign or one vanishes.  Two nodes give the line.  Returns
+    the evaluator on [x[0], x[-1]]."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    d = np.full(len(x), m[0])
+    if len(x) > 2:
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        flat = ((np.sign(m[1:]) != np.sign(m[:-1]))
+                | (m[1:] == 0.0) | (m[:-1] == 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mean = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+        d[1:-1] = np.where(flat, 0.0, mean)
+        # three-point end slopes (h0, m0 the outer interval), zeroed where
+        # their sign differs from m0's, capped at 3 m0 where m changes sign
+        h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+        end = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        cap = (np.sign(m0) != np.sign(m1)) & (np.abs(end) > 3.0 * np.abs(m0))
+        d[[0, -1]] = np.where(np.sign(end) != np.sign(m0), 0.0,
+                              np.where(cap, 3.0 * m0, end))
+    # the cubic of interval k in s = q - x[k]: c0 + c1 s + c2 s^2 + c3 s^3
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    c0, c1, c2, c3 = y[:-1], d[:-1], (m - d[:-1]) / h - t, t / h
+
+    def evaluate(q):
+        k = np.clip(np.searchsorted(x, q, side="right") - 1, 0, len(h) - 1)
+        s = q - x[k]
+        return c0[k] + c1[k] * s + c2[k] * (s * s) + c3[k] * (s * s * s)
+
+    return evaluate
+
+
+def _invert_increasing(f, df, y, lo, hi):
+    """The w in [lo, hi] with f(w) = y, for an increasing f with
+    f(lo) <= y <= f(hi) and lo > 0.  Eighty bisections of log w narrow
+    any positive bracket to adjacent floats; at most five Newton steps
+    follow, until the residual is within 1e-14 of max(1, |y|).  A Newton
+    step that would leave [lo, hi] is not taken."""
+    y = np.asarray(y, dtype=float)
+    a, b = np.full(y.shape, lo), np.full(y.shape, hi)
+    for _ in range(80):
+        mid = _geometric_mean(a, b)
+        below = np.asarray(f(mid)) < y
+        a, b = np.where(below, mid, a), np.where(below, b, mid)
+    w = _geometric_mean(a, b)
+    for _ in range(5):
+        resid = np.asarray(f(w)) - y
+        if np.max(np.abs(resid)) <= 1e-14 * max(1.0, float(np.max(np.abs(y)))):
+            break
+        step = w - resid / np.asarray(df(w))
+        w = np.where((step >= lo) & (step <= hi), step, w)
+    return float(w) if np.ndim(y) == 0 else w
+
+
+def _geometric_mean(a, b):
+    """sqrt(a * b) for 0 < a <= b, b normal: a scaled exactly by a power
+    of two keeps the product from overflow and underflow, and the result
+    is bitwise np.sqrt(a * b) wherever that product is normal."""
+    k = (np.frexp(a)[1] + np.frexp(b)[1]) // 2
+    return np.ldexp(np.sqrt(np.ldexp(a, -2 * k) * b), k)
 
 
 # --- monodromy maps ----------------------------------------------------------------------
@@ -463,9 +528,10 @@ def _table_derivatives(w, rho):
 @dataclass(eq=False)
 class MonodromyMap:
     """Sampled map of the continuation parameter induced by a deck word,
-    with a monotone (PCHIP) interpolant.  Strictly increasing and
-    positive.  The table is validated at construction; the interpolants
-    of the map and of its derivative are built on first evaluation."""
+    with a monotone (PCHIP) interpolant.  Strictly increasing, from
+    positive w to positive values.  The table is validated at
+    construction; the interpolants of the map and of its derivative are
+    built on first evaluation."""
 
     word: str
     w: np.ndarray
@@ -483,64 +549,47 @@ class MonodromyMap:
             raise TableError(f"{table}: needs at least 2 nodes, got "
                              f"{len(self.w)}")
         for name, vals in (("w", self.w), ("rho", self.rho)):
-            if not np.all(np.isfinite(vals)):
-                node = int(np.argmax(~np.isfinite(vals)))
-                raise TableError(f"{table}: {name} is not finite at node "
-                                 f"{node} ({vals[node]})")
-        if np.any(self.rho <= 0.0):
-            raise TableError(f"{table}: rho must be positive")
+            bad = ~((vals > 0.0) & (vals < np.inf))   # NaN as well
+            if bad.any():
+                node = int(np.argmax(bad))
+                raise TableError(f"{table}: {name} is not finite and "
+                                 f"positive at node {node} ({vals[node]})")
         if np.any(np.diff(self.w) <= 0.0) or np.any(np.diff(self.rho) <= 0.0):
             raise TableError(f"{table}: w and rho must be strictly "
                              "increasing")
 
     @cached_property
     def _interp(self):
-        from scipy.interpolate import PchipInterpolator
-        return PchipInterpolator(self.w, self.rho, extrapolate=False)
+        return _pchip(self.w, self.rho)
 
     @cached_property
     def _dinterp(self):
-        from scipy.interpolate import PchipInterpolator
-        return PchipInterpolator(self.w, _table_derivatives(self.w, self.rho),
-                                 extrapolate=False)
+        # the table's derivative at each node from five-point stencils
+        return _pchip(self.w, fd_matrix(self.w, 5) @ self.rho)
 
-    def _check_range(self, w):
-        w = np.asarray(w, dtype=float)
-        if np.any(w < self.w[0] * (1 - 1e-12)) \
-                or np.any(w > self.w[-1] * (1 + 1e-12)):
+    def _clip(self, q, nodes):
+        """q clipped to [nodes[0], nodes[-1]], which it may overshoot by
+        rounding (1e-12 relative) only."""
+        q = np.asarray(q, dtype=float)
+        bad = (q < nodes[0] * (1 - 1e-12)) | (q > nodes[-1] * (1 + 1e-12))
+        if bad.any():
             raise TableError(
-                f"argument outside the sampled range "
-                f"[{self.w[0]:.6g}, {self.w[-1]:.6g}]")
-        return np.clip(w, self.w[0], self.w[-1])
+                f"monodromy table '{self.word}': {float(q[bad][0])!r} is "
+                f"outside the sampled range [{nodes[0]:.6g}, {nodes[-1]:.6g}]")
+        return np.clip(q, nodes[0], nodes[-1])
 
     def __call__(self, w):
-        out = self._interp(self._check_range(w))
+        out = self._interp(self._clip(w, self.w))
         return float(out) if np.ndim(w) == 0 else out
 
     def derivative(self, w):
-        out = self._dinterp(self._check_range(w))
+        out = self._dinterp(self._clip(w, self.w))
         return float(out) if np.ndim(w) == 0 else out
 
     def inverse(self, y):
-        y = np.asarray(y, dtype=float)
-        if np.any(y < self.rho[0] * (1 - 1e-12)) \
-                or np.any(y > self.rho[-1] * (1 + 1e-12)):
-            raise TableError(
-                f"value outside the sampled image "
-                f"[{self.rho[0]:.6g}, {self.rho[-1]:.6g}]")
-        y = np.clip(y, self.rho[0], self.rho[-1])
-        lo = np.full(y.shape, self.w[0])
-        hi = np.full(y.shape, self.w[-1])
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            below = self._interp(mid) < y
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        w = 0.5 * (lo + hi)
-        for _ in range(3):
-            w = np.clip(w - (self._interp(w) - y) / self._dinterp(w),
-                        self.w[0], self.w[-1])
-        return float(w) if np.ndim(y) == 0 else w
+        return _invert_increasing(self._interp, self._dinterp,
+                                  self._clip(y, self.rho),
+                                  self.w[0], self.w[-1])
 
 
 def monodromy(ab, manifold: CoveringManifold, word, p0, w_grid,
@@ -581,8 +630,8 @@ def _check_deck_invariance(ab, manifold, word, p0):
 
 class ClosedFormRho:
     """Reparametrization of the positive axis given in closed form; exact
-    derivatives via the expression jets, inverse by bracketed bisection
-    plus Newton."""
+    derivatives via the expression jets, inverse by `_invert_increasing`
+    on a bracket widened until it encloses the targets."""
 
     def __init__(self, expr: FieldExpr):
         extra = set(expr.free_vars) - {"w"}
@@ -600,25 +649,24 @@ class ClosedFormRho:
         return float(out) if np.ndim(w) == 0 else out
 
     def inverse(self, y):
+        """rho^-1 on a bracket that starts at [1e-8, 1e8] and widens by
+        that ratio until it encloses every target; raises if it reaches
+        the extreme normal floats first (rho misses the target, or is not
+        finite there)."""
         y = np.asarray(y, dtype=float)
-        lo = np.full(y.shape, INVERT_BRACKET[0])
-        hi = np.full(y.shape, INVERT_BRACKET[1])
-        y_lo, y_hi = self(lo), self(hi)
-        if np.any(y < y_lo) or np.any(y > y_hi):
-            raise TableError("value outside the invertible range of rho")
-        for _ in range(INVERT_BISECTIONS):
-            mid = np.sqrt(lo * hi)
-            below = np.asarray(self(mid)) < y
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        w = np.sqrt(lo * hi)
-        for _ in range(INVERT_NEWTON):
-            resid = np.asarray(self(w)) - y
-            if np.max(np.abs(resid)) <= 1e-14 * max(1.0, float(np.max(np.abs(y)))):
-                break
-            w_new = w - resid / np.asarray(self.derivative(w))
-            w = np.where(w_new > 0.0, w_new, w)
-        return float(w) if np.ndim(y) == 0 else w
+        lo, hi = 1e-8, 1e8
+        tiny, huge = float(np.finfo(float).tiny), float(np.finfo(float).max)
+        while not self(lo) <= np.min(y):
+            if lo == tiny:
+                raise TableError(f"rho does not reach {float(np.min(y))!r} "
+                                 f"for w down to {tiny!r}")
+            lo = max(lo * 1e-8, tiny)
+        while not self(hi) >= np.max(y):
+            if hi == huge:
+                raise TableError(f"rho does not reach {float(np.max(y))!r} "
+                                 f"for w up to {huge!r}")
+            hi = min(hi * 1e8, huge)
+        return _invert_increasing(self, self.derivative, y, lo, hi)
 
 
 @dataclass(eq=False)

@@ -190,6 +190,13 @@ def _expr(value, path, allowed):
     return e
 
 
+def _exprs(value, path, length, allowed):
+    if not isinstance(value, list) or len(value) != length:
+        raise ScenarioError(f"expected {length} components", path)
+    return tuple(_expr(c, f"{path}[{i}]", allowed)
+                 for i, c in enumerate(value))
+
+
 def _floats(value, path, length=None):
     if not isinstance(value, list) or (
             length is not None and len(value) != length):
@@ -235,20 +242,11 @@ def _build_field(sec: dict, n: int, metric: MetricSpec):
         return kind, hw, DerivedAB(hw), ForceField(hw, metric)
     if kind == "ab":
         a = _expr(sec.get("a"), "field.a", coords + ["v"])
-        comps = sec.get("b")
-        if not isinstance(comps, list) or len(comps) != n:
-            raise ScenarioError(f"expected {n} components", "field.b")
-        b = tuple(_expr(c, f"field.b[{i}]", coords + ["v"])
-                  for i, c in enumerate(comps))
-        ab = ABFields(a, b)
+        ab = ABFields(a, _exprs(sec.get("b"), "field.b", n, coords + ["v"]))
         return kind, None, ab, ForceField(ab, metric)
     if kind == "custom":
-        comps = sec.get("F")
-        if not isinstance(comps, list) or len(comps) != n:
-            raise ScenarioError(f"expected {n} components", "field.F")
         allowed = coords + [f"xdot{i + 1}" for i in range(n)] + ["v"]
-        F = tuple(_expr(c, f"field.F[{i}]", allowed)
-                  for i, c in enumerate(comps))
+        F = _exprs(sec.get("F"), "field.F", n, allowed)
         return kind, None, None, ForceField(F, metric, kind="custom")
     raise ScenarioError("kind must be 'hw', 'ab' or 'custom'", "field.kind")
 
@@ -256,13 +254,8 @@ def _build_field(sec: dict, n: int, metric: MetricSpec):
 def _build_surface(sec: dict, n: int) -> Hypersurface:
     k = n - 1
     params = [f"u{i + 1}" for i in range(k)]
-    comps = sec.get("parametrization")
-    if not isinstance(comps, list) or len(comps) != n:
-        raise ScenarioError(f"expected {n} components",
-                            "surface.parametrization")
-    parametrization = tuple(
-        _expr(c, f"surface.parametrization[{i}]", params)
-        for i, c in enumerate(comps))
+    parametrization = _exprs(sec.get("parametrization"),
+                             "surface.parametrization", n, params)
     ranges_raw = sec.get("ranges")
     if not isinstance(ranges_raw, list) or len(ranges_raw) != k:
         raise ScenarioError(f"expected {k} ranges", "surface.ranges")

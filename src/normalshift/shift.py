@@ -52,7 +52,7 @@ from .geometry import (
     relative_deviation,
     surface_grid,
 )
-from .pfaff import PathSpec, _continue, _rk4_run, fd_weights
+from .pfaff import PathSpec, _continue, _rk4_run, fd_matrix
 
 __all__ = ["NuField", "ShiftFamily", "solve_nu", "normal_shift",
            "orthogonality_defect", "loop_closure_defect",
@@ -256,18 +256,6 @@ def normal_shift(s: Hypersurface, nu: NuField, force: ForceField,
 _CENTRAL_7 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
 
 
-def _derivative_matrix(m_nodes, spacing):
-    """Dense one-axis differentiation matrix on a uniform open grid:
-    seven-point interior stencils, skewed near the edges."""
-    width = min(7, m_nodes)
-    d = np.zeros((m_nodes, m_nodes))
-    idx = np.arange(m_nodes, dtype=float)
-    for i in range(m_nodes):
-        lo = min(max(i - width // 2, 0), m_nodes - width)
-        d[i, lo:lo + width] = fd_weights(idx[i], idx[lo:lo + width])
-    return d / spacing
-
-
 def _axis_tangents(layer_x, axis, closed, spacing):
     if closed:
         if layer_x.shape[axis] >= 7:
@@ -279,7 +267,8 @@ def _axis_tangents(layer_x, axis, closed, spacing):
             if wgt != 0.0:
                 total += wgt * np.roll(layer_x, -shift, axis=axis)
         return total / spacing
-    dmat = _derivative_matrix(layer_x.shape[axis], spacing)
+    # seven-point stencils on the uniform open grid, skewed near the edges
+    dmat = fd_matrix(np.arange(layer_x.shape[axis], dtype=float), 7) / spacing
     moved = np.moveaxis(layer_x, axis, 0)
     return np.moveaxis(np.tensordot(dmat, moved, axes=(1, 0)), 0, axis)
 

@@ -224,25 +224,31 @@ def test_reruns_are_byte_identical(tmp_path):
 
 
 def test_cli_start_up_does_not_import_scipy():
-    # scipy is loaded only when a sampled monodromy map is evaluated: not
-    # by importing the CLI, and not by building a map
+    # with scipy blocked, the CLI imports, and sampled and closed-form
+    # maps evaluate, invert and gauge a force
     probe = (
         "import sys\n"
+        "sys.modules['scipy'] = None\n"
         "import numpy as np\n"
         "import normalshift.cli\n"
-        "from normalshift.pfaff import MonodromyMap\n"
-        "print('scipy' in sys.modules)\n"
-        "rho = MonodromyMap('g1', np.array([1.0, 2.0]), np.array([2.0, 4.0]))\n"
-        "print('scipy' in sys.modules)\n"
-        "rho(1.5)\n"
-        "print('scipy' in sys.modules)\n")
+        "from normalshift.expr import parse\n"
+        "from normalshift.fields import HWPair, force_hw\n"
+        "from normalshift.geometry import MetricSpec\n"
+        "from normalshift.pfaff import MonodromyMap, gauge_transform\n"
+        "rho = MonodromyMap('g1', np.array([1.0, 2.0, 4.0]),\n"
+        "                   np.array([2.0, 4.0, 9.0]))\n"
+        "pair = HWPair(parse('v*exp(0.3*x1)'), parse('w'), 2)\n"
+        "moved = gauge_transform(pair, parse('2*w'))\n"
+        "out = [rho(1.5), rho.derivative(1.5), rho.inverse(5.0),\n"
+        "       *force_hw(moved, MetricSpec(2), [0.1, 0.2], [1.0, 0.5])]\n"
+        "print(all(np.isfinite(out)))\n")
     src = str(Path(normalshift.__file__).resolve().parents[1])
     path = [src, os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, timeout=120,
                          check=True)
-    assert out.stdout.split() == ["False", "False", "True"]
+    assert out.stdout.split() == ["True"]
 
 
 # --- recorded results of every scenario ----------------------------------------------

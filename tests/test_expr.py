@@ -21,7 +21,6 @@ from normalshift.expr import (
     Num,
     Var,
     eval_tuple,
-    eval_value,
     parse,
     taylor_eval,
 )
@@ -73,11 +72,11 @@ def test_precedence_and_associativity():
                                        BinOp("*", Num(2.0), Num(3.0)))
     assert parse("2^3^2").ast == BinOp("^", BinOp("^", Num(2.0), Num(3.0)),
                                        Num(2.0))
-    assert eval_value(parse("2^3^2"), {}) == 64.0
+    assert taylor_eval(parse("2^3^2"), {}, (), 0)[0] == 64.0
     # unary minus binds tighter than ^
-    assert eval_value(parse("-2^2"), {}) == 4.0
-    assert eval_value(parse("2^-2"), {}) == 0.25
-    assert eval_value(parse("1-2-3"), {}) == -4.0
+    assert taylor_eval(parse("-2^2"), {}, (), 0)[0] == 4.0
+    assert taylor_eval(parse("2^-2"), {}, (), 0)[0] == 0.25
+    assert taylor_eval(parse("1-2-3"), {}, (), 0)[0] == -4.0
 
 
 def _random_tree(rng, depth, vars_):
@@ -140,7 +139,8 @@ def test_eval_jet_identity():
 def _fd_grad(e, env, name, h=1e-5):
     up = dict(env); up[name] = env[name] + h
     dn = dict(env); dn[name] = env[name] - h
-    return (eval_value(e, up) - eval_value(e, dn)) / (2 * h)
+    return (taylor_eval(e, up, (), 0)[0]
+            - taylor_eval(e, dn, (), 0)[0]) / (2 * h)
 
 
 def _fd_hess(e, env, p, q, h=1e-5):
@@ -241,34 +241,34 @@ def test_eval_tuple_broadcasts_and_stacks():
 # --- domains and errors -------------------------------------------------------
 
 def test_integer_exponent_allows_negative_base():
-    assert eval_value(parse("(-2.0)^3"), {}) == -8.0
-    assert eval_value(parse("x1^2"), {"x1": -3.0}) == 9.0
+    assert taylor_eval(parse("(-2.0)^3"), {}, (), 0)[0] == -8.0
+    assert taylor_eval(parse("x1^2"), {"x1": -3.0}, (), 0)[0] == 9.0
     _, grad, hess = jet(parse("x1^3"), {"x1": -2.0}, ["x1"])
     assert grad[0] == 12.0
     assert hess[0, 0] == -12.0
 
 
 def test_non_integer_exponent_needs_positive_base():
-    assert eval_value(parse("4^0.5"), {}) == pytest.approx(2.0)
+    assert taylor_eval(parse("4^0.5"), {}, (), 0)[0] == pytest.approx(2.0)
     with pytest.raises(DomainEvalError):
-        eval_value(parse("(-4.0)^0.5"), {})
+        taylor_eval(parse("(-4.0)^0.5"), {}, (), 0)[0]
     with pytest.raises(DomainEvalError):
-        eval_value(parse("pow(x1, 0.5)"), {"x1": -1.0})
+        taylor_eval(parse("pow(x1, 0.5)"), {"x1": -1.0}, (), 0)[0]
 
 
 def test_domain_errors_report_subexpression():
     with pytest.raises(DomainEvalError) as exc:
-        eval_value(parse("1+log(x1-2)"), {"x1": 1.0})
+        taylor_eval(parse("1+log(x1-2)"), {"x1": 1.0}, (), 0)[0]
     assert "log" in str(exc.value)
     with pytest.raises(DomainEvalError):
-        eval_value(parse("sqrt(-x1)"), {"x1": 1.0})
+        taylor_eval(parse("sqrt(-x1)"), {"x1": 1.0}, (), 0)[0]
     with pytest.raises(DomainEvalError):
-        eval_value(parse("1/x1"), {"x1": 0.0})
+        taylor_eval(parse("1/x1"), {"x1": 0.0}, (), 0)[0]
 
 
 def test_unbound_variable():
     with pytest.raises(UnboundVariableError):
-        eval_value(parse("x1+x2"), {"x1": 1.0})
+        taylor_eval(parse("x1+x2"), {"x1": 1.0}, (), 0)[0]
 
 
 def test_vectorized_environment():

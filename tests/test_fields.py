@@ -161,6 +161,15 @@ def test_unit_h_one_form_route_agrees():
     assert np.max(np.abs(f1 - f2)) < 1e-12
 
 
+def test_one_form_route_names_the_failing_state():
+    # dW/dv = x1 - 0.5 vanishes at the second state only
+    x = np.array([[0.1, 0.2], [0.5, 0.3]])
+    xdot = np.array([[1.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(VanishingDerivativeError,
+                       match=r"x=\(0\.5, 0\.3\), v=1\.0"):
+        force_from_one_form(parse("v*(x1 - 0.5)"), EUC2, x, xdot)
+
+
 def test_force_parallel_to_velocity_when_b_zero():
     rng = np.random.default_rng(11)
     x, xdot = rand_states(rng, 2, 20)

@@ -28,6 +28,7 @@ from normalshift.pfaff import (
     continue_V,
     extract_h,
     f_norm_estimate,
+    _pchip,
     fd_weights,
     gauge_transform,
     invert_V,
@@ -414,6 +415,7 @@ def test_monodromy_map_table_validation():
     ([1.0, np.inf], [1.0, 2.0]),          # infinite w
     ([1.0, 2.0, 3.0], [1.0, 2.0]),        # lengths differ
     ([[1.0, 2.0]], [[1.0, 2.0]]),         # not 1-D
+    ([-1.0, 0.5, 2.0], [1.0, 2.0, 3.0]),  # w off the positive axis
 ])
 def test_monodromy_map_rejects_bad_tables_at_construction(w, rho):
     with pytest.raises(TableError, match="monodromy table 'g7'"):
@@ -504,6 +506,51 @@ def test_gauge_with_sampled_monodromy_map():
 def test_closed_form_rho_inverse():
     rho = ClosedFormRho(parse("w^2"))
     assert rho.inverse(9.0) == pytest.approx(3.0, rel=1e-12)
+
+
+def test_closed_form_rho_inverse_far_outside_the_starting_bracket():
+    # [1e-8, 1e8] widens at both ends; near 1e200 the bisection midpoint
+    # computed as sqrt(lo * hi) would overflow
+    rho = ClosedFormRho(parse("2*w"))
+    assert rho.inverse(np.array([2e-200, 2.0, 2e200])) == pytest.approx(
+        [1e-200, 1.0, 1e200], rel=1e-12)
+
+
+def test_closed_form_rho_inverse_rejects_unreachable_targets():
+    # w/(1+w) stays below 1 and above 0: the bracket widens to the ends of
+    # the floats and stops there
+    rho = ClosedFormRho(parse("w/(1+w)"))
+    with pytest.raises(TableError, match="rho does not reach 1.5"):
+        rho.inverse(1.5)
+    with pytest.raises(TableError, match="rho does not reach 0.0"):
+        rho.inverse(np.array([0.5, 0.0]))
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
+def test_gauge_invariance_does_not_depend_on_scale(scale):
+    pair = hw(f"{scale!r}*v*exp(0.3*x1)", "w")
+    moved = gauge_transform(pair, parse("2*w"))
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-1, 1, size=(20, 2))
+    xd = rng.uniform(0.3, 1.5, size=(20, 2))
+    f0 = force_hw(pair, EUC2, x, xd)
+    assert np.max(np.abs(force_hw(moved, EUC2, x, xd) - f0)) < 1e-9
+
+
+def test_pchip_matches_scipy():
+    interpolate = pytest.importorskip("scipy.interpolate")
+    rng = np.random.default_rng(8)
+    for trial in range(200):
+        n = int(rng.integers(2, 31))
+        x = np.cumsum(rng.uniform(0.01, 2.0, n))
+        if trial % 2:
+            y = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+        else:
+            y = np.cumsum(rng.uniform(0.0, 3.0, n))
+        q = np.concatenate([x, rng.uniform(x[0], x[-1], 20)])
+        ref = interpolate.PchipInterpolator(x, y, extrapolate=False)(q)
+        assert np.max(np.abs(_pchip(x, y)(q) - ref)) \
+            <= 1e-14 * np.max(np.abs(y))
 
 
 # --- finite-difference weights -----------------------------------------------------------
