@@ -6,7 +6,12 @@ by classical fixed-step fourth-order Runge-Kutta on the equivalent
 first-order system.  Fixed step keeps convergence-order measurements
 clean; the connection term is re-evaluated at every stage so the order
 is preserved on curved metrics.  Batches of initial states integrate
-together with no shared mutable state.
+together with no shared mutable state, and a step that leaves any lane
+non-finite stops the integration.
+
+`rk4` is the package's one RK4 step.  Its callers, here and in `pfaff`
+(whose continuation also drives the nu sweep), supply only a rate, and a
+rate that needs its stage inputs checked checks them itself.
 """
 
 from __future__ import annotations
@@ -73,18 +78,25 @@ def _acceleration(force: ForceField, metric: MetricSpec, x, xdot):
     return acc
 
 
+def rk4(rate, y, h):
+    """One classical RK4 step of size h for y' = rate(y), where y is a
+    tuple of arrays and rate(stage, y) returns their derivatives.  The
+    stages are labelled 0, 1, 1, 2 (the step's start, middle twice, end),
+    so a rate can look up stage-dependent data such as path points."""
+    def stage(k, c):
+        return tuple(a + c * b for a, b in zip(y, k))
+
+    k1 = rate(0, y)
+    k2 = rate(1, stage(k1, 0.5 * h))
+    k3 = rate(1, stage(k2, 0.5 * h))
+    k4 = rate(2, stage(k3, h))
+    return tuple(a + (h / 6.0) * (p + 2.0 * q + 2.0 * r + s)
+                 for a, p, q, r, s in zip(y, k1, k2, k3, k4))
+
+
 def rk4_step(force, metric, x, xdot, dt):
-    k1x = xdot
-    k1v = _acceleration(force, metric, x, xdot)
-    k2x = xdot + 0.5 * dt * k1v
-    k2v = _acceleration(force, metric, x + 0.5 * dt * k1x, k2x)
-    k3x = xdot + 0.5 * dt * k2v
-    k3v = _acceleration(force, metric, x + 0.5 * dt * k2x, k3x)
-    k4x = xdot + dt * k3v
-    k4v = _acceleration(force, metric, x + dt * k3x, k4x)
-    x_new = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-    v_new = xdot + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    return x_new, v_new
+    return rk4(lambda _, y: (y[1], _acceleration(force, metric, *y)),
+               (x, xdot), dt)
 
 
 def integrate_batch(force: ForceField, metric: MetricSpec, x0, xdot0,
@@ -94,7 +106,8 @@ def integrate_batch(force: ForceField, metric: MetricSpec, x0, xdot0,
     Returns (times (L,), X (L, ..., n), XD (L, ..., n)) where layer 0 is
     the initial data and the remaining layers are every `store_every`-th
     step (the final step is always stored).  Raises IntegrationAborted,
-    carrying the partial layers, if the force becomes unevaluable.
+    carrying the partial layers, if the force becomes unevaluable or a
+    step leaves any lane's state non-finite.
     """
     if dt <= 0.0:
         raise NormalShiftError(f"step must be positive, got dt={dt}")
@@ -107,8 +120,10 @@ def integrate_batch(force: ForceField, metric: MetricSpec, x0, xdot0,
     xs = [x.copy()]
     xds = [xdot.copy()]
     for step in range(nsteps):
+        start = x
         try:
             x, xdot = rk4_step(force, metric, x, xdot, dt)
+            _check_finite(start, x, xdot)
             if force.needs_positive_speed:
                 _check_speed(metric, x, xdot)
         except NormalShiftError as err:
@@ -122,6 +137,16 @@ def integrate_batch(force: ForceField, metric: MetricSpec, x0, xdot0,
             xs.append(x.copy())
             xds.append(xdot.copy())
     return np.asarray(times), np.asarray(xs), np.asarray(xds)
+
+
+def _check_finite(start, x, xdot):
+    # NaN would also pass the speed check, since nan <= eps is False
+    ok = np.isfinite(x) & np.isfinite(xdot)
+    if not ok.all():
+        lane, (pt,) = first_bad(~ok.all(axis=-1), start)
+        where = f" in lane {lane}" if lane else ""
+        raise NormalShiftError(f"state became non-finite{where}; the step "
+                               f"started at x={point_str(pt)}")
 
 
 def _check_speed(metric, x, xdot):

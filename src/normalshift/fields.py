@@ -24,6 +24,7 @@ velocity arrays broadcast along the leading axes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -252,8 +253,8 @@ def force_ab(ab, m: MetricSpec, x, xdot) -> np.ndarray:
     return _raise_force(m, x, f_low, g)
 
 
-def force_from_one_form(w_expr: FieldExpr, m: MetricSpec, x, xdot,
-                        dimension=None) -> np.ndarray:
+def force_from_one_form(w_expr: FieldExpr, m: MetricSpec, x,
+                        xdot) -> np.ndarray:
     """Force written directly through the components of the exact one-form
     omega = dW (the unit-h case):
 
@@ -261,7 +262,7 @@ def force_from_one_form(w_expr: FieldExpr, m: MetricSpec, x, xdot,
                                           * (2 N^i N_k - d^i_k)
 
     Independent arithmetic route from `force_hw`, kept for cross-checks."""
-    n = dimension or (np.asarray(x).shape[-1])
+    n = np.shape(x)[-1]
     v, n_up, n_low, g = _velocity_frame(m, x, xdot)
     omega = _state_eval((w_expr,), n, x, v, 1)[1][..., 0]
     last = omega[..., -1]
@@ -294,18 +295,15 @@ class ForceField:
 
     source: object  # HWPair-like | ABFields-like | tuple of FieldExprs
     metric: MetricSpec
-    kind: str = ""   # "hw" | "ab" | "custom" (inferred when empty)
 
-    def __post_init__(self):
-        kind = self.kind
-        if not kind:
-            if hasattr(self.source, "w_jet1"):
-                kind = "hw"
-            elif hasattr(self.source, "b_values"):
-                kind = "ab"
-            else:
-                kind = "custom"
-            object.__setattr__(self, "kind", kind)
+    @cached_property
+    def kind(self):
+        """The kind of source, inferred from it: "hw", "ab" or "custom"."""
+        if hasattr(self.source, "w_jet1"):
+            return "hw"
+        if hasattr(self.source, "b_values"):
+            return "ab"
+        return "custom"
 
     @property
     def needs_positive_speed(self):

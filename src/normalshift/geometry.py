@@ -109,61 +109,48 @@ def _check_positive_definite(g, pts):
                 f"non-positive at x={point_str(where)}")
 
 
-def metric_at(m: MetricSpec, x) -> np.ndarray:
-    """Metric matrix g_ij(x); batched over leading axes of x."""
+def _metric_jet(m: MetricSpec, x, order):
+    """g_ij(x) and, for order 1, dg[..., i, j, l] = d g_ij / d x^l from
+    exact jets (None for order 0); batched over leading axes of x."""
     x = np.asarray(x, dtype=float)
     n = m.dimension
+    names = coordinate_names(n)
+    shape = x.shape[:-1]
     eye = np.eye(n)
     if m.is_euclidean:
-        return np.broadcast_to(eye, x.shape[:-1] + (n, n)).copy()
-    env = bind(coordinate_names(n), x)
+        return (np.broadcast_to(eye, shape + (n, n)).copy(),
+                np.zeros(shape + (n, n, n)) if order else None)
+    env = bind(names, x)
     if m.kind == "conformal":
-        lam = eval_tuple((m.conformal,), env, (), 0)[0][..., 0]
+        lam, dlam, _ = eval_tuple((m.conformal,), env, names, order)
+        factor = np.exp(2.0 * lam[..., 0])
         # e^{2*lam} > 0, so positive-definiteness is automatic
-        return np.exp(2.0 * lam)[..., None, None] * eye
+        g = factor[..., None, None] * eye
+        return g, (None if dlam is None
+                   else 2.0 * g[..., None] * dlam[..., None, None, :, 0])
     (iu, ju), entries = m._upper()
-    vals = eval_tuple(entries, env, (), 0)[0]
-    g = np.empty(x.shape[:-1] + (n, n))
+    vals, grads, _ = eval_tuple(entries, env, names, order)
+    g = np.empty(shape + (n, n))
     g[..., iu, ju] = vals
     g[..., ju, iu] = vals
     _check_positive_definite(g, x)
-    return g
+    if not order:
+        return g, None
+    grads = np.swapaxes(grads, -1, -2)
+    dg = np.empty(shape + (n, n, n))
+    dg[..., iu, ju, :] = grads
+    dg[..., ju, iu, :] = grads
+    return g, dg
+
+
+def metric_at(m: MetricSpec, x) -> np.ndarray:
+    """Metric matrix g_ij(x); batched over leading axes of x."""
+    return _metric_jet(m, x, 0)[0]
 
 
 def inverse_metric_at(m: MetricSpec, x) -> np.ndarray:
     g = metric_at(m, x)
     return g if m.is_euclidean else np.linalg.inv(g)
-
-
-def _metric_with_gradient(m: MetricSpec, x):
-    """g_ij and dg[i,j,l] = d g_ij / d x^l, from exact jets."""
-    x = np.asarray(x, dtype=float)
-    n = m.dimension
-    names = coordinate_names(n)
-    env = bind(names, x)
-    shape = x.shape[:-1]
-    if m.is_euclidean:
-        return (np.broadcast_to(np.eye(n), shape + (n, n)).copy(),
-                np.zeros(shape + (n, n, n)))
-    if m.kind == "conformal":
-        lam, dlam, _ = eval_tuple((m.conformal,), env, names, 1)
-        factor = np.exp(2.0 * lam[..., 0])
-        eye = np.eye(n)
-        g = factor[..., None, None] * eye
-        dg = (2.0 * factor[..., None, None, None]
-              * dlam[..., None, None, :, 0] * eye[..., :, :, None])
-        return g, dg
-    (iu, ju), entries = m._upper()
-    vals, grads, _ = eval_tuple(entries, env, names, 1)
-    grads = np.swapaxes(grads, -1, -2)
-    g = np.empty(shape + (n, n))
-    dg = np.empty(shape + (n, n, n))
-    g[..., iu, ju] = vals
-    g[..., ju, iu] = vals
-    dg[..., iu, ju, :] = grads
-    dg[..., ju, iu, :] = grads
-    _check_positive_definite(g, x)
-    return g, dg
 
 
 def christoffel(m: MetricSpec, x) -> np.ndarray:
@@ -173,7 +160,7 @@ def christoffel(m: MetricSpec, x) -> np.ndarray:
     n = m.dimension
     if m.is_euclidean:
         return np.zeros(x.shape[:-1] + (n, n, n))
-    g, dg = _metric_with_gradient(m, x)   # dg[..., i, j, l] = d_l g_ij
+    g, dg = _metric_jet(m, x, 1)          # dg[..., i, j, l] = d_l g_ij
     ginv = np.linalg.inv(g)
     d_i_gjl = np.moveaxis(dg, -1, -3)     # [..., i, j, l] = d_i g_jl
     d_j_gil = np.swapaxes(d_i_gjl, -3, -2)

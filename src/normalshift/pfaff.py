@@ -8,7 +8,8 @@ The central object is the first-order system
 
     dV/dt = sum_i b_i(x(t), V) dx^i/dt,        V(t0) = w > 0,
 
-integrated along chart paths by fixed-step RK4.  Its derivative with
+integrated along chart paths by fixed-step RK4 (`dynamics.rk4`, given
+a rate that guards its own stage inputs).  Its derivative with
 respect to the initial datum,
 
     V_w(t) = exp( integral of sum_i (db_i/dv)(x, V) dx^i/dt ),
@@ -46,6 +47,7 @@ from .errors import (
     TableError,
     first_bad,
 )
+from .dynamics import rk4
 from .expr import FieldExpr, eval_tuple
 from .fields import closedness_residual, normalizing_residual
 from .geometry import (
@@ -184,22 +186,20 @@ class ContinuationTrace:
 
 
 def _stage_rate(ab, x, V, d, want_vw, t):
-    """dV/dt and (optionally) d(log V_w)/dt at one RK4 stage."""
+    """dV/dt, and d(log V_w)/dt when want_vw, at one RK4 stage."""
     try:
         if want_vw:
             b, _, bv = ab.b_jet(x, V)
+            rates = (b, bv)
         else:
-            b, bv = ab.b_values(x, V), None
+            rates = (ab.b_values(x, V),)
     except NormalShiftError as err:
         # a failed batch names no lane: give the point only when all
         # lanes share it
         raise ContinuationError(f"field evaluation failed: {err}", t=t,
                                 point=x if np.ndim(x) == 1 else None) \
             from err
-    rate = np.einsum("...i,...i->...", b, d)
-    if want_vw:
-        return rate, np.einsum("...i,...i->...", bv, d)
-    return rate, None
+    return tuple(np.einsum("...i,...i->...", r, d) for r in rates)
 
 
 def _guard_positive(V, t, x):
@@ -215,8 +215,8 @@ def _guard_positive(V, t, x):
 
 
 def _rk4_run(ab, steps, V, want_vw):
-    """Classical RK4 for dV = b(x, V) . dx along a path, jointly with
-    d(log V_w) = (db/dv)(x, V) . dx when want_vw.
+    """Classical RK4 (`dynamics.rk4`) for dV = b(x, V) . dx along a path,
+    jointly with d(log V_w) = (db/dv)(x, V) . dx when want_vw.
 
     `steps` yields (h, t0, t1, xs, ds) per step: the signed step h in the
     path parameter, the parameter at the step's start and end, the stage
@@ -225,25 +225,21 @@ def _rk4_run(ab, steps, V, want_vw):
 
     Every stage input is guarded, not only the step ends: a step can
     cross a square-root zero of V, where the stages go negative, and land
-    back on the positive axis."""
-    logZ = np.zeros_like(V) if want_vw else None
+    back on the positive axis.  The rate guards its own input at stages
+    1 and 2; stage 0 is the previous step's end, guarded here."""
+    y = (V, np.zeros_like(V)) if want_vw else (V,)
     for h, t0, t1, xs, ds in steps:
-        tm = 0.5 * (t0 + t1)
-        k1, g1 = _stage_rate(ab, xs[0], V, ds[0], want_vw, t0)
-        V2 = V + 0.5 * h * k1
-        _guard_positive(V2, tm, xs[1])
-        k2, g2 = _stage_rate(ab, xs[1], V2, ds[1], want_vw, tm)
-        V3 = V + 0.5 * h * k2
-        _guard_positive(V3, tm, xs[1])
-        k3, g3 = _stage_rate(ab, xs[1], V3, ds[1], want_vw, tm)
-        V4 = V + h * k3
-        _guard_positive(V4, t1, xs[2])
-        k4, g4 = _stage_rate(ab, xs[2], V4, ds[2], want_vw, t1)
-        V = V + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        _guard_positive(V, t1, xs[2])
-        if want_vw:
-            logZ = logZ + (h / 6.0) * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
-        yield t1, xs[2], V, logZ
+        ts = (t0, 0.5 * (t0 + t1), t1)
+
+        def rate(stage, y):
+            if stage:
+                _guard_positive(y[0], ts[stage], xs[stage])
+            return _stage_rate(ab, xs[stage], y[0], ds[stage], want_vw,
+                               ts[stage])
+
+        y = rk4(rate, y, h)
+        _guard_positive(y[0], t1, xs[2])
+        yield t1, xs[2], y[0], y[1] if want_vw else None
 
 
 def _polyline_steps(pts, dt):
@@ -354,14 +350,11 @@ def invert_V(ab, path_factory, x, v, dt=1e-3):
 
 @dataclass(frozen=True, eq=False)
 class AdmissibleF:
-    """Positive weight f(v) with user-declared divergence of the
-    antiderivative of 1/f at both ends of the positive axis.  Positivity
-    is spot-checked on a log grid; the divergence claims are analytic
-    declarations that cannot be verified numerically."""
+    """Positive weight f(v), spot-checked on a log grid.  The antiderivative
+    of 1/f is assumed to diverge at both ends of the positive axis, which
+    no numerical check can verify."""
 
     f: FieldExpr
-    diverges_at_zero: bool = True
-    diverges_at_infinity: bool = True
 
     def __post_init__(self):
         extra = set(self.f.free_vars) - {"v"}
@@ -714,8 +707,7 @@ class ExtractedH:
     check_points: tuple
 
 
-def extract_h(ab, p0, v_grid, dt=1e-2, check_points=None,
-              residual_tol=1e-6):
+def extract_h(ab, p0, v_grid, dt=1e-2):
     """One-variable factor h sampled on v_grid, under the normalization
     W(p0, v) = v (which makes h(v) the value of a at the base point).
 
@@ -724,6 +716,7 @@ def extract_h(ab, p0, v_grid, dt=1e-2, check_points=None,
     point - the product a * W_v must equal h(W) everywhere - is verified
     at a handful of chart points through the continuation machinery, and
     the maximal defect is reported."""
+    residual_tol = 1e-6
     p0 = np.asarray(p0, dtype=float)
     v_grid = np.asarray(v_grid, dtype=float)
     n = ab.dimension
@@ -741,16 +734,12 @@ def extract_h(ab, p0, v_grid, dt=1e-2, check_points=None,
 
     h_vals = np.broadcast_to(ab.a_values(p0, v_grid), v_grid.shape).copy()
 
-    if check_points is None:
-        check_points = [tuple(p0 + 0.5 * np.eye(n)[i]) for i in range(n)]
-        check_points.append(tuple(p0 + np.array(
-            [1.0, 0.5, 0.25, 0.125][:n])))
+    ends = p0 + np.vstack([0.5 * np.eye(n), 0.5 ** np.arange(n)])
+    paths = np.stack([np.broadcast_to(p0, ends.shape), ends], axis=1)
     v_sub = v_grid[:: max(1, len(v_grid) // 4)]
-    paths = np.stack([np.stack([p0, np.asarray(p, dtype=float)])
-                      for p in check_points])          # (P, 2, n)
-    targets = np.broadcast_to(v_sub[:, None], (len(v_sub), len(check_points)))
+    targets = np.broadcast_to(v_sub[:, None], (len(v_sub), len(ends)))
     w, w_v = _invert_on_path(ab, paths, targets, dt)
-    product = ab.a_values(paths[:, 1, :], targets) * w_v
+    product = ab.a_values(ends, targets) * w_v
     h_at_w = ab.a_values(p0, w)
     defect = float(np.max(np.abs(product - h_at_w)))
-    return ExtractedH(v_grid, h_vals, defect, tuple(check_points))
+    return ExtractedH(v_grid, h_vals, defect, tuple(map(tuple, ends)))

@@ -247,7 +247,7 @@ def _build_field(sec: dict, n: int, metric: MetricSpec):
     if kind == "custom":
         allowed = coords + [f"xdot{i + 1}" for i in range(n)] + ["v"]
         F = _exprs(sec.get("F"), "field.F", n, allowed)
-        return kind, None, None, ForceField(F, metric, kind="custom")
+        return kind, None, None, ForceField(F, metric)
     raise ScenarioError("kind must be 'hw', 'ab' or 'custom'", "field.kind")
 
 

@@ -253,8 +253,7 @@ def test_09b_convergence_rates():
 
 def test_09c_negative_control():
     surface = sphere_surface((64, 32))
-    force = ForceField((parse("1"), parse("0"), parse("0")), EUC3,
-                       kind="custom")
+    force = ForceField((parse("1"), parse("0"), parse("0")), EUC3)
     sg = surface_grid(surface, EUC3)
     nu = NuField(surface, np.ones(sg.points.shape[:-1]), (0, 0), 1.0, 0.0)
     fam = normal_shift(surface, nu, force, EUC3, 0.5, 1e-3, store_every=250)

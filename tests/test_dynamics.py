@@ -12,6 +12,8 @@ from normalshift.dynamics import (
     State,
     _check_speed,
     integrate,
+    integrate_batch,
+    rk4,
     write_csv,
     write_trajectory_csv,
 )
@@ -59,6 +61,45 @@ def test_convergence_order_is_four():
     order23 = math.log2(e2 / e3)
     assert 3.7 <= order12 <= 4.3
     assert 3.7 <= order23 <= 4.3
+
+
+def test_rk4_step_is_the_degree_four_taylor_polynomial():
+    # on y' = lam y one classical RK4 step multiplies y by the Taylor
+    # polynomial of exp(z) to degree 4, z = lam h; y is a two-array tuple
+    lam, h = -1.3, 0.3
+    z = lam * h
+    y = (np.array([1.0, -2.0, 0.25]), np.array(0.5))
+    stages = []
+
+    def rate(stage, y):
+        stages.append(stage)
+        return tuple(lam * a for a in y)
+
+    out = rk4(rate, y, h)
+    assert stages == [0, 1, 1, 2]
+    factor = 1.0 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24
+    for a, b in zip(out, y):
+        assert np.shape(a) == np.shape(b)
+        np.testing.assert_allclose(a, b * factor, rtol=1e-15, atol=0.0)
+
+
+def test_non_finite_state_aborts_and_names_the_lane():
+    # F = (exp(800 x1), 0) overflows within the first step from x1 = 0.7;
+    # the run must stop there instead of returning inf
+    ff = ForceField((parse("exp(800*x1)"), parse("0")), EUC2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IntegrationAborted,
+                           match=r"step 1 .*non-finite; the step started "
+                                 r"at x=\(0\.7, 0\.0\)") as exc:
+            integrate(ff, EUC2, State((0.7, 0.0), (1.0, 0.5)), 0.01, 1e-3)
+        assert exc.value.step == 1
+        assert np.all(np.isfinite(exc.value.partial[1]))
+        # in a batch the lane that failed is named with its own point
+        with pytest.raises(IntegrationAborted,
+                           match=r"in lane \(1,\); the step started at "
+                                 r"x=\(0\.7, 0\.0\)"):
+            integrate_batch(ff, EUC2, [[0.0, 0.0], [0.7, 0.0]],
+                            [[1.0, 0.5], [1.0, 0.5]], 0.01, 1e-3)
 
 
 def test_time_reversal_of_free_motion():

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from normalshift.errors import (
     CompatibilityError,
@@ -276,6 +276,27 @@ def test_invert_round_trip_property(alpha, beta, x1, x2, w):
     _, w_v = _invert_on_path(data, factory(np.array([x1, x2])),
                              forward.end_V, 1e-2)
     assert w_v * forward.end_Vw == pytest.approx(1.0, rel=1e-12)
+
+
+@settings(max_examples=12, deadline=None)
+@given(alpha=st.floats(-1.0, 1.0), beta=st.floats(-1.0, 1.0),
+       points=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                       min_size=2, max_size=4),
+       w0=st.floats(0.5, 2.0))
+def test_continuation_round_trip_on_polylines(alpha, beta, points, w0):
+    # W = v exp(alpha x1 + beta x2) is constant along the flow, so the
+    # forward end is w0 exp(-(alpha, beta) . (end - start)); running back
+    # returns w0, and the two datum derivatives are reciprocal
+    assume(all(p != q for p, q in zip(points, points[1:])))
+    data = ab("1", (f"{-alpha!r}*v", f"{-beta!r}*v"))
+    path = PathSpec.polyline(points)
+    forward = continue_V(data, path, w0, dt=1e-3)
+    delta = np.subtract(points[-1], points[0])
+    exact = w0 * math.exp(-(alpha * delta[0] + beta * delta[1]))
+    assert forward.end_V == pytest.approx(exact, rel=1e-11)
+    back = continue_V(data, path.reversed(), forward.end_V, dt=1e-3)
+    assert back.end_V == pytest.approx(w0, rel=1e-11)
+    assert forward.end_Vw * back.end_Vw == pytest.approx(1.0, rel=1e-11)
 
 
 def test_foliation_monotone_in_datum():
@@ -569,6 +590,18 @@ def test_extract_h_trivial():
     out = extract_h(ZERO_B, (0.0, 0.0), np.linspace(0.5, 2.0, 8))
     assert out.h == pytest.approx(np.ones(8), abs=1e-14)
     assert out.consistency_defect < 1e-12
+
+
+def test_extract_h_in_five_dimensions():
+    # the consistency check points are the n half-unit axis points and
+    # p0 + (1, 1/2, 1/4, ...), for any n
+    derived = DerivedAB(hw("v*exp(0.5*x1-0.2*x5)", n=5))
+    out = extract_h(derived, np.zeros(5), np.linspace(0.5, 2.0, 8))
+    assert len(out.check_points) == 6
+    assert out.check_points[-1] == pytest.approx([1.0, 0.5, 0.25, 0.125,
+                                                  0.0625])
+    assert out.h == pytest.approx(np.ones(8), abs=1e-8)
+    assert out.consistency_defect < 1e-7
 
 
 def test_extract_h_round_trip_unit():
