@@ -44,7 +44,7 @@ from .pfaff import (
     monodromy,
     path_independence_defect,
 )
-from .scenario import Scenario, load_scenario
+from .scenario import Scenario, load_scenario, validate_run
 from .shift import (
     NuField,
     loop_closure_defect,
@@ -97,30 +97,26 @@ def _state_grid(sc: Scenario):
     lo = run.get("grid_min", [-1.0] * n)
     hi = run.get("grid_max", [1.0] * n)
     pts = run.get("grid_points", [5] * n)
-    axes = [np.linspace(float(a), float(b), int(m))
-            for a, b, m in zip(lo, hi, pts)]
-    mesh = np.meshgrid(*axes, indexing="ij")
+    mesh = np.meshgrid(*map(np.linspace, lo, hi, pts), indexing="ij")
     x = np.stack([m.ravel() for m in mesh], axis=-1)
-    v = np.linspace(float(run.get("v_min", 0.5)),
-                    float(run.get("v_max", 2.0)),
-                    int(run.get("v_points", 5)))
+    v = np.linspace(run.get("v_min", 0.5), run.get("v_max", 2.0),
+                    run.get("v_points", 5))
     return x, v
 
 
 def _v_grid(run):
     if "v_grid" in run:
-        return np.asarray([float(v) for v in run["v_grid"]])
-    return np.linspace(float(run.get("v_min", 0.5)),
-                       float(run.get("v_max", 2.0)),
-                       int(run.get("v_points", 20)))
+        return np.asarray(run["v_grid"], dtype=float)
+    return np.linspace(run.get("v_min", 0.5), run.get("v_max", 2.0),
+                       run.get("v_points", 20))
 
 
 def _w_grid(run):
     if "w_grid" in run:
-        return np.asarray([float(w) for w in run["w_grid"]])
-    return np.logspace(np.log10(float(run.get("w_min", 0.1))),
-                       np.log10(float(run.get("w_max", 10.0))),
-                       int(run.get("w_points", 10)))
+        return np.asarray(run["w_grid"], dtype=float)
+    return np.logspace(np.log10(run.get("w_min", 0.1)),
+                       np.log10(run.get("w_max", 10.0)),
+                       run.get("w_points", 10))
 
 
 def _path_from(run, key):
@@ -172,12 +168,11 @@ def cmd_check(sc: Scenario, out_dir, report: Report):
 
 def cmd_trajectory(sc: Scenario, out_dir, report: Report):
     run = sc.run
-    x0 = tuple(float(c) for c in run.get("x0", [0.0] * sc.dimension))
+    x0 = tuple(map(float, run.get("x0", [0.0] * sc.dimension)))
     xdot0 = run.get("xdot0")
     if xdot0 is None:
         raise ScenarioError("initial velocity is required", "run.xdot0")
-    traj = integrate(sc.force, sc.metric,
-                     State(x0, tuple(float(c) for c in xdot0)),
+    traj = integrate(sc.force, sc.metric, State(x0, tuple(map(float, xdot0))),
                      float(run["t_max"]), float(run["dt"]))
     write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), traj)
     report.info(f"steps {len(traj) - 1}, final speed "
@@ -340,16 +335,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         sc = load_scenario(args.config)
+        overrides = {"dt": args.dt, "du": args.du, **dict.fromkeys(
+            TOL_TARGET.get(args.command, ()), args.tol)}
+        sc.run.update((k, v) for k, v in overrides.items() if v is not None)
+        validate_run(sc.run, sc.dimension)
     except (ConfigError, ScenarioError, OSError) as err:
         print(f"normalshift: {err}", file=sys.stderr)
         return 2
-    if args.dt is not None:
-        sc.run["dt"] = args.dt
-    if args.du is not None:
-        sc.run["du"] = args.du
-    if args.tol is not None:
-        for key in TOL_TARGET.get(args.command, ()):
-            sc.run[key] = args.tol
     os.makedirs(args.out, exist_ok=True)
     report = Report(args.command, args.config)
     try:

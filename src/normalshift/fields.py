@@ -357,9 +357,6 @@ def collinearity_defect(ab, w_expr: FieldExpr, x, v):
     dprod = first + second
     scale = np.abs(first) + np.abs(second)
     norm_w = np.linalg.norm(dW, axis=-1)
-    if np.any(norm_w <= 1e-12):
-        raise VanishingDerivativeError("dW vanished where the collinearity "
-                                       "defect was requested")
     norm_p = np.linalg.norm(dprod, axis=-1)
     nonzero = norm_p > (CANCEL_ULPS * np.finfo(float).eps
                         * np.linalg.norm(scale, axis=-1))

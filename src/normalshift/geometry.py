@@ -396,13 +396,10 @@ class SurfaceGrid:
     points: np.ndarray    # grid + (n,)
     tangents: np.ndarray  # grid + (n-1, n)
     normals: np.ndarray   # grid + (n,)
-    axes: tuple
-    spacings: tuple
 
 
 def surface_grid(s: Hypersurface, m: MetricSpec) -> SurfaceGrid:
-    axes = grid_axes(s)
-    mesh = np.meshgrid(*axes, indexing="ij")
+    mesh = np.meshgrid(*grid_axes(s), indexing="ij")
     u = np.stack(mesh, axis=-1)
     x, taus, normals = surface_frame(s, m, u)
     # orientation continuity: no flips between grid neighbours
@@ -416,4 +413,4 @@ def surface_grid(s: Hypersurface, m: MetricSpec) -> SurfaceGrid:
         if np.any(dots <= 0.0):
             raise FrameError(
                 f"normal field flips orientation along axis {ax + 1}")
-    return SurfaceGrid(s, x, taus, normals, axes, grid_spacings(s))
+    return SurfaceGrid(s, x, taus, normals)

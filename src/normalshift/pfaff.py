@@ -202,6 +202,16 @@ def _stage_rate(ab, x, V, d, want_vw, t):
     return tuple(np.einsum("...i,...i->...", r, d) for r in rates)
 
 
+def require_positive(x, what):
+    """x as floats; PositivityError names its first entry off (0, inf)."""
+    x = np.asarray(x, dtype=float)
+    bad = ~((x > 0.0) & (x < np.inf))
+    if bad.any():
+        raise PositivityError(
+            f"{what} must be finite and positive, got {float(x[bad][0])}")
+    return x
+
+
 def _guard_positive(V, t, x):
     """Raise for the first lane of V off the positive axis, naming that
     lane and its own point among the stage points x (..., n)."""
@@ -277,9 +287,7 @@ def _parametric_steps(path, dt):
 
 
 def _continue(ab, path, w0, dt, want_vw, store):
-    V = np.array(w0, dtype=float)
-    if np.any(V <= 0.0):
-        raise PositivityError(f"initial datum must be positive, got {w0}")
+    V = np.array(require_positive(w0, "initial datum"))
     if isinstance(path, PathSpec) and path.kind == "parametric":
         start = (path.t0, path.start())
         steps = _parametric_steps(path, dt)
@@ -337,8 +345,7 @@ def invert_V(ab, path_factory, x, v, dt=1e-3):
     backward from (x, v) to the base point along the canonical path.
     Raises ContinuationError when that run leaves the positive axis (no
     datum reaches v at x)."""
-    if np.any(np.asarray(v, dtype=float) <= 0.0):
-        raise PositivityError(f"target speed must be positive, got {v}")
+    require_positive(v, "target speed")
     path = path_factory(np.asarray(x, dtype=float))
     w, _ = _invert_on_path(ab, path, v, dt)
     if np.ndim(v) == 0:
@@ -594,9 +601,9 @@ def monodromy(ab, manifold: CoveringManifold, word, p0, w_grid,
     The covector data must be invariant under the deck word (spot-checked
     to DECK_TOL relative)."""
     p0 = np.asarray(p0, dtype=float)
-    w_grid = np.asarray(w_grid, dtype=float)
-    if np.any(np.diff(w_grid) <= 0.0) or np.any(w_grid <= 0.0):
-        raise TableError("w grid must be positive and increasing")
+    w_grid = require_positive(w_grid, "w grid entry")
+    if np.any(np.diff(w_grid) <= 0.0):
+        raise TableError("w grid must be increasing")
     target = deck_apply(manifold, word, p0)
     _check_deck_invariance(ab, manifold, word, p0)
     factory = straight_path_factory(p0)

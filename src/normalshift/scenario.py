@@ -1,5 +1,5 @@
-"""Scenario files: a small sectioned key/value format (TOML-style) with
-strings, numbers, booleans and nested arrays.
+"""Scenario files: TOML 1.0, read by the standard library's `tomllib`,
+with every key inside a [section].
 
 A scenario collects four sections:
 
@@ -16,6 +16,9 @@ paths.  Expressions inside the config are strings in the expression DSL.
 
 from __future__ import annotations
 
+import re
+import sys
+import tomllib
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, NormalShiftError, ScenarioError
@@ -23,112 +26,37 @@ from .expr import parse as parse_expr
 from .fields import ABFields, DerivedAB, ForceField, HWPair
 from .geometry import CoveringManifold, Hypersurface, MetricSpec
 
-__all__ = ["Scenario", "load_scenario", "parse_config"]
+__all__ = ["Scenario", "load_scenario", "parse_config", "validate_run"]
 
 
 # --- config text -> nested dict -------------------------------------------------
 
-class _Cursor:
-    def __init__(self, text, line_no):
-        self.text = text
-        self.line = line_no
-        self.pos = 0
-
-    def error(self, message):
-        raise ConfigError(message, self.line, self.pos + 1)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def peek(self):
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def at_end(self):
-        self.skip_ws()
-        return self.pos >= len(self.text) or self.peek() == "#"
-
-
-def _parse_value(cur: _Cursor):
-    cur.skip_ws()
-    c = cur.peek()
-    if c == '"':
-        cur.pos += 1
-        start = cur.pos
-        while cur.pos < len(cur.text) and cur.text[cur.pos] != '"':
-            cur.pos += 1
-        if cur.pos >= len(cur.text):
-            cur.error("unterminated string")
-        value = cur.text[start:cur.pos]
-        cur.pos += 1
-        return value
-    if c == "[":
-        cur.pos += 1
-        items = []
-        while True:
-            cur.skip_ws()
-            if cur.peek() == "]":
-                cur.pos += 1
-                return items
-            items.append(_parse_value(cur))
-            cur.skip_ws()
-            if cur.peek() == ",":
-                cur.pos += 1
-            elif cur.peek() == "]":
-                cur.pos += 1
-                return items
-            else:
-                cur.error("expected ',' or ']' in array")
-    start = cur.pos
-    while cur.pos < len(cur.text) and cur.text[cur.pos] not in " \t,]#":
-        cur.pos += 1
-    token = cur.text[start:cur.pos]
-    if not token:
-        cur.error("expected a value")
-    if token == "true":
-        return True
-    if token == "false":
-        return False
-    try:
-        return int(token)
-    except ValueError:
-        pass
-    try:
-        return float(token)
-    except ValueError:
-        cur.pos = start
-        cur.error(f"cannot parse value '{token}'")
+_AT = re.compile(
+    r"(.*?)(?: \(at (?:line (\d+), column (\d+)|end of document)\))?$", re.S)
+_FIRST_STATEMENT = re.compile(r"^[ \t]*([^\s#])", re.M)
 
 
 def parse_config(text: str) -> dict:
-    """Sectioned key/value text -> {section: {key: value}}."""
-    sections: dict = {}
-    current = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if stripped.startswith("["):
-            if not stripped.endswith("]"):
-                raise ConfigError("unterminated section header", line_no,
-                                  len(raw))
-            name = stripped[1:-1].strip()
-            if not name:
-                raise ConfigError("empty section name", line_no, 1)
-            current = sections.setdefault(name, {})
-            continue
-        if "=" not in stripped:
-            raise ConfigError("expected 'key = value'", line_no,
-                              len(raw) - len(raw.lstrip()) + 1)
-        if current is None:
-            raise ConfigError("key outside of any [section]", line_no, 1)
-        key, _, rest = raw.partition("=")
-        cur = _Cursor(rest, line_no)
-        cur.pos = 0
-        value = _parse_value(cur)
-        if not cur.at_end():
-            cur.error("trailing characters after value")
-        current[key.strip()] = value
+    """TOML text -> {section: {key: value}}.  Every failure is a
+    ConfigError with a line and column."""
+    try:
+        sections = tomllib.loads(text)
+    except tomllib.TOMLDecodeError as err:
+        message, line, col = _AT.match(str(err)).groups()
+        if line is None:
+            # at the end of the document: after the last line holding
+            # anything, so an unclosed array names the line it opened on
+            tail = text.rstrip().split("\n")
+            line, col = len(tail), len(tail[-1]) + 1
+        raise ConfigError(message, int(line), int(col)) from None
+    # TOML puts every top-level key before the first header, so a first
+    # statement that is not a header is one
+    first = _FIRST_STATEMENT.search(text)
+    if first and first[1] != "[":
+        raise ConfigError(
+            f"key '{next(iter(sections))}' outside of any [section]",
+            text.count("\n", 0, first.start()) + 1,
+            first.start(1) - first.start() + 1)
     return sections
 
 
@@ -153,6 +81,58 @@ RUN_DEFAULTS = {
     "gauge_tol": 1e-9,
     "h_tol": 1e-7,
 }
+
+
+def _real(x):
+    """An int or float (not a bool) that converts to a finite float."""
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
+
+
+def _count(x):
+    return _real(x) and isinstance(x, int) and x > 0
+
+
+def _array(x, entry, length):
+    """A nonempty list of `length` (None: any) entries passing `entry`."""
+    return (isinstance(x, list) and len(x) > 0
+            and (length is None or len(x) == length)
+            and all(entry(e) for e in x))
+
+
+# What each [run] value a command reads must be, in n dimensions; the
+# keys ending in _tol are _POSITIVE too.
+_POSITIVE = (lambda x, n: _real(x) and x > 0, "a finite positive number")
+_RUN_RULES = {
+    "seed": (lambda x, n: _real(x) and isinstance(x, int) and x >= 0,
+             "a non-negative integer"),
+    "t_max": (lambda x, n: _real(x) and x >= 0,
+              "a finite non-negative number"),
+    **dict.fromkeys(("dt", "du", "w0", "nu0", "extract_dt", "v_min",
+                     "v_max", "w_min", "w_max"), _POSITIVE),
+    **dict.fromkeys(("store_every", "n_states", "v_points", "w_points"),
+                    (lambda x, n: _count(x), "a positive integer")),
+    **dict.fromkeys(("x0", "xdot0", "p0", "grid_min", "grid_max"),
+                    (lambda x, n: _array(x, _real, n),
+                     "an array of {n} finite numbers")),
+    "grid_points": (lambda x, n: _array(x, _count, n),
+                    "an array of {n} positive integers"),
+    **dict.fromkeys(("v_grid", "w_grid"), (
+        lambda x, n: _array(x, lambda e: _real(e) and e > 0, None),
+        "an array of finite positive numbers")),
+    **dict.fromkeys(("path", "path2", "loop"), (
+        lambda x, n: _array(x, lambda p: _array(p, _real, n), None),
+        "an array of points, each {n} finite numbers")),
+}
+
+
+def validate_run(run: dict, n: int) -> None:
+    """Check every [run] value a command reads, in n dimensions; a failure
+    names run.<key>.  The CLI runs this again after its overrides."""
+    for key, value in run.items():
+        test, what = _RUN_RULES.get(
+            key, _POSITIVE if key.endswith("_tol") else (None, None))
+        if test and not test(value, n):
+            raise ScenarioError("expected " + what.format(n=n), f"run.{key}")
 
 
 @dataclass(eq=False)
@@ -197,16 +177,11 @@ def _exprs(value, path, length, allowed):
                  for i, c in enumerate(value))
 
 
-def _floats(value, path, length=None):
-    if not isinstance(value, list) or (
-            length is not None and len(value) != length):
-        raise ScenarioError(
-            f"expected an array{f' of length {length}' if length else ''}",
-            path)
-    try:
-        return [float(v) for v in value]
-    except (TypeError, ValueError):
-        raise ScenarioError("expected numeric entries", path) from None
+def _floats(value, path, length):
+    if not _array(value, _real, length):
+        raise ScenarioError(f"expected an array of {length} finite numbers",
+                            path)
+    return [float(v) for v in value]
 
 
 def _build_metric(man: dict, n: int) -> MetricSpec:
@@ -262,12 +237,10 @@ def _build_surface(sec: dict, n: int) -> Hypersurface:
     ranges = tuple(tuple(_floats(r, f"surface.ranges[{i}]", 2))
                    for i, r in enumerate(ranges_raw))
     grid = sec.get("grid")
-    if not isinstance(grid, list) or len(grid) != k \
-            or not all(isinstance(g, int) and g >= 2 for g in grid):
+    if not _array(grid, lambda g: _count(g) and g >= 2, k):
         raise ScenarioError(f"expected {k} node counts >= 2", "surface.grid")
     closed = sec.get("closed", [False] * k)
-    if not isinstance(closed, list) or len(closed) != k \
-            or not all(isinstance(c, bool) for c in closed):
+    if not _array(closed, lambda c: isinstance(c, bool), k):
         raise ScenarioError(f"expected {k} booleans", "surface.closed")
     base = _floats(sec.get("base", [0.0] * k), "surface.base", k)
     orientation = sec.get("orientation", 1)
@@ -284,8 +257,10 @@ def _build_surface(sec: dict, n: int) -> Hypersurface:
 def load_scenario(path) -> Scenario:
     """Parse and validate a scenario file."""
     with open(path, "r") as fh:
-        text = fh.read()
-    sections = parse_config(text)
+        sections = parse_config(fh.read())
+    for name, sec in sections.items():
+        if not isinstance(sec, dict):  # an array of tables, [[name]]
+            raise ScenarioError("expected a [section] table", name)
     man = sections.get("manifold")
     if not man:
         raise ScenarioError("section is required", "manifold")
@@ -316,22 +291,7 @@ def load_scenario(path) -> Scenario:
 
     run = dict(RUN_DEFAULTS)
     run.update(sections.get("run", {}))
-    if "surface" in sections and "nu0" in sections["surface"]:
+    if "nu0" in sections.get("surface", {}):
         run["nu0"] = sections["surface"]["nu0"]
-    for key in ("dt", "du", "t_max", "w0", "nu0"):
-        if not isinstance(run[key], (int, float)) or isinstance(run[key], bool):
-            raise ScenarioError("expected a number", f"run.{key}")
-        low = 0.0 if key == "t_max" else None
-        if (run[key] < low) if low is not None else (run[key] <= 0):
-            raise ScenarioError(
-                f"{key} must be {'non-negative' if low is not None else 'positive'}",
-                f"run.{key}")
-    for key in run:
-        if key.endswith("_tol"):
-            if not isinstance(run[key], (int, float)) \
-                    or isinstance(run[key], bool) or run[key] <= 0:
-                raise ScenarioError("tolerances must be positive numbers",
-                                    f"run.{key}")
-    if not isinstance(run["seed"], int) or isinstance(run["seed"], bool):
-        raise ScenarioError("seed must be an integer", "run.seed")
+    validate_run(run, n)
     return Scenario(n, metric, manifold, kind, hw, ab, force, surface, run)

@@ -52,7 +52,7 @@ from .geometry import (
     relative_deviation,
     surface_grid,
 )
-from .pfaff import PathSpec, _continue, _rk4_run, fd_matrix
+from .pfaff import PathSpec, _continue, _rk4_run, fd_matrix, require_positive
 
 __all__ = ["NuField", "ShiftFamily", "solve_nu", "normal_shift",
            "orthogonality_defect", "loop_closure_defect",
@@ -75,8 +75,7 @@ class NuField:
     mixed_path_defect: float
 
     def __post_init__(self):
-        if np.any(self.values <= 0.0):
-            raise PositivityError("nu must be positive on the whole grid")
+        require_positive(self.values, "nu on the grid")
 
 
 def _nu_sweep_axis(ab, s: Hypersurface, u_fixed, axis, s_values, nu_start,
@@ -183,8 +182,7 @@ def solve_nu(s: Hypersurface, ab, m: MetricSpec, nu0, du=1e-2,
     axis, over every node) carries the lane through the base node along
     the same path, from the same nu0, as the forward solve's first sweep,
     so the forward solve starts from that line instead of recomputing it."""
-    if nu0 <= 0.0:
-        raise PositivityError(f"nu0 must be positive, got {nu0}")
+    require_positive(nu0, "nu0")
     k = s.n_params
     nu = _solve_nu_grid(s, ab, nu0, du, list(range(k))[::-1])
     defect = 0.0

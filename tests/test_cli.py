@@ -47,6 +47,31 @@ def test_parse_config_error_has_line_and_column():
         parse_config("orphan = 1\n")
 
 
+@pytest.mark.parametrize("text,line,named", [
+    ("[sec]\nx = 1\nx = 2\n", 3, None),            # duplicate key
+    ("[a]\nx = 1\n[a]\ny = 2\n", 3, None),         # reopened section
+    ("[sec]\na = 1.\n", 2, None),                   # no digit after '.'
+    ("[sec]\na = .5\n", 2, None),                   # no digit before '.'
+    ("# top\n\norphan = 1\n[sec]\n", 3, "orphan"),  # outside any section
+    ("orphan = 1\n[sec]\n", 1, "orphan"),
+])
+def test_parse_config_rejects_with_position(text, line, named):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert exc.value.line == line
+    assert exc.value.col >= 1
+    if named:
+        assert f"'{named}'" in str(exc.value)
+
+
+def test_array_of_tables_is_not_a_section(tmp_path):
+    cfg = tmp_path / "aot.toml"
+    cfg.write_text('[manifold]\ndimension = 2\n[field]\nkind = "hw"\n'
+                   'W = "v"\n[[run]]\ndt = 0.1\n')
+    with pytest.raises(ScenarioError, match="^run: "):
+        load_scenario(cfg)
+
+
 def test_validation_error_has_field_path(tmp_path):
     bad = tmp_path / "bad.toml"
     bad.write_text("[manifold]\ndimension = 2\n"
@@ -63,6 +88,24 @@ def test_validation_error_has_field_path(tmp_path):
     ("[run]\ndefect_tol = -1e-5\n", "run.defect_tol"),
     ("[run]\nseed = true\n", "run.seed"),
     ("[run]\nseed = 1.5\n", "run.seed"),
+    ("[run]\nseed = -1\n", "run.seed"),
+    ("[run]\ndt = nan\n", "run.dt"),
+    ("[run]\ndu = inf\n", "run.du"),
+    ("[run]\nt_max = inf\n", "run.t_max"),
+    ("[run]\ndefect_tol = nan\n", "run.defect_tol"),
+    ("[run]\nstore_every = 0\n", "run.store_every"),
+    ('[run]\nstore_every = "x"\n', "run.store_every"),
+    ("[run]\nstore_every = 2.0\n", "run.store_every"),
+    ("[run]\nn_states = 0\n", "run.n_states"),
+    ("[run]\nv_points = 0\n", "run.v_points"),
+    ("[run]\nw_points = -3\n", "run.w_points"),
+    ("[run]\nw_min = 0.0\n", "run.w_min"),
+    ('[run]\nxdot0 = [1.0, "a"]\n', "run.xdot0"),
+    ("[run]\np0 = [0.0]\n", "run.p0"),
+    ("[run]\ngrid_min = [nan, 0.0]\n", "run.grid_min"),
+    ("[run]\ngrid_points = [0, 5]\n", "run.grid_points"),
+    ("[run]\nv_grid = [0.0, 1.0]\n", "run.v_grid"),
+    ("[run]\npath = [[0.0, 0.0], [1.0]]\n", "run.path"),
 ])
 def test_run_section_validation(tmp_path, extra, path):
     cfg = tmp_path / "edge.toml"
@@ -71,6 +114,21 @@ def test_run_section_validation(tmp_path, extra, path):
     with pytest.raises(ScenarioError) as exc:
         load_scenario(cfg)
     assert path in str(exc.value)
+
+
+@pytest.mark.parametrize("command,config,extra,key", [
+    ("check", "check_consistent", ["--tol", "-1"], "run.closedness_tol"),
+    ("check", "check_consistent", ["--tol", "nan"], "run.closedness_tol"),
+    ("gauge", "gauge_scale", ["--tol", "0"], "run.gauge_tol"),
+    ("shift", "circle_shift", ["--dt", "0"], "run.dt"),
+    ("shift", "circle_shift", ["--du", "inf"], "run.du"),
+])
+def test_cli_overrides_are_validated(tmp_path, capsys, command, config,
+                                     extra, key):
+    # an override goes through the same checks as the file's own value
+    assert run_cli(command, SCENARIOS / f"{config}.toml", tmp_path,
+                   *extra) == 2
+    assert key in capsys.readouterr().err
 
 
 def test_scenario_defaults_and_surface(tmp_path):

@@ -144,6 +144,23 @@ def test_field_failure_names_the_stage_that_failed():
     assert exc.value.point == pytest.approx([0.0, 0.505], abs=1e-12)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("call", [
+    lambda bad: continue_V(DECAY, UNIT_SEG, bad),
+    lambda bad: continue_V(DECAY, UNIT_SEG, [1.0, bad]),
+    lambda bad: invert_V(DECAY, straight_path_factory((0.0, 0.0)),
+                         (1.0, 0.0), bad),
+    lambda bad: monodromy(DECAY, CYL, "g1", (0.0, 0.0), [bad, 1.0, 2.0]),
+], ids=["datum", "datum_batch", "target", "w_grid"])
+def test_positive_axis_inputs_are_checked_before_integrating(call, bad):
+    # NaN and inf pass a `<= 0` test; they must be named before any
+    # integration starts, not turn up later as a continuation failure
+    with np.errstate(all="raise"):
+        with pytest.raises(PositivityError,
+                           match=f"must be finite and positive, got {bad}$"):
+            call(bad)
+
+
 def test_degenerate_point_path():
     factory = straight_path_factory((0.0, 0.0))
     tr = continue_V(DECAY, factory(np.zeros(2)), 1.7, dt=1e-3)

@@ -115,6 +115,14 @@ def test_nu_requires_positive_datum():
         solve_nu(circle(16), ab("1", ("0", "0")), EUC2, -1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_nu_inputs_reject_nan_and_inf(bad):
+    with pytest.raises(PositivityError, match=f"got {bad}$"):
+        NuField(circle(8), np.full(8, bad), (0,), 1.0, 0.0)
+    with pytest.raises(PositivityError, match=f"got {bad}$"):
+        solve_nu(circle(16), ab("1", ("0", "0")), EUC2, bad)
+
+
 def test_nu_sweep_leaving_positive_axis_names_the_axis():
     # d nu/du = -1 along the line: nu = 0.895 - u reaches 0 at u = 0.895,
     # the midpoint stage of the step [0.89, 0.9]
