@@ -12,10 +12,10 @@ parsed from a small closed grammar:
             | "(" expr ")" ;
 
 Unary minus binds tighter than "^", so "-x^2" is "(-x)^2" and "2^-3" is
-"2^(-3)".  The function set is fixed: exp, log, sin, cos, tan, tanh, sqrt,
-abs (one argument) and pow (two arguments).  "^" or pow with a syntactically
-integer exponent is valid for any base; a non-integer exponent requires a
-positive base at evaluation time.
+"2^(-3)".  `UNARY_RULES` holds the one-argument functions (exp, log, sin,
+cos, tan, tanh, sqrt, abs) with their first and second derivatives; pow
+is "^" with two arguments.  A literal integer exponent is valid for any
+base; any other exponent needs a positive base at evaluation time.
 
 Evaluation propagates truncated Taylor data (value, gradient, Hessian), so
 derivatives are exact up to floating-point rounding — there is no symbolic
@@ -79,23 +79,21 @@ class Call:
 
 Node = Union[Num, Var, Neg, BinOp, Call]
 
-UNARY_FUNCTIONS = ("exp", "log", "sin", "cos", "tan", "tanh", "sqrt", "abs")
-FUNCTION_ARITY = {name: 1 for name in UNARY_FUNCTIONS}
-FUNCTION_ARITY["pow"] = 2
-
-
-def _collect_vars(node, out):
-    if isinstance(node, Var):
-        if node.name not in out:
-            out.append(node.name)
-    elif isinstance(node, Neg):
-        _collect_vars(node.arg, out)
-    elif isinstance(node, BinOp):
-        _collect_vars(node.lhs, out)
-        _collect_vars(node.rhs, out)
-    elif isinstance(node, Call):
-        for a in node.args:
-            _collect_vars(a, out)
+# (f, f', f'') of each one-argument function, for parser and evaluator
+UNARY_RULES = {
+    "exp": (np.exp, np.exp, np.exp),
+    "log": (np.log, lambda x: 1.0 / x, lambda x: -1.0 / (x * x)),
+    "sin": (np.sin, np.cos, lambda x: -np.sin(x)),
+    "cos": (np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x)),
+    "tan": (np.tan, lambda x: 1.0 + np.tan(x) ** 2,
+            lambda x: 2.0 * np.tan(x) * (1.0 + np.tan(x) ** 2)),
+    "tanh": (np.tanh, lambda x: 1.0 - np.tanh(x) ** 2,
+             lambda x: -2.0 * np.tanh(x) * (1.0 - np.tanh(x) ** 2)),
+    "sqrt": (np.sqrt, lambda x: 0.5 / np.sqrt(x),
+             lambda x: -0.25 / (x * np.sqrt(x))),
+    "abs": (np.abs, np.sign, np.zeros_like),  # convention: sign(0) = 0
+}
+FUNCTION_ARITY = {**dict.fromkeys(UNARY_RULES, 1), "pow": 2}
 
 
 @dataclass(frozen=True)
@@ -170,6 +168,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.free_vars = {}  # names in order of first use
 
     def peek(self):
         return self.tokens[self.pos]
@@ -252,6 +251,7 @@ class _Parser:
                 raise ExprSyntaxError(
                     f"syntax error: function '{name}' requires parentheses,"
                     f" found {self._describe(nxt)}", nxt[2], ("'('",))
+            self.free_vars.setdefault(name)
             return Var(name, tok[2])
         raise ExprSyntaxError(
             f"syntax error: found {self._describe(tok)}", tok[2],
@@ -268,9 +268,7 @@ def parse(source: str) -> FieldExpr:
     if end[0] != "end":
         raise ExprSyntaxError(
             f"syntax error: trailing input {parser._describe(end)}", end[2])
-    names = []
-    _collect_vars(ast, names)
-    return FieldExpr(ast, tuple(names))
+    return FieldExpr(ast, tuple(parser.free_vars))
 
 
 # --- unparser ---------------------------------------------------------------
@@ -365,10 +363,10 @@ class _Taylor:
             return self._general_power(node)
         u, ug, uh = self.eval(node.lhs)
         v, vg, vh = self.eval(node.rhs)
-        if node.op == "+":
-            return self._add(u, ug, uh, v, vg, vh, 1.0)
-        if node.op == "-":
-            return self._add(u, ug, uh, v, vg, vh, -1.0)
+        if node.op in ("+", "-"):
+            ufunc = np.add if node.op == "+" else np.subtract
+            return (ufunc(u, v), None if self.order < 1 else ufunc(ug, vg),
+                    None if self.order < 2 else ufunc(uh, vh))
         if node.op == "*":
             return self._mul(u, ug, uh, v, vg, vh)
         if node.op == "/":
@@ -376,12 +374,6 @@ class _Taylor:
                 raise DomainEvalError("division by zero", _unparse(node, 0))
             return self._div(u, ug, uh, v, vg, vh, node)
         raise TypeError(f"unknown operator {node.op}")
-
-    def _add(self, u, ug, uh, v, vg, vh, sign):
-        val = u + sign * v
-        grad = None if self.order < 1 else ug + sign * vg
-        hess = None if self.order < 2 else uh + sign * vh
-        return val, grad, hess
 
     def _mul(self, u, ug, uh, v, vg, vh):
         val = u * v
@@ -415,9 +407,9 @@ class _Taylor:
             one = np.ones_like(np.asarray(u, dtype=float))
             return one, self._zeros(one, 1), self._zeros(one, 2)
         val = u ** n
-        f1 = n * u ** (n - 1)
         grad = hess = None
         if self.order >= 1:
+            f1 = n * u ** (n - 1)
             grad = f1[..., None] * ug
         if self.order >= 2:
             f2 = n * (n - 1) * u ** (n - 2) if n != 1 else np.zeros_like(u)
@@ -432,19 +424,17 @@ class _Taylor:
                 "non-integer power of non-positive base", _unparse(node, 0))
         b, bg, bh = self.eval(node.rhs)
         # a^b = exp(b*log a), propagated through the chain rules below
-        lg, lgg, lgh = self._chain(np.log, lambda x: 1.0 / x,
-                                   lambda x: -1.0 / (x * x), u, ug, uh)
+        lg, lgg, lgh = self._chain(*UNARY_RULES["log"], u, ug, uh)
         m, mg, mh = self._mul(b, bg, bh, lg, lgg, lgh)
-        return self._chain(np.exp, np.exp, np.exp, m, mg, mh)
+        return self._chain(*UNARY_RULES["exp"], m, mg, mh)
 
     def _chain(self, f, f1, f2, u, ug, uh):
         val = f(u)
         grad = hess = None
         if self.order >= 1:
-            d1 = f1(u)
-            grad = d1[..., None] * ug if np.ndim(d1) else d1 * ug
-        if self.order >= 2:
             d1 = np.asarray(f1(u), dtype=float)
+            grad = d1[..., None] * ug
+        if self.order >= 2:
             d2 = np.asarray(f2(u), dtype=float)
             outer = ug[..., :, None] * ug[..., None, :]
             hess = d2[..., None, None] * outer + d1[..., None, None] * uh
@@ -454,41 +444,15 @@ class _Taylor:
         name = node.fn
         if name == "pow":
             base, expo = node.args
-            synthetic = BinOp("^", base, expo, node.offset)
-            return self._binop(synthetic)
+            return self._binop(BinOp("^", base, expo, node.offset))
         u, ug, uh = self.eval(node.args[0])
-        if name == "exp":
-            return self._chain(np.exp, np.exp, np.exp, u, ug, uh)
-        if name == "log":
-            if np.any(u <= 0.0):
-                raise DomainEvalError("log of non-positive value",
-                                      _unparse(node, 0))
-            return self._chain(np.log, lambda x: 1.0 / x,
-                               lambda x: -1.0 / (x * x), u, ug, uh)
-        if name == "sqrt":
-            if np.any(u <= 0.0):
-                raise DomainEvalError("sqrt of non-positive value",
-                                      _unparse(node, 0))
-            return self._chain(np.sqrt, lambda x: 0.5 / np.sqrt(x),
-                               lambda x: -0.25 / (x * np.sqrt(x)), u, ug, uh)
-        if name == "sin":
-            return self._chain(np.sin, np.cos, lambda x: -np.sin(x), u, ug, uh)
-        if name == "cos":
-            return self._chain(np.cos, lambda x: -np.sin(x),
-                               lambda x: -np.cos(x), u, ug, uh)
-        if name == "tan":
-            return self._chain(np.tan, lambda x: 1.0 + np.tan(x) ** 2,
-                               lambda x: 2.0 * np.tan(x) * (1.0 + np.tan(x) ** 2),
-                               u, ug, uh)
-        if name == "tanh":
-            return self._chain(np.tanh, lambda x: 1.0 - np.tanh(x) ** 2,
-                               lambda x: -2.0 * np.tanh(x) * (1.0 - np.tanh(x) ** 2),
-                               u, ug, uh)
-        if name == "abs":
-            # derivative convention sign(0) = 0
-            return self._chain(np.abs, np.sign, lambda x: np.zeros_like(x),
-                               u, ug, uh)
-        raise UnknownFunctionError(f"unknown function '{name}'", node.offset)
+        if name in ("log", "sqrt") and np.any(u <= 0.0):
+            raise DomainEvalError(f"{name} of non-positive value",
+                                  _unparse(node, 0))
+        if name not in UNARY_RULES:
+            raise UnknownFunctionError(f"unknown function '{name}'",
+                                       node.offset)
+        return self._chain(*UNARY_RULES[name], u, ug, uh)
 
 
 def taylor_eval(e: FieldExpr, env: Mapping[str, object],

@@ -122,14 +122,13 @@ class ABFields:
 
     a: FieldExpr
     b: tuple
-    dimension: int = 0
+
+    @property
+    def dimension(self):
+        return len(self.b)
 
     def __post_init__(self):
-        n = self.dimension or len(self.b)
-        object.__setattr__(self, "dimension", n)
-        if len(self.b) != n:
-            raise FrameError(f"need {n} covector components, got {len(self.b)}")
-        allowed = set(coordinate_names(n)) | {"v"}
+        allowed = set(coordinate_names(self.dimension)) | {"v"}
         for label, e in [("a", self.a)] + [
                 (f"b{i + 1}", c) for i, c in enumerate(self.b)]:
             extra = set(e.free_vars) - allowed

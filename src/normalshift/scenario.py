@@ -126,8 +126,9 @@ _RUN_RULES = {
 
 
 def validate_run(run: dict, n: int) -> None:
-    """Check every [run] value a command reads, in n dimensions; a failure
-    names run.<key>.  The CLI runs this again after its overrides."""
+    """Check every [run] value a command reads, in n dimensions, but `f`,
+    `rho` and `word`, which `load_scenario` checks; a failure names
+    run.<key>.  The CLI runs this again after its overrides."""
     for key, value in run.items():
         test, what = _RUN_RULES.get(
             key, _POSITIVE if key.endswith("_tol") else (None, None))
@@ -243,6 +244,9 @@ def _build_surface(sec: dict, n: int) -> Hypersurface:
     if not _array(closed, lambda c: isinstance(c, bool), k):
         raise ScenarioError(f"expected {k} booleans", "surface.closed")
     base = _floats(sec.get("base", [0.0] * k), "surface.base", k)
+    test, what = _POSITIVE
+    if "nu0" in sec and not test(sec["nu0"], n):
+        raise ScenarioError("expected " + what, "surface.nu0")
     orientation = sec.get("orientation", 1)
     if orientation not in (1, -1):
         raise ScenarioError("orientation must be 1 or -1",
@@ -294,4 +298,16 @@ def load_scenario(path) -> Scenario:
     if "nu0" in sections.get("surface", {}):
         run["nu0"] = sections["surface"]["nu0"]
     validate_run(run, n)
+    # not in validate_run: the word needs the manifold's periods, and no
+    # override sets these keys
+    for key, var in (("f", "v"), ("rho", "w")):
+        if key in run:
+            _expr(run[key], f"run.{key}", [var])
+    if "word" in run:
+        if not isinstance(run["word"], str):
+            raise ScenarioError("expected a deck word string", "run.word")
+        try:
+            manifold.word(run["word"])
+        except NormalShiftError as err:
+            raise ScenarioError(str(err), "run.word") from None
     return Scenario(n, metric, manifold, kind, hw, ab, force, surface, run)

@@ -106,6 +106,14 @@ def test_validation_error_has_field_path(tmp_path):
     ("[run]\ngrid_points = [0, 5]\n", "run.grid_points"),
     ("[run]\nv_grid = [0.0, 1.0]\n", "run.v_grid"),
     ("[run]\npath = [[0.0, 0.0], [1.0]]\n", "run.path"),
+    ("[run]\nword = 5\n", "run.word"),
+    ("[run]\nword = \"g3\"\n", "run.word"),
+    ("[run]\nword = \"g1 h2\"\n", "run.word"),
+    ("[run]\nf = 1\n", "run.f"),
+    ("[run]\nf = \"x1\"\n", "run.f"),
+    ("[run]\nf = \"v+\"\n", "run.f"),
+    ("[run]\nrho = 1\n", "run.rho"),
+    ("[run]\nrho = \"v*w\"\n", "run.rho"),
 ])
 def test_run_section_validation(tmp_path, extra, path):
     cfg = tmp_path / "edge.toml"
@@ -129,6 +137,17 @@ def test_cli_overrides_are_validated(tmp_path, capsys, command, config,
     assert run_cli(command, SCENARIOS / f"{config}.toml", tmp_path,
                    *extra) == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "0.0", "-1.0", '"1.0"'])
+def test_bad_surface_nu0_is_named(tmp_path, capsys, value):
+    cfg = tmp_path / "circle.toml"
+    cfg.write_text((SCENARIOS / "circle_shift.toml").read_text()
+                   .replace("nu0 = 1.0", f"nu0 = {value}"))
+    assert run_cli("shift", cfg, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "surface.nu0: expected a finite positive number" in err
+    assert "run.nu0" not in err
 
 
 def test_scenario_defaults_and_surface(tmp_path):

@@ -14,6 +14,8 @@ from normalshift.errors import (
     UnknownFunctionError,
 )
 from normalshift.expr import (
+    FUNCTION_ARITY,
+    UNARY_RULES,
     BinOp,
     Call,
     FieldExpr,
@@ -181,6 +183,44 @@ def test_hundred_random_trees_grad_hess_match_fd():
             fd = _fd_hess(e, env, p, q)
             assert abs(hess[i, j] - fd) <= 1e-4 * max(1.0, abs(fd)), src
         checked += 1
+
+
+# One expression per rule of the table, per binary operator and per kind of
+# exponent; every argument stays inside its function's domain at RULE_POINT,
+# and abs's argument away from 0.
+RULE_CASES = [
+    "exp(0.7*x1-x2)", "log(x1*x1+x2)", "sin(x1*x2)", "cos(x1+2*x2)",
+    "tan(0.5*x1-0.3*x2)", "tanh(x1-x2)", "sqrt(x1+x2*x2)", "abs(x1-1.5*x2)",
+    "x1/(x2+2)", "x1*x2-x2/x1+x2",
+    "(x1+x2)^0", "(x1+x2)^1", "(x1-x2)^-2", "(x1-2*x2)^3", "(x1+x2)^0.5",
+    "x1^x2", "(x1*x2)^(x1-x2)",
+    "pow(x1+x2,0)", "pow(x1+x2,1)", "pow(x1-x2,-2)", "pow(x1-2*x2,3)",
+    "pow(x1+x2,0.5)", "pow(x1,x2)",
+]
+RULE_POINT = {"x1": 1.3, "x2": 0.6}
+
+
+def test_rule_cases_cover_every_function():
+    assert set(FUNCTION_ARITY) == set(UNARY_RULES) | {"pow"}
+    for name in FUNCTION_ARITY:
+        assert any(src.startswith(name + "(") for src in RULE_CASES), name
+
+
+@pytest.mark.parametrize("src", RULE_CASES)
+def test_every_rule_matches_central_differences(src):
+    e = parse(src)
+    wrt = ("x1", "x2")
+    _, grad1, hess1 = taylor_eval(e, RULE_POINT, wrt, order=1)
+    _, grad, hess = taylor_eval(e, RULE_POINT, wrt, order=2)
+    assert hess1 is None
+    assert np.array_equal(grad1, grad)  # order 1 is order 2's gradient
+    for i, p in enumerate(wrt):
+        fd = _fd_grad(e, RULE_POINT, p)
+        assert abs(grad[i] - fd) <= 1e-6 * max(1.0, abs(fd)), (src, p)
+        for j, q in enumerate(wrt):
+            fd = _fd_hess(e, RULE_POINT, p, q)
+            assert abs(hess[i, j] - fd) <= 1e-4 * max(1.0, abs(fd)), \
+                (src, p, q)
 
 
 def test_differentiation_is_linear():
