@@ -21,7 +21,6 @@ from .fields import (
     closedness_residual,
     collinearity_defect,
     force_ab,
-    force_from_one_form,
     force_hw,
     normalizing_residual,
 )
@@ -56,7 +55,7 @@ __all__ = [
     "MetricSpec", "CoveringManifold", "Hypersurface",
     "metric_at", "christoffel", "surface_frame", "deck_apply",
     "HWPair", "ABFields", "DerivedAB", "ForceField",
-    "force_hw", "force_ab", "force_from_one_form",
+    "force_hw", "force_ab",
     "closedness_residual", "normalizing_residual", "collinearity_defect",
     "State", "Trajectory", "integrate",
     "PathSpec", "AdmissibleF", "MonodromyMap",

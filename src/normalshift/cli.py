@@ -24,6 +24,7 @@ import sys
 
 import numpy as np
 
+from . import fields
 from .errors import ConfigError, NormalShiftError, ScenarioError
 from .expr import parse as parse_expr
 from .dynamics import State, integrate, write_csv, write_trajectory_csv
@@ -143,27 +144,32 @@ def _require_ab(sc: Scenario, command):
     return sc.ab
 
 
-def _gate_max(sc: Scenario, report: Report, name, residual, x, v):
-    """Gate the largest |residual| over the (state, speed) grid against
-    run.<name>_tol, and report the state where it sits."""
-    worst = np.abs(residual).reshape(residual.shape[:2] + (-1,)).max(-1)
-    i, j = np.unravel_index(int(np.argmax(worst)), worst.shape)
-    report.metric(f"{name}_max", float(worst[i, j]),
-                  float(sc.run[f"{name}_tol"]))
-    report.info(f"{name} argmax at x={_point_str(x[i])} v={_fmt(v[j])}")
-
-
 def cmd_check(sc: Scenario, out_dir, report: Report):
+    """Gate the largest |residual| over the (state, speed) grid against
+    run.<name>_tol, and report the state where it sits.  The grid is swept
+    in blocks of rows of at most fields.BATCH_POINTS points (or one row),
+    with one jet of the source per block."""
     ab = _require_ab(sc, "check")
     x, v = _state_grid(sc)
-    states = (x[:, None, :], v[None, :])
-    _gate_max(sc, report, "closedness", closedness_residual(ab, *states),
-              x, v)
-    _gate_max(sc, report, "normalizing", normalizing_residual(ab, *states),
-              x, v)
+    names = ["closedness", "normalizing"]
     if sc.field_kind == "hw":
-        _gate_max(sc, report, "collinearity",
-                  collinearity_defect(ab, sc.hw.W, *states), x, v)
+        names.append("collinearity")
+    worst = np.empty((len(names), len(x), len(v)))
+    rows = max(1, fields.BATCH_POINTS // len(v))
+    for lo in range(0, len(x), rows):
+        states = (x[lo:lo + rows, None, :], v[None, :])
+        jet = ab.jet(*states)
+        parts = [closedness_residual(jet), normalizing_residual(jet)]
+        if sc.field_kind == "hw":
+            parts.append(collinearity_defect(jet, sc.hw.w_jet2(*states)))
+        for k, r in enumerate(parts):
+            worst[k, lo:lo + rows] = np.abs(r).reshape(
+                r.shape[:2] + (-1,)).max(-1)
+    for name, w in zip(names, worst):
+        i, j = np.unravel_index(int(np.argmax(w)), w.shape)
+        report.metric(f"{name}_max", float(w[i, j]),
+                      float(sc.run[f"{name}_tol"]))
+        report.info(f"{name} argmax at x={_point_str(x[i])} v={_fmt(v[j])}")
 
 
 def cmd_trajectory(sc: Scenario, out_dir, report: Report):
@@ -252,6 +258,11 @@ def cmd_monodromy(sc: Scenario, out_dir, report: Report):
     ab = _require_ab(sc, "monodromy")
     run = sc.run
     word = run.get("word", "g1")
+    try:  # load_scenario checks a given word, but not this default
+        sc.manifold.word(word)
+    except NormalShiftError as err:
+        raise ScenarioError(f"default word 'g1': {err}", "run.word") \
+            from None
     p0 = [float(c) for c in run.get("p0", [0.0] * sc.dimension)]
     w = _w_grid(run)
     rho = monodromy(ab, sc.manifold, word, p0, w, dt=float(run["dt"]))

@@ -124,7 +124,7 @@ def integrate_batch(force: ForceField, metric: MetricSpec, x0, xdot0,
         try:
             x, xdot = rk4_step(force, metric, x, xdot, dt)
             _check_finite(start, x, xdot)
-            if force.needs_positive_speed:
+            if force.kind != "custom":  # hw and ab forces need v > 0
                 _check_speed(metric, x, xdot)
         except NormalShiftError as err:
             raise IntegrationAborted(

@@ -14,8 +14,9 @@ and the covariant force components are
 with N the g-unit vector along the velocity and v the g-speed.  The class
 is closed under these conversions exactly when the closedness equations
 (antisymmetrized derivative of b along itself) and the normalizing
-equations (coupling a to b) hold; both are exposed here as pointwise
-residuals so that sweeps can audit user-declared data.
+equations (coupling a to b) hold.  Both read the first-order jet of
+(a, b) that each source gives by `jet(x, v)`, and are exposed here as
+pointwise residuals of that jet so that sweeps can audit declared data.
 
 Everything evaluates on batches: position arrays (..., n) and speed or
 velocity arrays broadcast along the leading axes.
@@ -35,20 +36,19 @@ from .errors import (
     first_bad,
     point_str,
 )
-from .expr import FieldExpr, bind, eval_tuple, parse as _parse
+from .expr import FieldExpr, bind, eval_tuple
 from .geometry import MetricSpec, coordinate_names, metric_at
-
-_ONE = _parse("1")
 
 __all__ = [
     "HWPair", "ABFields", "DerivedAB", "ForceField",
-    "force_hw", "force_ab", "force_from_one_form",
+    "force_hw", "force_ab",
     "closedness_residual", "normalizing_residual", "collinearity_defect",
 ]
 
 SPEED_EPS = 1e-12   # structural: unit velocity direction must exist
 WV_EPS = 1e-10      # structural: dW/dv sits in denominators
 CANCEL_ULPS = 8     # rounding left by a sum that cancels, in ulps of its terms
+BATCH_POINTS = 4096  # points per evaluation batch in a grid sweep
 
 
 def _state_eval(exprs, n, x, v, order):
@@ -139,11 +139,6 @@ class ABFields:
     def a_values(self, x, v):
         return _state_eval((self.a,), self.dimension, x, v, 0)[0][..., 0]
 
-    def a_jet(self, x, v):
-        """(a, da/dx (..., n), da/dv)."""
-        val, grad, _ = _state_eval((self.a,), self.dimension, x, v, 1)
-        return val[..., 0], grad[..., :-1, 0], grad[..., -1, 0]
-
     def b_values(self, x, v):
         # value-only path: the continuation inner loop lives here
         return _state_eval(self.b, self.dimension, x, v, 0)[0]
@@ -153,6 +148,13 @@ class ABFields:
         db/dv (..., n))."""
         vals, grad, _ = _state_eval(self.b, self.dimension, x, v, 1)
         return vals, np.swapaxes(grad[..., :-1, :], -1, -2), grad[..., -1, :]
+
+    def jet(self, x, v):
+        """((a, da/dx, da/dv), b_jet) from one evaluation, b's first."""
+        f, g, _ = _state_eval(self.b + (self.a,), self.dimension, x, v, 1)
+        return ((f[..., -1], g[..., :-1, -1], g[..., -1, -1]),
+                (f[..., :-1], np.swapaxes(g[..., :-1, :-1], -1, -2),
+                 g[..., -1, :-1]))
 
 
 class DerivedAB:
@@ -168,27 +170,31 @@ class DerivedAB:
         W, _, wv = self.hw.w_jet1(x, v)
         return self.hw.h_val(W) / wv
 
-    def a_jet(self, x, v):
-        W, wx, wv, wxx, wxv, wvv = self.hw.w_jet2(x, v)
-        h, hp = self.hw.h_jet1(W)
-        a = h / wv
-        ax = (hp[..., None] * wx * wv[..., None] - h[..., None] * wxv) \
-            / wv[..., None] ** 2
-        av = hp - h * wvv / wv ** 2
-        return a, ax, av
-
     def b_values(self, x, v):
         W, wx, wv = self.hw.w_jet1(x, v)
         return -wx / wv[..., None]
 
     def b_jet(self, x, v):
-        W, wx, wv, wxx, wxv, wvv = self.hw.w_jet2(x, v)
-        b = -wx / wv[..., None]
-        # d b_i / d x^j and d b_i / d v by the quotient rule
-        dx = -(wxx * wv[..., None, None]
-               - wx[..., :, None] * wxv[..., None, :]) / wv[..., None, None] ** 2
-        dv = -(wxv * wv[..., None] - wx * wvv[..., None]) / wv[..., None] ** 2
-        return b, dx, dv
+        return _quotient_b(*self.hw.w_jet2(x, v))
+
+    def jet(self, x, v):
+        """((a, da/dx, da/dv), b_jet) from one order-2 jet of W."""
+        W, wx, wv, wxx, wxv, wvv = w2 = self.hw.w_jet2(x, v)
+        h, hp = self.hw.h_jet1(W)
+        a = h / wv
+        ax = (hp[..., None] * wx * wv[..., None] - h[..., None] * wxv) \
+            / wv[..., None] ** 2
+        av = hp - h * wvv / wv ** 2
+        return (a, ax, av), _quotient_b(*w2)
+
+
+def _quotient_b(W, wx, wv, wxx, wxv, wvv):
+    """b_jet of b = -W_x / W_v from W's order-2 jet, by the quotient rule."""
+    b = -wx / wv[..., None]
+    dx = -(wxx * wv[..., None, None]
+           - wx[..., :, None] * wxv[..., None, :]) / wv[..., None, None] ** 2
+    dv = -(wxv * wv[..., None] - wx * wvv[..., None]) / wv[..., None] ** 2
+    return b, dx, dv
 
 
 # --- velocity frame and forces ----------------------------------------------------
@@ -252,27 +258,6 @@ def force_ab(ab, m: MetricSpec, x, xdot) -> np.ndarray:
     return _raise_force(m, x, f_low, g)
 
 
-def force_from_one_form(w_expr: FieldExpr, m: MetricSpec, x,
-                        xdot) -> np.ndarray:
-    """Force written directly through the components of the exact one-form
-    omega = dW (the unit-h case):
-
-        F_k = N_k / omega_{n+1} - v * sum_i (omega_i / omega_{n+1})
-                                          * (2 N^i N_k - d^i_k)
-
-    Independent arithmetic route from `force_hw`, kept for cross-checks."""
-    n = np.shape(x)[-1]
-    v, n_up, n_low, g = _velocity_frame(m, x, xdot)
-    omega = _state_eval((w_expr,), n, x, v, 1)[1][..., 0]
-    last = omega[..., -1]
-    _guard_wv(last, x, v)
-    quot = omega[..., :-1] / last[..., None]
-    corr = (2.0 * np.einsum("...i,...i->...", quot, n_up)[..., None] * n_low
-            - quot)
-    f_low = n_low / last[..., None] - v[..., None] * corr
-    return _raise_force(m, x, f_low, g)
-
-
 def custom_force(exprs, m: MetricSpec, x, xdot) -> np.ndarray:
     """Contravariant force components given directly as expressions of
     x1..xn, xdot1..xdotn and the g-speed v (zero speed allowed unless an
@@ -304,10 +289,6 @@ class ForceField:
             return "ab"
         return "custom"
 
-    @property
-    def needs_positive_speed(self):
-        return self.kind in ("hw", "ab")
-
     def __call__(self, x, xdot):
         if self.kind == "hw":
             return force_hw(self.source, self.metric, x, xdot)
@@ -318,36 +299,32 @@ class ForceField:
 
 # --- PDE residuals -----------------------------------------------------------------
 
-def closedness_residual(ab, x, v) -> np.ndarray:
-    """Antisymmetric matrix R_ij = (d_j + b_j d_v) b_i - (d_i + b_i d_v) b_j.
-
-    Vanishes exactly when the covector data is closed, i.e. when the
-    continuation of the speed parameter is path-independent."""
-    b, dx, dv = ab.b_jet(x, v)
+def closedness_residual(jet) -> np.ndarray:
+    """Antisymmetric R_ij = (d_j + b_j d_v) b_i - (d_i + b_i d_v) b_j from
+    a source's `jet(x, v)`; zero exactly when the covector data is closed,
+    i.e. when the continuation of the speed parameter is path-independent."""
+    b, dx, dv = jet[1]
     full = dx + b[..., None, :] * dv[..., :, None]  # [i, j] = (d_j + b_j d_v) b_i
     return full - np.swapaxes(full, -1, -2)
 
 
-def normalizing_residual(ab, x, v) -> np.ndarray:
-    """Vector r_i = (d_i + b_i d_v) a - (d b_i / d v) * a; zero when the
-    scalar a normalizes the covector data."""
-    a, ax, av = ab.a_jet(x, v)
-    b, _, bv = ab.b_jet(x, v)
+def normalizing_residual(jet) -> np.ndarray:
+    """Vector r_i = (d_i + b_i d_v) a - (d b_i / d v) * a from a source's
+    `jet(x, v)`; zero when the scalar a normalizes the covector data."""
+    (a, ax, av), (b, _, bv) = jet
     return ax + b * av[..., None] - bv * a[..., None]
 
 
-def collinearity_defect(ab, w_expr: FieldExpr, x, v):
-    """Relative non-collinearity of d(a * W_v) with dW in the (n+1)
-    coordinate-gradient sense; 0 when the two one-forms are parallel.
+def collinearity_defect(jet, w_jet2):
+    """Relative non-collinearity of d(a * W_v) with dW, from `jet` and
+    `w_jet2`, in the (n+1) coordinate-gradient sense; 0 when parallel.
 
     A zero gradient of the product counts as collinear, and so does one
     within CANCEL_ULPS of the scale of its summands: each component is a
     sum of two products, and where they cancel exactly (a * W_v constant)
     rounding leaves only that much.  Requires a nonzero dW."""
-    n = ab.dimension
-    hw = HWPair(w_expr, _ONE, n)
-    W, wx, wv, wxx, wxv, wvv = hw.w_jet2(x, v)
-    a, ax, av = ab.a_jet(x, v)
+    (a, ax, av), _ = jet
+    _, wx, wv, _, wxv, wvv = w_jet2
     dW = np.concatenate([wx, wv[..., None]], axis=-1)
     # each component of d(a * W_v) is a sum of two products
     first = np.concatenate([ax * wv[..., None], (av * wv)[..., None]], axis=-1)

@@ -731,8 +731,9 @@ def extract_h(ab, p0, v_grid, dt=1e-2):
     spots = p0[None, :] + np.concatenate(
         [np.zeros((1, n)), 0.4 * np.eye(n), -0.3 * np.eye(n)])
     v_spots = np.array([0.7, 1.0, 1.9])
-    closed = closedness_residual(ab, spots[:, None, :], v_spots[None, :])
-    normal = normalizing_residual(ab, spots[:, None, :], v_spots[None, :])
+    jet = ab.jet(spots[:, None, :], v_spots[None, :])
+    closed = closedness_residual(jet)
+    normal = normalizing_residual(jet)
     worst = max(float(np.max(np.abs(closed))), float(np.max(np.abs(normal))))
     if worst > residual_tol:
         raise CompatibilityError(

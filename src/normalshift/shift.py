@@ -10,7 +10,7 @@ maximal discrepancy is reported on the result.  The two solves share the
 first-axis line through the base node, which both compute identically:
 the reversed solve runs first and the forward solve starts from its line.
 A sweep evaluates the embedding on the stage parameters of many RK4 steps
-at once (a whole grid interval, up to NU_BATCH_POINTS stage points), so
+at once (a whole grid interval, up to fields.BATCH_POINTS stage points), so
 the RK4 loop evaluates only b.
 
 Orthogonality of a shifted layer is measured against tangents estimated
@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import fields
 from .errors import (
     CompatibilityError,
     ContinuationError,
@@ -57,8 +58,6 @@ from .pfaff import PathSpec, _continue, _rk4_run, fd_matrix, require_positive
 __all__ = ["NuField", "ShiftFamily", "solve_nu", "normal_shift",
            "orthogonality_defect", "loop_closure_defect",
            "write_shift_family_csv"]
-
-NU_BATCH_POINTS = 4096  # stage points per embedding call in a nu sweep
 
 
 # --- launch-speed field -----------------------------------------------------------
@@ -91,14 +90,14 @@ def _nu_sweep_axis(ab, s: Hypersurface, u_fixed, axis, s_values, nu_start,
     The stage points of a grid interval depend on the grid only, not on
     nu, so the embedding is evaluated on the (step, stage) parameters of
     many RK4 steps at once, and the RK4 loop evaluates only b.  A batch
-    holds at most NU_BATCH_POINTS stage points (or one step's 3 per lane,
+    holds at most fields.BATCH_POINTS stage points (or one step's 3 per lane,
     if the lanes alone exceed that), so memory does not grow with
     spacing / du.
     """
     u_fixed = np.asarray(u_fixed, dtype=float)
     lane_axes = (1,) * (u_fixed.ndim - 1)
     lanes = int(np.prod(u_fixed.shape[:-1]))
-    block = max(1, NU_BATCH_POINTS // (3 * lanes))  # RK4 steps per batch
+    block = max(1, fields.BATCH_POINTS // (3 * lanes))  # RK4 steps per batch
 
     def interval_steps(s0, s1):
         nsub = max(1, int(round(abs(s1 - s0) / du)))
@@ -282,7 +281,7 @@ def orthogonality_defect(fam: ShiftFamily) -> np.ndarray:
     k = s.n_params
     spacings = grid_spacings(s)
     per_layer = np.zeros(len(fam.times))
-    fields = np.zeros((len(fam.times),) + fam.grid_shape)
+    defects = np.zeros((len(fam.times),) + fam.grid_shape)
     for li in range(len(fam.times)):
         xl = fam.x[li]
         xdl = fam.xdot[li]
@@ -300,7 +299,7 @@ def orthogonality_defect(fam: ShiftFamily) -> np.ndarray:
             norm_tau = np.sqrt(np.einsum("...i,...ij,...j->...", tau, g, tau))
             defect = np.abs(np.einsum("...i,...i->...", xd_low, tau)) \
                 / (speed * norm_tau)
-            fields[li] = np.maximum(fields[li], defect)
+            defects[li] = np.maximum(defects[li], defect)
         det = normalized_gram_det(np.stack(taus, axis=-2), g)
         bad = ~(det > GRAM_TOL)
         if np.any(bad):
@@ -309,8 +308,8 @@ def orthogonality_defect(fam: ShiftFamily) -> np.ndarray:
                 f"shifted layer {li} (t={fam.times[li]:.6g}) degenerates at "
                 f"node {tuple(int(i) for i in node)}: normalized Gram "
                 f"determinant {float(det[node]):.3e}")
-        per_layer[li] = float(np.max(fields[li]))
-    fam.node_defects = fields
+        per_layer[li] = float(np.max(defects[li]))
+    fam.node_defects = defects
     return per_layer
 
 

@@ -116,14 +116,14 @@ def test_02_pde_residuals():
     for pair, _ in FIVE_PAIRS:
         derived = DerivedAB(pair)
         closed = np.max(np.abs(
-            closedness_residual(derived, x[:, None, :], v[None, :])))
+            closedness_residual(derived.jet(x[:, None, :], v[None, :]))))
         normal = np.max(np.abs(
-            normalizing_residual(derived, x[:, None, :], v[None, :])))
+            normalizing_residual(derived.jet(x[:, None, :], v[None, :]))))
         assert closed < 1e-10, f"closedness {closed:.3e} for W={pair.W}"
         assert normal < 1e-10, f"normalizing {normal:.3e} for W={pair.W}"
     broken = ab("1", ("-0.5*v", "0"))
     flagged = np.max(np.abs(
-        normalizing_residual(broken, x[:, None, :], v[None, :])))
+        normalizing_residual(broken.jet(x[:, None, :], v[None, :]))))
     assert abs(flagged - 0.5) <= 1e-12
     announce(2, "defining-equation residuals and broken-pair flag")
 

@@ -1,14 +1,18 @@
 """Command-line front end: reports, gates, exit codes, reproducibility."""
 
 import filecmp
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import normalshift
+from normalshift import expr, fields
 from normalshift.cli import main
 from normalshift.errors import ConfigError, ScenarioError
 from normalshift.scenario import load_scenario, parse_config
@@ -180,6 +184,52 @@ def test_check_broken_pair_fails(tmp_path):
     assert float(line.split()[2]) == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("points", [15, 1])
+@pytest.mark.parametrize("stem", ["check_consistent", "check_broken"])
+def test_check_blocks_leave_the_report_unchanged(tmp_path, monkeypatch,
+                                                 stem, points):
+    # 15 points hold 3 grid rows (of 5 or 4 speeds), which divides
+    # neither 25 nor 16 rows; 1 point still takes a whole row
+    config = SCENARIOS / f"{stem}.toml"
+    code = run_cli("check", config, tmp_path / "whole")
+    monkeypatch.setattr(fields, "BATCH_POINTS", points)
+    assert run_cli("check", config, tmp_path / "split") == code
+    assert (tmp_path / "split" / "report.txt").read_bytes() \
+        == (tmp_path / "whole" / "report.txt").read_bytes()
+
+
+def test_check_evaluates_one_jet_per_block(tmp_path, monkeypatch):
+    orders = []
+    taylor = expr.taylor_eval
+
+    def counted(e, env, wrt=(), order=2):
+        orders.append(order)
+        return taylor(e, env, wrt, order)
+
+    monkeypatch.setattr(expr, "taylor_eval", counted)
+    monkeypatch.setattr(fields, "BATCH_POINTS", 15)
+    # hw: 25 rows of 5 speeds in 9 blocks, each with W's order-2 jet
+    # once in ab.jet and once in hw.w_jet2
+    assert run_cli("check", SCENARIOS / "check_consistent.toml",
+                   tmp_path / "hw") == 0
+    assert orders.count(2) == 2 * 9
+    # ab: 16 rows of 4 speeds in 6 blocks, one order-1 jet of (b1, b2, a)
+    # each
+    orders.clear()
+    jets = []
+    jet = fields.ABFields.jet
+
+    def counted_jet(src, x, v):
+        jets.append(np.shape(x))
+        return jet(src, x, v)
+
+    monkeypatch.setattr(fields.ABFields, "jet", counted_jet)
+    assert run_cli("check", SCENARIOS / "check_broken.toml",
+                   tmp_path / "ab") == 1
+    assert len(jets) == 6
+    assert orders == [1] * 3 * 6
+
+
 def test_unknown_command_usage_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--config", "x", "--out", "y"])
@@ -278,6 +328,17 @@ def test_monodromy_command(tmp_path):
     assert rho / w == pytest.approx(math.exp(math.pi), rel=1e-6)
 
 
+def test_monodromy_default_word_is_checked(tmp_path, capsys):
+    # without periods there is no generator g1 for the default word
+    text = (SCENARIOS / "cylinder_monodromy.toml").read_text()
+    cfg = tmp_path / "no_periods.toml"
+    cfg.write_text("".join(line for line in text.splitlines(keepends=True)
+                           if not line.startswith(("periods", "word"))))
+    assert run_cli("monodromy", cfg, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "run.word" in err and "g1" in err
+
+
 def test_tol_flag_overrides_gate(tmp_path):
     # loosening the gate turns the failing check into a pass
     code = run_cli("check", SCENARIOS / "check_broken.toml", tmp_path,
@@ -326,6 +387,15 @@ def test_cli_start_up_does_not_import_scipy():
                          capture_output=True, text=True, timeout=120,
                          check=True)
     assert out.stdout.split() == ["True"]
+
+
+def test_every_public_name_resolves():
+    modules = [normalshift] + [
+        importlib.import_module(f"normalshift.{info.name}")
+        for info in pkgutil.iter_modules(normalshift.__path__)]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
 # --- recorded results of every scenario ----------------------------------------------

@@ -16,10 +16,13 @@ from normalshift.fields import (
     DerivedAB,
     ForceField,
     HWPair,
+    _guard_wv,
+    _raise_force,
+    _state_eval,
+    _velocity_frame,
     closedness_residual,
     collinearity_defect,
     force_ab,
-    force_from_one_form,
     force_hw,
     normalizing_residual,
 )
@@ -34,6 +37,32 @@ def hw(W, h="1", n=2):
 
 def ab(a, b):
     return ABFields(parse(a), tuple(parse(c) for c in b))
+
+
+def collinearity(src, w_expr, x, v):
+    """collinearity_defect of a source against W = w_expr at (x, v)."""
+    w_jet2 = HWPair(w_expr, parse("1"), src.dimension).w_jet2(x, v)
+    return collinearity_defect(src.jet(x, v), w_jet2)
+
+
+def force_from_one_form(w_expr, m, x, xdot):
+    """Force written directly through the components of the exact one-form
+    omega = dW (the unit-h case):
+
+        F_k = N_k / omega_{n+1} - v * sum_i (omega_i / omega_{n+1})
+                                          * (2 N^i N_k - d^i_k)
+
+    An arithmetic route independent of `force_hw`: the oracle for it."""
+    n = np.shape(x)[-1]
+    v, n_up, n_low, g = _velocity_frame(m, x, xdot)
+    omega = _state_eval((w_expr,), n, x, v, 1)[1][..., 0]
+    last = omega[..., -1]
+    _guard_wv(last, x, v)
+    quot = omega[..., :-1] / last[..., None]
+    corr = (2.0 * np.einsum("...i,...i->...", quot, n_up)[..., None] * n_low
+            - quot)
+    f_low = n_low / last[..., None] - v[..., None] * corr
+    return _raise_force(m, x, f_low, g)
 
 
 def rand_states(rng, n, count, lo=-1.0, hi=1.0):
@@ -191,23 +220,48 @@ def test_custom_force_allows_zero_speed():
 
 # --- residuals ----------------------------------------------------------------------
 
+@pytest.mark.parametrize("src", [
+    ab("exp(-0.4*x1)*v", ("-0.4*v", "0.1*x1*v^2")),
+    DerivedAB(hw("v*exp(0.5*x1+0.2*x2)", h="w^2")),
+])
+def test_jet_b_is_b_jet_bitwise(src):
+    # the checks read b from jet, the continuation from b_jet: the same bits
+    rng = np.random.default_rng(29)
+    x = rng.uniform(-1, 1, size=(12, 1, 2))
+    v = rng.uniform(0.5, 2.0, size=(1, 7))
+    for got, want in zip(src.jet(x, v)[1], src.b_jet(x, v)):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_derived_b_jet_does_not_evaluate_h(monkeypatch):
+    def refuse(self, w):
+        raise AssertionError("h evaluated")
+
+    monkeypatch.setattr(HWPair, "h_jet1", refuse)
+    monkeypatch.setattr(HWPair, "h_val", refuse)
+    b, dx, dv = DerivedAB(hw("v*exp(0.5*x1)", h="w^2")).b_jet(
+        [0.0, 0.0], 1.0)
+    assert b == pytest.approx([-0.5, 0.0], abs=1e-15)
+
+
 def test_closedness_zero_for_derived_b():
     rng = np.random.default_rng(5)
     derived = DerivedAB(hw("v*exp(0.5*x1+0.2*x2)", h="w^2"))
     x = rng.uniform(-1, 1, size=(30, 2))
     v = rng.uniform(0.5, 2.0, size=30)
-    r = closedness_residual(derived, x, v)
+    r = closedness_residual(derived.jet(x, v))
     assert np.max(np.abs(r)) < 1e-10
 
 
 def test_closedness_nonzero_for_curl():
-    r = closedness_residual(ab("1", ("x2", "0")), [0.4, 0.9], 1.0)
+    r = closedness_residual(ab("1", ("x2", "0")).jet([0.4, 0.9], 1.0))
     assert r[0, 1] == pytest.approx(1.0, abs=1e-14)
     assert r[1, 0] == pytest.approx(-1.0, abs=1e-14)
 
 
 def test_closedness_trivial_zero():
-    r = closedness_residual(ab("1", ("0", "0")), [0.0, 0.0], 1.0)
+    r = closedness_residual(ab("1", ("0", "0")).jet([0.0, 0.0], 1.0))
     assert np.array_equal(r, np.zeros((2, 2)))
 
 
@@ -216,39 +270,39 @@ def test_normalizing_zero_for_derived_pair():
     derived = DerivedAB(hw("v*exp(0.5*x1)", h="w^2"))
     x = rng.uniform(-1, 1, size=(30, 2))
     v = rng.uniform(0.5, 2.0, size=30)
-    r = normalizing_residual(derived, x, v)
+    r = normalizing_residual(derived.jet(x, v))
     assert np.max(np.abs(r)) < 1e-10
 
 
 def test_normalizing_flags_broken_pair():
-    r = normalizing_residual(ab("1", ("-0.5*v", "0")), [0.2, 0.4], 1.3)
+    r = normalizing_residual(ab("1", ("-0.5*v", "0")).jet([0.2, 0.4],
+                                                          1.3))
     assert r[0] == pytest.approx(0.5, abs=1e-12)
     assert r[1] == 0.0
 
 
 def test_normalizing_trivial_zero():
-    r = normalizing_residual(ab("1", ("0", "0")), [0.0, 0.0], 1.0)
+    r = normalizing_residual(ab("1", ("0", "0")).jet([0.0, 0.0], 1.0))
     assert np.array_equal(r, np.zeros(2))
 
 
 def test_collinearity_consistent_pair():
     pair = hw("v*exp(0.5*x1)")
     derived = DerivedAB(pair)
-    d = collinearity_defect(derived, parse("v*exp(0.5*x1)"),
-                            [0.3, -0.6], 1.2)
+    d = collinearity(derived, parse("v*exp(0.5*x1)"), [0.3, -0.6], 1.2)
     assert d < 1e-9
 
 
 def test_collinearity_detects_violation():
     # a = x1 does not normalize W = v: the product gradient points along
     # x1 while dW points along v
-    d = collinearity_defect(ab("x1", ("0", "0")), parse("v"), [1.0, 0.0], 1.0)
+    d = collinearity(ab("x1", ("0", "0")), parse("v"), [1.0, 0.0], 1.0)
     assert d == pytest.approx(1.0, abs=1e-12)
     assert d > 0.1
 
 
 def test_collinearity_constant_product_counts_as_collinear():
-    d = collinearity_defect(ab("2", ("0", "0")), parse("v"), [0.5, 0.5], 1.0)
+    d = collinearity(ab("2", ("0", "0")), parse("v"), [0.5, 0.5], 1.0)
     assert d == 0.0
 
 
@@ -260,8 +314,8 @@ def test_collinearity_of_consistent_data_on_any_grid(points):
     x = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
     x = x.reshape(-1, 2)[:, None, :]
     v = np.linspace(0.5, 2.0, 5)[None, :]
-    d = collinearity_defect(DerivedAB(hw("v*exp(0.5*x1)")),
-                            parse("v*exp(0.5*x1)"), x, v)
+    d = collinearity(DerivedAB(hw("v*exp(0.5*x1)")),
+                     parse("v*exp(0.5*x1)"), x, v)
     assert np.max(d) == 0.0
 
 
@@ -270,12 +324,12 @@ def test_collinearity_of_non_collinear_pair_is_order_one():
     # origin with v = 1 the defect is sqrt(0.96)
     a = ab("1 + x2", ("0", "0"))
     w = parse("v*exp(0.5*x1)")
-    assert collinearity_defect(a, w, [0.0, 0.0], 1.0) == pytest.approx(
+    assert collinearity(a, w, [0.0, 0.0], 1.0) == pytest.approx(
         math.sqrt(0.96), rel=1e-12)
     axis = np.linspace(-1.0, 1.0, 6)
     x = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
-    d = collinearity_defect(a, w, x.reshape(-1, 2)[:, None, :],
-                            np.linspace(0.5, 2.0, 5)[None, :])
+    d = collinearity(a, w, x.reshape(-1, 2)[:, None, :],
+                     np.linspace(0.5, 2.0, 5)[None, :])
     assert np.min(d) > 0.1
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from normalshift import shift
+from normalshift import fields, shift
 from normalshift.errors import CompatibilityError, PathError, PositivityError
 from normalshift.expr import parse
 from normalshift.fields import ABFields, DerivedAB, ForceField, HWPair
@@ -183,7 +183,7 @@ def test_nu_sweep_batches_are_bounded(monkeypatch):
     data = DerivedAB(HWPair(parse("v*exp(0.3*x1)"), parse("1"), 3))
     whole = solve_nu(s, data, EUC3, 1.0, du=2e-2)
     monkeypatch.setattr(shift, "embed_with_tangents", counted)
-    monkeypatch.setattr(shift, "NU_BATCH_POINTS", 10)
+    monkeypatch.setattr(fields, "BATCH_POINTS", 10)
     split = solve_nu(s, data, EUC3, 1.0, du=2e-2)
     # (steps, 3) + lanes + (k,): at most 10 stage points, or one step
     # when 3 stages x 5 or 6 lanes alone exceed the cap
