@@ -36,7 +36,6 @@ from .pfaff import (
     invert_V,
     monodromy,
     path_independence_defect,
-    straight_path_factory,
 )
 from .shift import (
     NuField,
@@ -60,8 +59,7 @@ __all__ = [
     "State", "Trajectory", "integrate",
     "PathSpec", "AdmissibleF", "MonodromyMap",
     "continue_V", "path_independence_defect", "invert_V",
-    "straight_path_factory", "f_norm_estimate", "monodromy",
-    "gauge_transform", "extract_h",
+    "f_norm_estimate", "monodromy", "gauge_transform", "extract_h",
     "NuField", "ShiftFamily", "solve_nu", "normal_shift",
     "orthogonality_defect", "loop_closure_defect",
     "__version__",

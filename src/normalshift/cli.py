@@ -34,7 +34,7 @@ from .fields import (
     force_hw,
     normalizing_residual,
 )
-from .geometry import base_node_index, grid_axes
+from .geometry import grid_axes
 from .pfaff import (
     AdmissibleF,
     PathSpec,
@@ -178,7 +178,7 @@ def cmd_trajectory(sc: Scenario, out_dir, report: Report):
     xdot0 = run.get("xdot0")
     if xdot0 is None:
         raise ScenarioError("initial velocity is required", "run.xdot0")
-    traj = integrate(sc.force, sc.metric, State(x0, tuple(map(float, xdot0))),
+    traj = integrate(sc.force, State(x0, tuple(map(float, xdot0))),
                      float(run["t_max"]), float(run["dt"]))
     write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), traj)
     report.info(f"steps {len(traj) - 1}, final speed "
@@ -188,16 +188,15 @@ def cmd_trajectory(sc: Scenario, out_dir, report: Report):
 def cmd_shift(sc: Scenario, out_dir, report: Report):
     surface = sc.require_surface()
     if sc.ab is not None:
-        nu = solve_nu(surface, sc.ab, sc.metric, float(sc.run["nu0"]),
+        nu = solve_nu(surface, sc.ab, float(sc.run["nu0"]),
                       du=float(sc.run["du"]),
                       compat_tol=float(sc.run["compat_tol"]))
     else:
         # custom force: constant launch speed over the surface
         shape = tuple(len(a) for a in grid_axes(surface))
-        nu = NuField(surface, np.full(shape, float(sc.run["nu0"])),
-                     base_node_index(surface), float(sc.run["nu0"]), 0.0)
-    fam = normal_shift(surface, nu, sc.force, sc.metric,
-                       float(sc.run["t_max"]), float(sc.run["dt"]),
+        nu = NuField(surface, np.full(shape, float(sc.run["nu0"])), 0.0)
+    fam = normal_shift(nu, sc.force, float(sc.run["t_max"]),
+                       float(sc.run["dt"]),
                        store_every=int(sc.run["store_every"]))
     per_layer = orthogonality_defect(fam)
     write_shift_family_csv(os.path.join(out_dir, "shift_family.csv"), fam)

@@ -9,6 +9,8 @@ is preserved on curved metrics.  Batches of initial states integrate
 together with no shared mutable state, and a step that leaves any lane
 non-finite stops the integration.
 
+The metric is the force's own, `ForceField.metric`, and is not given twice.
+
 `rk4` is the package's one RK4 step.  Its callers, here and in `pfaff`
 (whose continuation also drives the nu sweep), supply only a rate, and a
 rate that needs its stage inputs checked checks them itself.
@@ -28,7 +30,7 @@ from .errors import (
     point_str,
 )
 from .fields import SPEED_EPS, ForceField
-from .geometry import MetricSpec, christoffel, metric_at
+from .geometry import christoffel, metric_at
 
 __all__ = ["State", "Trajectory", "integrate", "integrate_batch",
            "write_csv", "write_trajectory_csv"]
@@ -45,14 +47,12 @@ class State:
 
 @dataclass(eq=False)
 class Trajectory:
-    """States at uniform time steps, with the data that produced them."""
+    """States at uniform time steps, with the force that produced them."""
 
     times: np.ndarray      # (m+1,)
     x: np.ndarray          # (m+1, n)
     xdot: np.ndarray       # (m+1, n)
     force: ForceField
-    metric: MetricSpec
-    dt: float
 
     def __len__(self):
         return len(self.times)
@@ -65,15 +65,15 @@ class Trajectory:
         return self.state(len(self.times) - 1)
 
     def speeds(self) -> np.ndarray:
-        g = metric_at(self.metric, self.x)
+        g = metric_at(self.force.metric, self.x)
         return np.sqrt(np.einsum("...i,...ij,...j->...", self.xdot, g,
                                  self.xdot))
 
 
-def _acceleration(force: ForceField, metric: MetricSpec, x, xdot):
+def _acceleration(force: ForceField, x, xdot):
     acc = force(x, xdot)
-    if not metric.is_euclidean:
-        gamma = christoffel(metric, x)
+    if not force.metric.is_euclidean:
+        gamma = christoffel(force.metric, x)
         acc = acc - np.einsum("...kij,...i,...j->...k", gamma, xdot, xdot)
     return acc
 
@@ -94,13 +94,12 @@ def rk4(rate, y, h):
                  for a, p, q, r, s in zip(y, k1, k2, k3, k4))
 
 
-def rk4_step(force, metric, x, xdot, dt):
-    return rk4(lambda _, y: (y[1], _acceleration(force, metric, *y)),
+def rk4_step(force, x, xdot, dt):
+    return rk4(lambda _, y: (y[1], _acceleration(force, *y)),
                (x, xdot), dt)
 
 
-def integrate_batch(force: ForceField, metric: MetricSpec, x0, xdot0,
-                    T, dt, store_every=1):
+def integrate_batch(force: ForceField, x0, xdot0, T, dt, store_every=1):
     """Integrate a batch of initial states for a duration T.
 
     Returns (times (L,), X (L, ..., n), XD (L, ..., n)) where layer 0 is
@@ -122,10 +121,10 @@ def integrate_batch(force: ForceField, metric: MetricSpec, x0, xdot0,
     for step in range(nsteps):
         start = x
         try:
-            x, xdot = rk4_step(force, metric, x, xdot, dt)
+            x, xdot = rk4_step(force, x, xdot, dt)
             _check_finite(start, x, xdot)
             if force.kind != "custom":  # hw and ab forces need v > 0
-                _check_speed(metric, x, xdot)
+                _check_speed(force.metric, x, xdot)
         except NormalShiftError as err:
             raise IntegrationAborted(
                 f"integration aborted at step {step + 1} "
@@ -162,12 +161,10 @@ def _check_speed(metric, x, xdot):
             f"(state {lane} at x={point_str(pt)})")
 
 
-def integrate(force: ForceField, metric: MetricSpec, s0: State,
-              T, dt) -> Trajectory:
+def integrate(force: ForceField, s0: State, T, dt) -> Trajectory:
     """Single trajectory from s0; every step is stored."""
-    times, xs, xds = integrate_batch(force, metric, s0.x, s0.xdot, T, dt,
-                                     store_every=1)
-    return Trajectory(times + s0.t, xs, xds, force, metric, dt)
+    times, xs, xds = integrate_batch(force, s0.x, s0.xdot, T, dt)
+    return Trajectory(times + s0.t, xs, xds, force)
 
 
 def write_csv(path, header, blocks, int_cols=0):

@@ -16,8 +16,9 @@ respect to the initial datum,
 
 is integrated jointly (in log form), which keeps it positive by
 construction.  The flow runs backward as well as forward: continued from
-(x, v) back to p0, it ends at the global scalar W(x, v) with the
-normalization W(p0, v) = v, and its V_w there is W_v.
+(x, v) back to p0 along the straight chart segment, as `invert_V(ab, p0,
+x, v)` does, it ends at the global scalar W(x, v) with the normalization
+W(p0, v) = v, and its V_w there is W_v.
 
 Step counts scale with the chart length of each path segment, so `dt`
 means "step per unit chart length" for polylines and "step in the curve
@@ -63,12 +64,15 @@ __all__ = [
     "PathSpec", "ContinuationTrace", "AdmissibleF", "MonodromyMap",
     "ClosedFormRho", "TransformedHW", "FNormEstimate", "ExtractedH",
     "continue_V", "path_independence_defect",
-    "invert_V", "straight_path_factory", "f_norm_estimate",
+    "invert_V", "f_norm_estimate",
     "monodromy", "gauge_transform", "extract_h",
 ]
 
 
 # --- paths -----------------------------------------------------------------------
+
+PARAMETRIC_SAMPLES = 64  # parameters at which a parametric path is sampled
+
 
 @dataclass(frozen=True, eq=False)
 class PathSpec:
@@ -76,8 +80,8 @@ class PathSpec:
 
     Polylines with a single point are allowed and denote the degenerate
     path (useful at the continuation base point).  Parametric curves are
-    sanity-sampled at construction: components and tangents must stay
-    finite over the parameter interval.
+    sanity-sampled at construction, at PARAMETRIC_SAMPLES parameters:
+    components and tangents must stay finite over the parameter interval.
     """
 
     kind: str  # "polyline" | "parametric"
@@ -85,20 +89,23 @@ class PathSpec:
     exprs: tuple = ()
     t0: float = 0.0
     t1: float = 1.0
-    samples: int = 64
 
     @staticmethod
     def polyline(points) -> "PathSpec":
         pts = tuple(tuple(float(c) for c in p) for p in points)
         if not pts:
             raise PathError("polyline needs at least one point")
+        for i, p in enumerate(pts):
+            if len(p) != len(pts[0]):
+                raise PathError(f"polyline point {i} {p} has {len(p)} "
+                                f"coordinates, point 0 has {len(pts[0])}")
         for a, b in zip(pts, pts[1:]):
             if max(abs(p - q) for p, q in zip(a, b)) == 0.0:
                 raise PathError(f"consecutive polyline points coincide: {a}")
         return PathSpec("polyline", points=pts)
 
     @staticmethod
-    def parametric(exprs, t0, t1, samples=64) -> "PathSpec":
+    def parametric(exprs, t0, t1) -> "PathSpec":
         exprs = tuple(exprs)
         for e in exprs:
             extra = set(e.free_vars) - {"t"}
@@ -108,8 +115,8 @@ class PathSpec:
         if not t1 > t0:
             raise PathError(f"need t1 > t0, got [{t0}, {t1}]")
         path = PathSpec("parametric", exprs=exprs, t0=float(t0),
-                        t1=float(t1), samples=int(samples))
-        ts = np.linspace(t0, t1, max(2, samples))
+                        t1=float(t1))
+        ts = np.linspace(t0, t1, PARAMETRIC_SAMPLES)
         with np.errstate(over="ignore", invalid="ignore"):
             x, xd = path._parametric_eval(ts)
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(xd))):
@@ -134,10 +141,10 @@ class PathSpec:
         return self._parametric_eval(np.asarray(self.t1))[0]
 
     def sample(self):
-        """The polyline's points, or the curve at `samples` parameters."""
+        """Polyline points, or the curve at PARAMETRIC_SAMPLES parameters."""
         if self.kind == "polyline":
             return np.asarray(self.points, dtype=float)
-        ts = np.linspace(self.t0, self.t1, max(2, self.samples))
+        ts = np.linspace(self.t0, self.t1, PARAMETRIC_SAMPLES)
         return self._parametric_eval(ts)[0]
 
     def reversed(self) -> "PathSpec":
@@ -145,24 +152,11 @@ class PathSpec:
             return PathSpec("polyline", points=tuple(reversed(self.points)))
         # a parametric curve runs backward from t1 to t0
         return PathSpec("parametric", exprs=self.exprs, t0=self.t1,
-                        t1=self.t0, samples=self.samples)
+                        t1=self.t0)
 
     def _parametric_eval(self, ts):
         x, xd, _ = eval_tuple(self.exprs, {"t": ts}, ("t",), 1)
         return x, xd[..., 0, :]
-
-
-def straight_path_factory(p0):
-    """Canonical paths from the base point: straight chart segments."""
-    base = np.asarray(p0, dtype=float)
-
-    def factory(x):
-        x = np.asarray(x, dtype=float)
-        if np.max(np.abs(x - base)) == 0.0:
-            return PathSpec("polyline", points=(tuple(base),))
-        return PathSpec.polyline([tuple(base), tuple(x)])
-
-    return factory
 
 
 # --- continuation core -------------------------------------------------------------
@@ -339,18 +333,17 @@ def _invert_on_path(ab, path, v_targets, dt):
     return tr.end_V, tr.end_Vw
 
 
-def invert_V(ab, path_factory, x, v, dt=1e-3):
-    """The global scalar W(x, v) under the normalization W(base, v) = v:
+def invert_V(ab, p0, x, v, dt=1e-3):
+    """The global scalar W(x, v) under the normalization W(p0, v) = v:
     the datum w with V(x, w) = v, found by running the continuation
-    backward from (x, v) to the base point along the canonical path.
-    Raises ContinuationError when that run leaves the positive axis (no
-    datum reaches v at x)."""
+    backward from (x, v) to the base point p0 along the straight chart
+    segment.  Raises ContinuationError when that run leaves the positive
+    axis (no datum reaches v at x)."""
     require_positive(v, "target speed")
-    path = path_factory(np.asarray(x, dtype=float))
+    p0, x = tuple(map(float, p0)), tuple(map(float, x))
+    path = PathSpec.polyline([p0, x] if x != p0 else [p0])
     w, _ = _invert_on_path(ab, path, v, dt)
-    if np.ndim(v) == 0:
-        return float(w)
-    return w
+    return float(w) if np.ndim(v) == 0 else w
 
 
 # --- f-norm ---------------------------------------------------------------------------
@@ -606,10 +599,8 @@ def monodromy(ab, manifold: CoveringManifold, word, p0, w_grid,
         raise TableError("w grid must be increasing")
     target = deck_apply(manifold, word, p0)
     _check_deck_invariance(ab, manifold, word, p0)
-    factory = straight_path_factory(p0)
-    word_str = word if isinstance(word, str) else str(word)
-    rho = invert_V(ab, factory, target, w_grid, dt=dt)
-    return MonodromyMap(word_str, w_grid, np.atleast_1d(rho))
+    rho = invert_V(ab, p0, target, w_grid, dt=dt)
+    return MonodromyMap(str(word), w_grid, np.atleast_1d(rho))
 
 
 def _check_deck_invariance(ab, manifold, word, p0):
@@ -689,6 +680,10 @@ class TransformedHW:
         return r, rp[..., None] * wx, rp * wv
 
     def h_val(self, w):
+        """h'(w) = h(y) rho'(y) at y = rho^-1(w).  Forces call it at w =
+        rho(W), where h(W) rho'(W) from `w_jet1`'s W would be cheaper, but
+        would make `gauge` (the forces of (h, W) and (h', W') agree) partly
+        tautological; inverting rho keeps h' independent of W."""
         y = self.rho.inverse(w)
         return np.asarray(self.base.h_val(y)) * np.asarray(
             self.rho.derivative(y))

@@ -20,6 +20,9 @@ axes, skewed at open-axis edges) keep the estimation error well below the
 quantity being measured; the t = 0 layer uses the exact parametric
 tangents, which do exist there.  A Gram-determinant check monitors grid
 collapse instead of assuming the layers stay immersed.
+
+`normal_shift(nu, force, t_max, dt)` reads the surface from nu and the
+metric from the force, so neither is given twice.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from .fields import ForceField
 from .geometry import (
     GRAM_TOL,
     Hypersurface,
-    MetricSpec,
     base_node_index,
     embed_with_tangents,
     grid_axes,
@@ -64,13 +66,11 @@ __all__ = ["NuField", "ShiftFamily", "solve_nu", "normal_shift",
 
 @dataclass(eq=False)
 class NuField:
-    """Positive launch speeds over the surface node grid, normalized to
-    nu0 at the base node; carries the mixed-path compatibility defect."""
+    """Positive launch speeds over the surface node grid, solved from the
+    value at its base node; carries the mixed-path compatibility defect."""
 
     surface: Hypersurface
     values: np.ndarray
-    base_index: tuple
-    nu0: float
     mixed_path_defect: float
 
     def __post_init__(self):
@@ -166,8 +166,7 @@ def _solve_nu_grid(s: Hypersurface, ab, nu0, du, axis_order, start=None):
     return nu
 
 
-def solve_nu(s: Hypersurface, ab, m: MetricSpec, nu0, du=1e-2,
-             compat_tol=1e-6) -> NuField:
+def solve_nu(s: Hypersurface, ab, nu0, du=1e-2, compat_tol=1e-6) -> NuField:
     """Launch-speed function on the surface: continue
 
         d nu / d u^k = sum_i b_i(x(u), nu) * dx^i/du^k
@@ -198,7 +197,7 @@ def solve_nu(s: Hypersurface, ab, m: MetricSpec, nu0, du=1e-2,
             f"mixed-path continuation defect {defect:.3e} exceeds "
             f"{compat_tol:.1e}: covector data is not closed on the surface, "
             f"or the surface loop carries a nontrivial twist")
-    return NuField(s, nu, base_node_index(s), float(nu0), defect)
+    return NuField(s, nu, defect)
 
 
 # --- shift families ------------------------------------------------------------------
@@ -206,10 +205,9 @@ def solve_nu(s: Hypersurface, ab, m: MetricSpec, nu0, du=1e-2,
 @dataclass(eq=False)
 class ShiftFamily:
     """Per-node trajectories launched normally from the surface, stored at
-    a uniform subgrid of time steps (layer 0 is the initial surface)."""
+    a uniform subgrid of time steps (layer 0 is the initial surface).
+    The surface is `nu.surface` and the metric `force.metric`."""
 
-    surface: Hypersurface
-    metric: MetricSpec
     force: ForceField
     nu: NuField
     times: np.ndarray        # (L,)
@@ -223,17 +221,18 @@ class ShiftFamily:
         return self.x.shape[1:-1]
 
 
-def normal_shift(s: Hypersurface, nu: NuField, force: ForceField,
-                 m: MetricSpec, t_max, dt, store_every=1) -> ShiftFamily:
-    """Launch one trajectory per grid node with initial state
-    (x(u), nu(u) * unit normal) and collect the stored layers."""
-    sg = surface_grid(s, m)
+def normal_shift(nu: NuField, force: ForceField, t_max, dt,
+                 store_every=1) -> ShiftFamily:
+    """Launch one trajectory per node of nu's surface grid with initial
+    state (x(u), nu(u) * unit normal), the normal taken in the force's
+    metric, and collect the stored layers."""
+    sg = surface_grid(nu.surface, force.metric)
     grid_shape = sg.points.shape[:-1]
-    n = s.dimension
+    n = nu.surface.dimension
     x0 = sg.points.reshape(-1, n)
     xd0 = (nu.values[..., None] * sg.normals).reshape(-1, n)
     try:
-        times, xs, xds = integrate_batch(force, m, x0, xd0, t_max, dt,
+        times, xs, xds = integrate_batch(force, x0, xd0, t_max, dt,
                                          store_every=store_every)
     except IntegrationAborted as err:
         raise IntegrationAborted(
@@ -241,7 +240,7 @@ def normal_shift(s: Hypersurface, nu: NuField, force: ForceField,
             step=err.step, time=err.time) from err
     layers = xs.shape[0]
     return ShiftFamily(
-        s, m, force, nu, times,
+        force, nu, times,
         xs.reshape((layers,) + grid_shape + (n,)),
         xds.reshape((layers,) + grid_shape + (n,)),
         sg.tangents,
@@ -277,7 +276,7 @@ def orthogonality_defect(fam: ShiftFamily) -> np.ndarray:
     Caches the per-(node, layer) defect field on the family for CSV
     output, and raises on grid collapse (degenerate normalized Gram
     determinant)."""
-    s = fam.surface
+    s = fam.nu.surface
     k = s.n_params
     spacings = grid_spacings(s)
     per_layer = np.zeros(len(fam.times))
@@ -285,7 +284,7 @@ def orthogonality_defect(fam: ShiftFamily) -> np.ndarray:
     for li in range(len(fam.times)):
         xl = fam.x[li]
         xdl = fam.xdot[li]
-        g = metric_at(fam.metric, xl)
+        g = metric_at(fam.force.metric, xl)
         xd_low = np.einsum("...ij,...j->...i", g, xdl)
         speed = np.sqrt(np.einsum("...i,...i->...", xdl, xd_low))
         taus = []
@@ -319,18 +318,15 @@ def loop_closure_defect(loop: PathSpec, ab, nu0, dt=1e-3, manifold=None):
     """|nu_end - nu0| after continuing the launch-speed equation once
     around a loop (closed in the chart, or closed up to a deck translation
     when a covering manifold is supplied; either to 1e-9 relative to the
-    loop's coordinates)."""
-    if manifold is not None:
-        start, end, span = loop.start(), loop.end(), loop.sample()
-        gens = np.asarray(manifold.deck_generators, dtype=float)
-        if len(gens):
-            coeff, *_ = np.linalg.lstsq(gens.T, end - start, rcond=None)
-            moved = start + gens.T @ np.round(coeff)
-            if relative_deviation(end, moved, span) > 1e-9:
-                raise PathError(
-                    "loop endpoints do not differ by a deck translation")
-        elif relative_deviation(end, start, span) > 1e-9:
-            raise PathError("loop is not closed in the chart")
+    loop's coordinates).  No manifold means a chart with no deck
+    translations."""
+    start, end, span = loop.start(), loop.end(), loop.sample()
+    gens = np.reshape(manifold.deck_generators if manifold is not None
+                      else (), (-1, len(start))).T
+    coeff, *_ = np.linalg.lstsq(gens, end - start, rcond=None)
+    if relative_deviation(end, start + gens @ np.round(coeff), span) > 1e-9:
+        raise PathError("loop is not closed in the chart up to a deck "
+                        "translation")
     end = _continue(ab, loop, nu0, dt, want_vw=False, store=False).end_V
     return float(np.abs(end - nu0))
 
@@ -342,8 +338,8 @@ def write_shift_family_csv(path, fam: ShiftFamily):
     velocity, nu, and the node's orthogonality defect."""
     if fam.node_defects is None:
         orthogonality_defect(fam)
-    k = fam.surface.n_params
-    n = fam.surface.dimension
+    k = fam.nu.surface.n_params
+    n = fam.nu.surface.dimension
     header = ([f"i{j + 1}" for j in range(k)] + ["t"]
               + [f"x{i + 1}" for i in range(n)]
               + [f"xdot{i + 1}" for i in range(n)] + ["nu", "defect"])

@@ -215,11 +215,11 @@ def sphere_family(grid, dt, t_max=0.5, store_every=None, nu0=1.0):
     surface = sphere_surface(grid)
     pair = hw("v*exp(0.3*x1)", n=3)
     derived = DerivedAB(pair)
-    nu = solve_nu(surface, derived, EUC3, nu0, du=1e-2)
+    nu = solve_nu(surface, derived, nu0, du=1e-2)
     force = ForceField(pair, EUC3)
     nsteps = int(round(t_max / dt))
     store = store_every or max(1, nsteps // 10)
-    fam = normal_shift(surface, nu, force, EUC3, t_max, dt,
+    fam = normal_shift(nu, force, t_max, dt,
                        store_every=store)
     return fam, orthogonality_defect(fam)
 
@@ -255,8 +255,8 @@ def test_09c_negative_control():
     surface = sphere_surface((64, 32))
     force = ForceField((parse("1"), parse("0"), parse("0")), EUC3)
     sg = surface_grid(surface, EUC3)
-    nu = NuField(surface, np.ones(sg.points.shape[:-1]), (0, 0), 1.0, 0.0)
-    fam = normal_shift(surface, nu, force, EUC3, 0.5, 1e-3, store_every=250)
+    nu = NuField(surface, np.ones(sg.points.shape[:-1]), 0.0)
+    fam = normal_shift(nu, force, 0.5, 1e-3, store_every=250)
     per_layer = orthogonality_defect(fam)
     assert per_layer[-1] > 1e-3, f"control defect {per_layer[-1]:.3e}"
     announce(9, "constant-force control detected as non-normal")

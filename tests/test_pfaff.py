@@ -34,7 +34,6 @@ from normalshift.pfaff import (
     invert_V,
     monodromy,
     path_independence_defect,
-    straight_path_factory,
 )
 
 EUC2 = MetricSpec(2)
@@ -55,6 +54,13 @@ CURL = ab("1", ("x2", "0"))                  # not closed
 UNIT_SEG = PathSpec.polyline([(0.0, 0.0), (1.0, 0.0)])
 
 
+def straight(x):
+    """The path `invert_V` takes from the origin to x: the straight chart
+    segment, or the point path when x is the origin."""
+    x = tuple(x)
+    return PathSpec.polyline([(0.0, 0.0), x] if any(x) else [(0.0, 0.0)])
+
+
 # --- continuation ------------------------------------------------------------------
 
 def test_continue_trivial_for_zero_b():
@@ -70,7 +76,7 @@ def test_continue_closed_form_decay():
 
 def test_continue_reversal_returns_datum():
     arc = PathSpec.parametric([parse("cos(t)"), parse("sin(t)")],
-                              0.0, math.pi / 2, samples=32)
+                              0.0, math.pi / 2)
     for path in (UNIT_SEG, arc):
         there = continue_V(DECAY, path, 1.3, dt=1e-3).end_V
         back = continue_V(DECAY, path.reversed(), there, dt=1e-3).end_V
@@ -97,7 +103,7 @@ def test_continue_batch_of_data():
 def test_continue_parametric_path():
     # quarter circle from (1,0) to (0,1): integral of b.dx = -0.5 * dx1
     path = PathSpec.parametric([parse("cos(t)"), parse("sin(t)")],
-                               0.0, math.pi / 2, samples=32)
+                               0.0, math.pi / 2)
     tr = continue_V(DECAY, path, 1.0, dt=1e-3)
     assert tr.end_V == pytest.approx(math.exp(0.5), rel=1e-8)
 
@@ -148,8 +154,7 @@ def test_field_failure_names_the_stage_that_failed():
 @pytest.mark.parametrize("call", [
     lambda bad: continue_V(DECAY, UNIT_SEG, bad),
     lambda bad: continue_V(DECAY, UNIT_SEG, [1.0, bad]),
-    lambda bad: invert_V(DECAY, straight_path_factory((0.0, 0.0)),
-                         (1.0, 0.0), bad),
+    lambda bad: invert_V(DECAY, (0.0, 0.0), (1.0, 0.0), bad),
     lambda bad: monodromy(DECAY, CYL, "g1", (0.0, 0.0), [bad, 1.0, 2.0]),
 ], ids=["datum", "datum_batch", "target", "w_grid"])
 def test_positive_axis_inputs_are_checked_before_integrating(call, bad):
@@ -162,8 +167,7 @@ def test_positive_axis_inputs_are_checked_before_integrating(call, bad):
 
 
 def test_degenerate_point_path():
-    factory = straight_path_factory((0.0, 0.0))
-    tr = continue_V(DECAY, factory(np.zeros(2)), 1.7, dt=1e-3)
+    tr = continue_V(DECAY, straight(np.zeros(2)), 1.7, dt=1e-3)
     assert tr.end_V == 1.7
 
 
@@ -175,6 +179,16 @@ def test_path_validation():
         PathSpec.parametric([parse("exp(1000*t)"), parse("0")], 0.0, 1.0)
     with pytest.raises(PathError):
         PathSpec.parametric([parse("t"), parse("0")], 1.0, 0.0)
+
+
+def test_polyline_rejects_ragged_points():
+    with pytest.raises(PathError, match=r"point 1 \(1\.0,\) has 1 "
+                                        r"coordinates, point 0 has 2"):
+        PathSpec.polyline([(0, 0), (1,)])
+    with pytest.raises(PathError, match="point 2 "):
+        PathSpec.polyline([(0, 0), (1, 0), (1, 1, 0)])
+    with pytest.raises(PathError, match="point 1 "):
+        invert_V(DECAY, (0.0, 0.0), (1.0, 0.0, 0.0), 1.0)
 
 
 # --- the datum derivative -----------------------------------------------------------
@@ -242,41 +256,36 @@ def test_endpoint_check_does_not_depend_on_scale(radius):
 # --- inversion --------------------------------------------------------------------------
 
 def test_invert_at_base_point_is_identity():
-    factory = straight_path_factory((0.0, 0.0))
     for v in (0.3, 1.0, 7.5):
-        assert invert_V(DECAY, factory, (0.0, 0.0), v) == pytest.approx(
+        assert invert_V(DECAY, (0.0, 0.0), (0.0, 0.0), v) == pytest.approx(
             v, abs=1e-10)
 
 
 def test_invert_closed_form():
     # W(x, v) = v e^{x1/2}; at x = (1, 0), v = 1: w = e^{1/2}
     derived = DerivedAB(hw("v*exp(0.5*x1)"))
-    factory = straight_path_factory((0.0, 0.0))
-    w = invert_V(derived, factory, (1.0, 0.0), 1.0, dt=2e-3)
+    w = invert_V(derived, (0.0, 0.0), (1.0, 0.0), 1.0, dt=2e-3)
     assert w == pytest.approx(math.exp(0.5), rel=1e-9)
 
 
 def test_invert_round_trip():
     derived = DerivedAB(hw("v*exp(0.5*x1)"))
-    factory = straight_path_factory((0.0, 0.0))
     x = (0.7, -0.3)
-    v_reached = continue_V(derived, factory(np.asarray(x)), 1.4,
+    v_reached = continue_V(derived, straight(np.asarray(x)), 1.4,
                            dt=2e-3).end_V
-    w = invert_V(derived, factory, x, float(v_reached), dt=2e-3)
+    w = invert_V(derived, (0.0, 0.0), x, float(v_reached), dt=2e-3)
     assert w == pytest.approx(1.4, abs=1e-9)
 
 
 def test_invert_zero_b_is_identity_at_any_speed():
-    factory = straight_path_factory((0.0, 0.0))
-    assert invert_V(ZERO_B, factory, (1.0, 0.0), 1e12) == 1e12
+    assert invert_V(ZERO_B, (0.0, 0.0), (1.0, 0.0), 1e12) == 1e12
 
 
 def test_invert_unreachable_target():
     # forward values at x = (1, 0) are sqrt(w^2 + 1) >= 1, so no datum
     # reaches v = 0.8: the backward run leaves the positive axis
-    factory = straight_path_factory((0.0, 0.0))
     with pytest.raises(ContinuationError):
-        invert_V(ab("1", ("0.5/v", "0")), factory, (1.0, 0.0), 0.8)
+        invert_V(ab("1", ("0.5/v", "0")), (0.0, 0.0), (1.0, 0.0), 0.8)
 
 
 @settings(max_examples=25, deadline=None)
@@ -286,11 +295,10 @@ def test_invert_unreachable_target():
 def test_invert_round_trip_property(alpha, beta, x1, x2, w):
     # closed data W = v exp(alpha x1 + beta x2), i.e. b = -(alpha, beta) v
     data = ab("1", (f"{-alpha!r}*v", f"{-beta!r}*v"))
-    factory = straight_path_factory((0.0, 0.0))
-    forward = continue_V(data, factory(np.array([x1, x2])), w, dt=1e-2)
-    assert invert_V(data, factory, (x1, x2), float(forward.end_V),
+    forward = continue_V(data, straight(np.array([x1, x2])), w, dt=1e-2)
+    assert invert_V(data, (0.0, 0.0), (x1, x2), float(forward.end_V),
                     dt=1e-2) == pytest.approx(w, rel=1e-9)
-    _, w_v = _invert_on_path(data, factory(np.array([x1, x2])),
+    _, w_v = _invert_on_path(data, straight(np.array([x1, x2])),
                              forward.end_V, 1e-2)
     assert w_v * forward.end_Vw == pytest.approx(1.0, rel=1e-12)
 

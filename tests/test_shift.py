@@ -79,7 +79,7 @@ def vertical_line(nodes=9):
 # --- nu solve -------------------------------------------------------------------------
 
 def test_nu_constant_for_zero_b():
-    out = solve_nu(circle(64), ab("1", ("0", "0")), EUC2, 2.0, du=1e-2)
+    out = solve_nu(circle(64), ab("1", ("0", "0")), 2.0, du=1e-2)
     assert np.array_equal(out.values, np.full(64, 2.0))
     assert out.mixed_path_defect == 0.0
 
@@ -89,7 +89,7 @@ def test_nu_closed_form_on_sphere():
     # nu(u) = nu0 * exp(-(x1(u) - 1)/2), nu0 anchored at x = (1, 0, 0)
     s = sphere()
     data = ab("1", ("-0.5*v", "0", "0"))
-    out = solve_nu(s, data, EUC3, 1.0, du=5e-3)
+    out = solve_nu(s, data, 1.0, du=5e-3)
     sg = surface_grid(s, EUC3)
     expected = np.exp(-0.5 * (sg.points[..., 0] - 1.0))
     assert np.max(np.abs(out.values - expected)) < 1e-9
@@ -100,34 +100,34 @@ def test_nu_closed_form_on_sphere():
 
 def test_nu_unaffected_when_b_misses_surface_direction():
     # the line x1 = 0 never moves along x1, and b2 = 0
-    out = solve_nu(vertical_line(), ab("1", ("-0.5*v", "0")), EUC2, 1.5,
+    out = solve_nu(vertical_line(), ab("1", ("-0.5*v", "0")), 1.5,
                    du=1e-2)
     assert np.max(np.abs(out.values - 1.5)) < 1e-14
 
 
 def test_nu_positivity_guard():
     with pytest.raises(PositivityError):
-        NuField(circle(8), np.zeros(8), (0,), 1.0, 0.0)
+        NuField(circle(8), np.zeros(8), 0.0)
 
 
 def test_nu_requires_positive_datum():
     with pytest.raises(PositivityError):
-        solve_nu(circle(16), ab("1", ("0", "0")), EUC2, -1.0)
+        solve_nu(circle(16), ab("1", ("0", "0")), -1.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_nu_inputs_reject_nan_and_inf(bad):
     with pytest.raises(PositivityError, match=f"got {bad}$"):
-        NuField(circle(8), np.full(8, bad), (0,), 1.0, 0.0)
+        NuField(circle(8), np.full(8, bad), 0.0)
     with pytest.raises(PositivityError, match=f"got {bad}$"):
-        solve_nu(circle(16), ab("1", ("0", "0")), EUC2, bad)
+        solve_nu(circle(16), ab("1", ("0", "0")), bad)
 
 
 def test_nu_sweep_leaving_positive_axis_names_the_axis():
     # d nu/du = -1 along the line: nu = 0.895 - u reaches 0 at u = 0.895,
     # the midpoint stage of the step [0.89, 0.9]
     with pytest.raises(PositivityError, match=r"axis 1 near u_1=0\.895\b"):
-        solve_nu(vertical_line(), ab("1", ("0", "-1")), EUC2, 0.895,
+        solve_nu(vertical_line(), ab("1", ("0", "-1")), 0.895,
                  du=1e-2)
 
 
@@ -144,7 +144,7 @@ def test_nu_solve_evaluates_geometry_once_per_grid_interval(monkeypatch):
     monkeypatch.setattr(shift, "embed_with_tangents", counted)
     s = sphere((16, 9))
     solve_nu(s, DerivedAB(HWPair(parse("v*exp(0.3*x1)"), parse("1"), 3)),
-             EUC3, 1.0, du=1e-2)
+             1.0, du=1e-2)
     # the reversed solve sweeps axis 2 from the base node, then axis 1 over
     # every node; the forward solve reuses the axis-1 line through the
     # base node and sweeps axis 2 only
@@ -164,7 +164,7 @@ def test_forward_solve_starts_from_the_reversed_solves_line():
     start = np.full_like(rev, np.nan)
     start[line] = rev[line]
     shared = _solve_nu_grid(s, data, 1.0, 1e-2, [0, 1], start)
-    out = solve_nu(s, data, EUC3, 1.0, du=1e-2, compat_tol=np.inf)
+    out = solve_nu(s, data, 1.0, du=1e-2, compat_tol=np.inf)
     assert np.array_equal(out.values, shared)
     assert out.mixed_path_defect == np.max(np.abs(shared - rev)) > 1e-3
     np.testing.assert_allclose(out.values, fwd, rtol=1e-12, atol=0)
@@ -181,10 +181,10 @@ def test_nu_sweep_batches_are_bounded(monkeypatch):
 
     s = sphere((6, 5))
     data = DerivedAB(HWPair(parse("v*exp(0.3*x1)"), parse("1"), 3))
-    whole = solve_nu(s, data, EUC3, 1.0, du=2e-2)
+    whole = solve_nu(s, data, 1.0, du=2e-2)
     monkeypatch.setattr(shift, "embed_with_tangents", counted)
     monkeypatch.setattr(fields, "BATCH_POINTS", 10)
-    split = solve_nu(s, data, EUC3, 1.0, du=2e-2)
+    split = solve_nu(s, data, 1.0, du=2e-2)
     # (steps, 3) + lanes + (k,): at most 10 stage points, or one step
     # when 3 stages x 5 or 6 lanes alone exceed the cap
     points = [int(np.prod(shape[:-1])) for shape in calls]
@@ -222,10 +222,10 @@ def test_nu_is_a_level_set_of_W(coef, base, nu0):
     w_expr = "v*exp(" + "+".join(f"({c!r})*x{i + 1}"
                                  for i, c in enumerate(coef)) + ")"
     pair = HWPair(parse(w_expr), parse("1"), 3)
-    out = solve_nu(s, DerivedAB(pair), EUC3, nu0, du=5e-3)
+    out = solve_nu(s, DerivedAB(pair), nu0, du=5e-3)
     pts = surface_grid(s, EUC3).points
     level = out.values * np.exp(pts @ np.array(coef))
-    target = nu0 * np.exp(pts[out.base_index] @ np.array(coef))
+    target = nu0 * np.exp(pts[base_node_index(s)] @ np.array(coef))
     assert np.max(np.abs(level / target - 1.0)) < 1e-9
     assert out.mixed_path_defect < 1e-10
 
@@ -237,8 +237,8 @@ def radial_circle_family(nodes=256, dt=1e-3, t_max=0.5):
     s = circle(nodes)
     pair = HWPair(parse("v"), parse("1"), 2)
     force = ForceField(pair, EUC2)
-    nu = solve_nu(s, DerivedAB(pair), EUC2, 1.0, du=1e-2)
-    return s, normal_shift(s, nu, force, EUC2, t_max, dt, store_every=50)
+    nu = solve_nu(s, DerivedAB(pair), 1.0, du=1e-2)
+    return s, normal_shift(nu, force, t_max, dt, store_every=50)
 
 
 def test_radial_circle_shift_geometry():
@@ -268,8 +268,8 @@ def test_initial_layer_exact():
 def test_free_motion_translates_surface():
     s = vertical_line(17)
     force = ForceField((parse("0"), parse("0")), EUC2)
-    nu = solve_nu(s, ab("1", ("0", "0")), EUC2, 1.0, du=1e-2)
-    fam = normal_shift(s, nu, force, EUC2, 0.4, 1e-2, store_every=10)
+    nu = solve_nu(s, ab("1", ("0", "0")), 1.0, du=1e-2)
+    fam = normal_shift(nu, force, 0.4, 1e-2, store_every=10)
     # the line moves rigidly along its unit normal (1, 0)
     assert np.max(np.abs(fam.x[-1][..., 0] - 0.4)) < 1e-12
     assert np.max(np.abs(fam.x[-1][..., 1]
@@ -291,8 +291,8 @@ def test_orthogonality_gate_does_not_depend_on_scale(radius):
         closed=(True,),
     )
     force = ForceField((parse("0"), parse("0")), EUC2)
-    nu = solve_nu(s, ab("1", ("0", "0")), EUC2, 1.0, du=1e-2)
-    fam = normal_shift(s, nu, force, EUC2, 0.1, 1e-2, store_every=5)
+    nu = solve_nu(s, ab("1", ("0", "0")), 1.0, du=1e-2)
+    fam = normal_shift(nu, force, 0.1, 1e-2, store_every=5)
     assert np.max(orthogonality_defect(fam)) < 1e-10
 
 
@@ -308,9 +308,9 @@ def test_aborted_family_reports_partial():
     s = circle(16)
     pair = HWPair(parse("v"), parse("-1"), 2)
     force = ForceField(pair, EUC2)
-    nu = solve_nu(s, DerivedAB(pair), EUC2, 1.0, du=1e-2)
+    nu = solve_nu(s, DerivedAB(pair), 1.0, du=1e-2)
     with pytest.raises(IntegrationAborted) as exc:
-        normal_shift(s, nu, force, EUC2, 1.5, 1e-2, store_every=10)
+        normal_shift(nu, force, 1.5, 1e-2, store_every=10)
     assert exc.value.partial is not None
     assert "partial" in str(exc.value)
 
@@ -318,8 +318,8 @@ def test_aborted_family_reports_partial():
 def test_constant_force_is_not_normal():
     s = circle(128)
     force = ForceField((parse("1"), parse("0")), EUC2)
-    nu = solve_nu(s, ab("1", ("0", "0")), EUC2, 1.0, du=1e-2)
-    fam = normal_shift(s, nu, force, EUC2, 0.5, 1e-2, store_every=10)
+    nu = solve_nu(s, ab("1", ("0", "0")), 1.0, du=1e-2)
+    fam = normal_shift(nu, force, 0.5, 1e-2, store_every=10)
     per_layer = orthogonality_defect(fam)
     assert per_layer[-1] > 1e-3
 
@@ -379,6 +379,10 @@ def test_loop_closure_rejects_open_path():
     with pytest.raises(PathError):
         loop_closure_defect(open_path, ab("1", ("0", "0")), 1.0,
                             manifold=CYL)
+    # without a manifold the loop must close in the chart
+    bent = PathSpec.polyline([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)])
+    with pytest.raises(PathError, match="not closed in the chart"):
+        loop_closure_defect(bent, ab("1", ("-0.5*v", "0")), 1.0, dt=1e-2)
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
@@ -422,8 +426,8 @@ def test_ellipsoid_shift_is_normal():
         orientation=-1,
     )
     pair = HWPair(parse("v*exp(0.2*x1)"), parse("1"), 3)
-    nu = solve_nu(ell, DerivedAB(pair), EUC3, 1.0, du=1e-2)
-    fam = normal_shift(ell, nu, ForceField(pair, EUC3), EUC3, 0.3, 1e-3,
+    nu = solve_nu(ell, DerivedAB(pair), 1.0, du=1e-2)
+    fam = normal_shift(nu, ForceField(pair, EUC3), 0.3, 1e-3,
                        store_every=60)
     per_layer = orthogonality_defect(fam)
     # tangent-estimation floor at this grid is ~1e-4; a non-normal launch
@@ -447,5 +451,5 @@ def test_mixed_path_audit_flags_non_closed_b():
         orientation=1,
     )
     with pytest.raises(CompatibilityError):
-        solve_nu(patch, ab("1", ("x2", "0", "0")), EUC3, 1.0, du=1e-2,
+        solve_nu(patch, ab("1", ("x2", "0", "0")), 1.0, du=1e-2,
                  compat_tol=1e-6)
