@@ -154,7 +154,7 @@ def _check_speed(metric, x, xdot):
     else:
         v2 = np.einsum("...i,...ij,...j->...", xdot, metric_at(metric, x),
                        xdot)
-    if np.any(v2 <= SPEED_EPS ** 2):
+    if (v2 <= SPEED_EPS ** 2).any():
         lane, (pt,) = first_bad(v2 <= SPEED_EPS ** 2, x)
         raise ZeroSpeedError(
             f"velocity modulus collapsed below {SPEED_EPS} mid-integration "

@@ -18,14 +18,16 @@ is "^" with two arguments.  A literal integer exponent is valid for any
 base; any other exponent needs a positive base at evaluation time.
 
 Evaluation propagates truncated Taylor data (value, gradient, Hessian), so
-derivatives are exact up to floating-point rounding — there is no symbolic
-rewriting and no finite-difference truncation.  Environments may bind numpy
-arrays, in which case everything evaluates elementwise over the batch.
-`FieldExpr` is immutable and evaluation is pure, so concurrent use is safe.
+derivatives are exact up to rounding.  Each (expr, wrt, order) is compiled
+once into straight-line numpy that carries only the entries a node depends
+on structurally; the others are +0.0.  Environments may bind numpy arrays,
+which evaluate elementwise over the batch.  A `FieldExpr` is immutable but
+for that cache, and evaluation is pure, so concurrent use is safe.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
@@ -102,6 +104,10 @@ class FieldExpr:
 
     ast: Node
     free_vars: tuple = ()
+    compiled: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def __reduce__(self):  # pickles without the compiled evaluators
+        return FieldExpr, (self.ast, self.free_vars)
 
     def unparse(self) -> str:
         return _unparse(self.ast, 0)
@@ -302,7 +308,7 @@ def _unparse(node, parent_prec, right_side=False):
     raise TypeError(f"not an AST node: {node!r}")
 
 
-# --- Taylor-mode evaluation --------------------------------------------------
+# --- compiled Taylor-mode evaluation ------------------------------------------
 
 def _int_exponent(node):
     """Syntactic integer exponent, or None."""
@@ -315,144 +321,207 @@ def _int_exponent(node):
     return None
 
 
-class _Taylor:
-    """Evaluate (value, gradient, Hessian) arrays for an AST."""
+# While compiling, a jet is (value, gradient, Hessian): the value is the name
+# of a local or a global, the gradient maps a `wrt` index to an entry and the
+# Hessian maps a pair i <= j to one.  An absent entry is structurally zero and
+# _ONE is a variable's own gradient column.  Each rule keeps the per-entry
+# arithmetic and grouping of the dense rule, with the zero terms left out.
+_ONE = "1.0"
 
-    def __init__(self, env, names, order):
-        self.env = env
-        self.names = tuple(names)
-        self.k = len(self.names)
-        self.order = order
 
-    # Each eval returns (val, grad, hess); grad has trailing axis k,
-    # hess trailing axes (k, k); entries may be None below the order.
+def _times(a, b):
+    if a is None or b is None:
+        return None
+    return b if a == _ONE else a if b == _ONE else f"({a}*{b})"  # 1.0*x is x
+
+
+def _plus(a, b):
+    return b if a is None else a if b is None else f"({a}+{b})"
+
+
+def _minus(a, b):
+    # 0.0 - b, not -b: the two differ where b is +0.0
+    return a if b is None else f"({'0.0' if a is None else a}-{b})"
+
+
+class _Compiler:
+    """Emit one straight-line numpy function of `env` for an AST, `wrt` and
+    order.  Its source holds only generated names: numbers, variable names
+    and messages are globals of the function."""
+
+    def __init__(self, wrt, order):
+        self.wrt, self.order = wrt, order
+        self.lines, self.loaded = [], {}  # loaded: variable name -> local
+        self.globals = {"np": np, "asarray": np.asarray}
+
+    def const(self, obj):
+        name = f"k{len(self.globals)}"
+        self.globals[name] = obj
+        return name
+
+    def let(self, expr):
+        if expr is None or expr == _ONE or expr.isidentifier():
+            return expr
+        name = f"t{len(self.lines)}"
+        self.lines.append(f"{name} = {expr}")
+        return name
+
+    def raise_(self, error, *args, cond=None):  # here, or where cond holds
+        stmt = f"raise {self.const(functools.partial(error, *args))}()"
+        self.lines.append(stmt if cond is None else f"if {cond}: {stmt}")
+        return "None", {}, {}  # a jet for the code after it, never run
+
+    def guard(self, cond, message, node):
+        """A DomainEvalError naming `node` where `cond` holds in any lane."""
+        self.raise_(lambda: DomainEvalError(message, _unparse(node, 0)),
+                    cond=f"({cond}).any()")
+
+    def entries(self, keys, rule):
+        return {key: e for key in keys if (e := self.let(rule(key)))}
+
+    def pairs(self, grad):
+        keys = sorted(grad) if self.order >= 2 else []
+        return [(i, j) for n, i in enumerate(keys) for j in keys[n:]]
+
+    def function(self, ast):
+        val, grad, hess = self.eval(ast)
+        if val in self.globals:  # a constant: each call returns its own copy
+            val = self.let(f"{val}.copy()")
+        k = len(self.wrt)
+        if self.order >= 1:
+            self.lines += [f"g = np.zeros({val}.shape + ({k},))"] + [
+                f"g[..., {i}] = {e}" for i, e in grad.items()]
+        if self.order >= 2:  # one entry fills both triangles: symmetric
+            self.lines += [f"h = np.zeros({val}.shape + ({k}, {k}))"] + [
+                f"h[..., {i}, {j}] = h[..., {j}, {i}] = {e}"
+                for (i, j), e in hess.items()]
+        out = [val, "g" if self.order >= 1 else "None",
+               "h" if self.order >= 2 else "None"]
+        body = "".join(f"    {line}\n" for line in self.lines)
+        source = f"def taylor(env):\n{body}    return {', '.join(out)}\n"
+        exec(compile(source, "<normalshift.expr>", "exec"), self.globals)
+        return self.globals["taylor"]
+
     def eval(self, node):
         if isinstance(node, Num):
-            val = np.asarray(node.value, dtype=float)
-            return val, self._zeros(val, 1), self._zeros(val, 2)
+            return self.const(np.asarray(node.value, dtype=float)), {}, {}
         if isinstance(node, Var):
-            if node.name not in self.env:
-                raise UnboundVariableError(
-                    f"variable '{node.name}' is not bound in the environment")
-            val = np.asarray(self.env[node.name], dtype=float)
-            grad = None
-            if self.order >= 1:
-                grad = np.zeros(val.shape + (self.k,))
-                if node.name in self.names:
-                    grad[..., self.names.index(node.name)] = 1.0
-            return val, grad, self._zeros(val, 2)
+            name = node.name
+            if name not in self.loaded:
+                key = self.const(name)
+                self.raise_(UnboundVariableError, f"variable '{name}' is "
+                            "not bound in the environment",
+                            cond=f"{key} not in env")
+                self.loaded[name] = self.let(f"asarray(env[{key}], float)")
+            grad = {self.wrt.index(name): _ONE} if name in self.wrt else {}
+            return self.loaded[name], grad, {}
         if isinstance(node, Neg):
-            v, g, h = self.eval(node.arg)
-            return -v, None if g is None else -g, None if h is None else -h
+            u, ug, uh = self.eval(node.arg)
+            return (self.let(f"(-{u})"),
+                    self.entries(ug, lambda i: f"(-{ug[i]})"),
+                    self.entries(uh, lambda p: f"(-{uh[p]})"))
         if isinstance(node, BinOp):
-            return self._binop(node)
+            return self.binop(node)
         if isinstance(node, Call):
-            return self._call(node)
-        raise TypeError(f"not an AST node: {node!r}")
+            return self.call(node)
+        return self.raise_(TypeError, f"not an AST node: {node!r}")
 
-    def _zeros(self, val, rank):
-        if self.order < rank:
-            return None
-        return np.zeros(val.shape + (self.k,) * rank)
-
-    def _binop(self, node):
+    def binop(self, node):
         if node.op == "^":
             n = _int_exponent(node.rhs)
-            if n is not None:
-                return self._int_power(node, n)
-            return self._general_power(node)
-        u, ug, uh = self.eval(node.lhs)
-        v, vg, vh = self.eval(node.rhs)
+            return (self.general_power(node) if n is None
+                    else self.int_power(node, n))
+        (u, ug, uh), (v, vg, vh) = lhs, rhs = (self.eval(node.lhs),
+                                               self.eval(node.rhs))
         if node.op in ("+", "-"):
-            ufunc = np.add if node.op == "+" else np.subtract
-            return (ufunc(u, v), None if self.order < 1 else ufunc(ug, vg),
-                    None if self.order < 2 else ufunc(uh, vh))
+            join = _plus if node.op == "+" else _minus
+            return (self.let(f"({u}{node.op}{v})"),
+                    self.entries(sorted(ug.keys() | vg.keys()),
+                                 lambda i: join(ug.get(i), vg.get(i))),
+                    self.entries(sorted(uh.keys() | vh.keys()),
+                                 lambda p: join(uh.get(p), vh.get(p))))
         if node.op == "*":
-            return self._mul(u, ug, uh, v, vg, vh)
+            return self.mul(*lhs, *rhs)
         if node.op == "/":
-            if np.any(v == 0.0):
-                raise DomainEvalError("division by zero", _unparse(node, 0))
-            return self._div(u, ug, uh, v, vg, vh, node)
-        raise TypeError(f"unknown operator {node.op}")
+            self.guard(f"{v}==0.0", "division by zero", node)
+            return self.div(*lhs, *rhs)
+        return self.raise_(TypeError, f"unknown operator {node.op}")
 
-    def _mul(self, u, ug, uh, v, vg, vh):
-        val = u * v
-        grad = hess = None
-        if self.order >= 1:
-            grad = ug * v[..., None] + u[..., None] * vg
-        if self.order >= 2:
-            cross = ug[..., :, None] * vg[..., None, :]
-            # the pair is summed first, so the Hessian is bitwise symmetric
-            hess = (uh * v[..., None, None] + u[..., None, None] * vh
-                    + (cross + np.swapaxes(cross, -1, -2)))
+    def mul(self, u, ug, uh, v, vg, vh):
+        val = self.let(f"({u}*{v})")
+        grad = self.entries(
+            sorted(ug.keys() | vg.keys()),
+            lambda i: _plus(_times(ug.get(i), v), _times(u, vg.get(i))))
+        hess = self.entries(self.pairs(grad), lambda p: _plus(
+            _plus(_times(uh.get(p), v), _times(u, vh.get(p))),
+            _plus(_times(ug.get(p[0]), vg.get(p[1])),
+                  _times(ug.get(p[1]), vg.get(p[0])))))
         return val, grad, hess
 
-    def _div(self, u, ug, uh, v, vg, vh, node):
-        val = u / v
-        grad = hess = None
-        if self.order >= 1:
-            grad = (ug - val[..., None] * vg) / v[..., None]
-        if self.order >= 2:
-            cross = grad[..., :, None] * vg[..., None, :]
-            hess = (uh - (cross + np.swapaxes(cross, -1, -2))
-                    - val[..., None, None] * vh) / v[..., None, None]
+    def div(self, u, ug, uh, v, vg, vh):
+        val = self.let(f"({u}/{v})")
+        over = lambda a: a and f"({a}/{v})"  # noqa: E731
+        grad = self.entries(
+            sorted(ug.keys() | vg.keys()),
+            lambda i: over(_minus(ug.get(i), _times(val, vg.get(i)))))
+        hess = self.entries(self.pairs(grad), lambda p: over(_minus(
+            _minus(uh.get(p), _plus(_times(grad[p[0]], vg.get(p[1])),
+                                    _times(grad[p[1]], vg.get(p[0])))),
+            _times(val, vh.get(p)))))
         return val, grad, hess
 
-    def _int_power(self, node, n):
-        u, ug, uh = self.eval(node.lhs)
-        if n < 0 and np.any(u == 0.0):
-            raise DomainEvalError(
-                "zero base with negative integer exponent", _unparse(node, 0))
+    def int_power(self, node, n):
+        arg = u, _, _ = self.eval(node.lhs)
+        if n < 0:
+            self.guard(f"{u}==0.0", "zero base with negative integer exponent",
+                       node)
         if n == 0:
-            one = np.ones_like(np.asarray(u, dtype=float))
-            return one, self._zeros(one, 1), self._zeros(one, 2)
-        val = u ** n
-        grad = hess = None
-        if self.order >= 1:
-            f1 = n * u ** (n - 1)
-            grad = f1[..., None] * ug
-        if self.order >= 2:
-            f2 = n * (n - 1) * u ** (n - 2) if n != 1 else np.zeros_like(u)
-            outer = ug[..., :, None] * ug[..., None, :]
-            hess = f2[..., None, None] * outer + f1[..., None, None] * uh
-        return val, grad, hess
+            return self.let(f"np.ones_like(asarray({u}, float))"), {}, {}
+        n0, n1, n2, n12 = map(self.const, (n, n - 1, n - 2, n * (n - 1)))
+        return self.chain(arg, self.let(f"({u}**{n0})"), f"({n0}*{u}**{n1})",
+                          None if n == 1 else f"({n12}*{u}**{n2})")
 
-    def _general_power(self, node):
-        u, ug, uh = self.eval(node.lhs)
-        if np.any(u <= 0.0):
-            raise DomainEvalError(
-                "non-integer power of non-positive base", _unparse(node, 0))
-        b, bg, bh = self.eval(node.rhs)
+    def general_power(self, node):
+        base = self.eval(node.lhs)
+        self.guard(f"{base[0]}<=0.0", "non-integer power of non-positive base",
+                   node)
+        expo = self.eval(node.rhs)
         # a^b = exp(b*log a), propagated through the chain rules below
-        lg, lgg, lgh = self._chain(*UNARY_RULES["log"], u, ug, uh)
-        m, mg, mh = self._mul(b, bg, bh, lg, lgg, lgh)
-        return self._chain(*UNARY_RULES["exp"], m, mg, mh)
+        return self.apply("exp", self.mul(*expo, *self.apply("log", base)))
 
-    def _chain(self, f, f1, f2, u, ug, uh):
-        val = f(u)
-        grad = hess = None
-        if self.order >= 1:
-            d1 = np.asarray(f1(u), dtype=float)
-            grad = d1[..., None] * ug
-        if self.order >= 2:
-            d2 = np.asarray(f2(u), dtype=float)
-            outer = ug[..., :, None] * ug[..., None, :]
-            hess = d2[..., None, None] * outer + d1[..., None, None] * uh
-        return np.asarray(val, dtype=float), grad, hess
-
-    def _call(self, node):
-        name = node.fn
-        if name == "pow":
+    def call(self, node):
+        if node.fn == "pow":
             base, expo = node.args
-            return self._binop(BinOp("^", base, expo, node.offset))
-        u, ug, uh = self.eval(node.args[0])
-        if name in ("log", "sqrt") and np.any(u <= 0.0):
-            raise DomainEvalError(f"{name} of non-positive value",
-                                  _unparse(node, 0))
-        if name not in UNARY_RULES:
-            raise UnknownFunctionError(f"unknown function '{name}'",
-                                       node.offset)
-        return self._chain(*UNARY_RULES[name], u, ug, uh)
+            return self.binop(BinOp("^", base, expo, node.offset))
+        arg = self.eval(node.args[0])
+        if node.fn in ("log", "sqrt"):
+            self.guard(f"{arg[0]}<=0.0", f"{node.fn} of non-positive value",
+                       node)
+        if node.fn not in UNARY_RULES:
+            return self.raise_(UnknownFunctionError,
+                               f"unknown function '{node.fn}'", node.offset)
+        return self.apply(node.fn, arg)
+
+    def apply(self, name, arg):
+        f, f1, f2 = UNARY_RULES[name]
+        val = self.let(f"asarray({self.const(f)}({arg[0]}), float)")
+        # f(u) stands in for f'(u) or f''(u) where the table repeats f
+        d1 = val if f1 is f else f"{self.const(f1)}({arg[0]})"
+        d2 = (None if f2 is np.zeros_like
+              else val if f2 is f else f"{self.const(f2)}({arg[0]})")
+        return self.chain(arg, val, d1, d2)
+
+    def chain(self, arg, val, d1, d2):
+        """The jet of f(u) = val from f'(u) = d1 and f''(u) = d2, each
+        emitted only if used; d2 None is a zero second derivative."""
+        _, ug, uh = arg
+        d1 = self.let(d1) if ug else None
+        grad = self.entries(ug, lambda i: _times(d1, ug[i]))
+        pairs = self.pairs(grad)
+        d2 = self.let(d2) if pairs else None
+        hess = self.entries(pairs, lambda p: _plus(
+            _times(d2, _times(ug[p[0]], ug[p[1]])), _times(d1, uh.get(p))))
+        return val, grad, hess
 
 
 def taylor_eval(e: FieldExpr, env: Mapping[str, object],
@@ -461,14 +530,17 @@ def taylor_eval(e: FieldExpr, env: Mapping[str, object],
 
     `env` values may be scalars or broadcast-compatible numpy arrays.
     Returns (value, gradient, hessian); gradient carries a trailing axis
-    over `wrt`, the hessian two.  Entries above `order` are None.
+    over `wrt`, the hessian two.  Entries above `order` are None.  The
+    first call for a given `wrt` and order compiles `e` for them.
     """
     missing = [name for name in e.free_vars if name not in env]
     if missing:
         raise UnboundVariableError(
             f"variable '{missing[0]}' is not bound in the environment")
-    return _Taylor(env, wrt, order).eval(e.ast)
-
+    key = (tuple(wrt) if order > 0 else (), order)
+    if key not in e.compiled:
+        e.compiled[key] = _Compiler(*key).function(e.ast)
+    return e.compiled[key](env)
 
 def bind(names, points, **extra):
     """Variable binding: names[i] to points[..., i], plus the keyword

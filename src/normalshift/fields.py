@@ -103,7 +103,7 @@ class HWPair:
 
 def _guard_wv(wv, x, v):
     bad = np.abs(wv) <= WV_EPS
-    if np.any(bad):
+    if bad.any():
         _, (pt, vv) = first_bad(bad, x, np.asarray(v, dtype=float)[..., None])
         raise VanishingDerivativeError(
             f"dW/dv vanished (|dW/dv| <= {WV_EPS}) at "
@@ -143,6 +143,9 @@ class ABFields:
         # value-only path: the continuation inner loop lives here
         return _state_eval(self.b, self.dimension, x, v, 0)[0]
 
+    def ab_values(self, x, v):
+        return self.a_values(x, v), self.b_values(x, v)
+
     def b_jet(self, x, v):
         """(b (..., n), db/dx (..., n, n) [i, j] = d b_i / d x^j,
         db/dv (..., n))."""
@@ -173,6 +176,10 @@ class DerivedAB:
     def b_values(self, x, v):
         W, wx, wv = self.hw.w_jet1(x, v)
         return -wx / wv[..., None]
+
+    def ab_values(self, x, v):  # one order-1 jet of W for both
+        W, wx, wv = self.hw.w_jet1(x, v)
+        return self.hw.h_val(W) / wv, -wx / wv[..., None]
 
     def b_jet(self, x, v):
         return _quotient_b(*self.hw.w_jet2(x, v))
@@ -211,7 +218,7 @@ def _velocity_frame(m: MetricSpec, x, xdot):
         xdot_low = np.einsum("...ij,...j->...i", g, xdot)
     v2 = np.einsum("...i,...i->...", xdot, xdot_low)
     v = np.sqrt(v2)
-    if np.any(v <= SPEED_EPS):
+    if (v <= SPEED_EPS).any():
         _, (pt,) = first_bad(v <= SPEED_EPS, x)
         raise ZeroSpeedError(
             f"velocity modulus <= {SPEED_EPS} at x={point_str(pt)}")
@@ -250,8 +257,7 @@ def force_ab(ab, m: MetricSpec, x, xdot) -> np.ndarray:
         F_k = a N_k + v * sum_i b_i (2 N^i N_k - d^i_k)
     """
     v, n_up, n_low, g = _velocity_frame(m, x, xdot)
-    a = ab.a_values(x, v)
-    b = ab.b_values(x, v)
+    a, b = ab.ab_values(x, v)
     corr = (2.0 * np.einsum("...i,...i->...", b, n_up)[..., None] * n_low
             - b)
     f_low = a[..., None] * n_low + v[..., None] * corr

@@ -10,6 +10,7 @@ operations are pure.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 
@@ -36,6 +37,7 @@ GRAM_TOL = 1e-10   # structural: normalized Gram determinant of a frame
 DECK_TOL = 1e-12   # structural: relative deviation of deck-invariant data
 
 
+@functools.cache
 def coordinate_names(n):
     return tuple(f"x{i + 1}" for i in range(n))
 

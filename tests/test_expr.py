@@ -1,11 +1,13 @@
 """Expression DSL: parsing, round-trips, exact derivatives vs oracles."""
 
 import math
+import pickle
 import random
 
 import numpy as np
 import pytest
 
+from normalshift import expr
 from normalshift.errors import (
     ArityError,
     DomainEvalError,
@@ -326,3 +328,114 @@ def test_wrt_not_free_gives_zero_derivative():
     assert val == 0.0
     assert np.array_equal(grad, [0.0, 0.0])
     assert np.array_equal(hess, np.zeros((2, 2)))
+
+
+# --- the compiled evaluator ---------------------------------------------------
+
+def test_variable_names_are_only_keys():
+    # a hand-built name need not be an identifier: it is read through env
+    names = ("a b", "x'); import os; ('")
+    e = FieldExpr(BinOp("*", Var(names[0]), Var(names[1])))
+    val, grad, _ = taylor_eval(e, {names[0]: 2.0, names[1]: 3.0}, names, 1)
+    assert val == 6.0
+    assert grad.tolist() == [3.0, 2.0]
+
+
+def test_infinite_literal_evaluates():
+    val, grad, _ = taylor_eval(parse("1e999*x1"),
+                               {"x1": np.array([1.0, 2.0])}, ("x1",), 1)
+    assert val.tolist() == [math.inf, math.inf]
+    assert grad[:, 0].tolist() == [math.inf, math.inf]
+
+
+def test_unknown_call_raises_after_its_argument():
+    bad = FieldExpr(Call("foo", (Call("log", (Var("x1"),)),), 3))
+    with pytest.raises(DomainEvalError, match="log of non-positive value"):
+        taylor_eval(bad, {"x1": 0.0}, ("x1",), 1)
+    with pytest.raises(UnknownFunctionError,
+                       match="unknown function 'foo'") as exc:
+        taylor_eval(bad, {"x1": 1.0}, ("x1",), 1)
+    assert exc.value.offset == 3
+
+
+def test_structural_zeros_are_positive_zero():
+    # -(x1*x2) is linear in x1 and in x2, and does not depend on v; a dense
+    # negation of zero columns gave -0.0 here
+    env = {"x1": np.array([-1.0, 2.0]), "x2": np.array([3.0, -0.5]),
+           "v": 1.0}
+    _, grad, hess = taylor_eval(parse("-(x1*x2)"), env, ("x1", "x2", "v"), 2)
+    for zero in (grad[:, 2], hess[:, 0, 0], hess[:, 1, 1], hess[:, 2, :],
+                 hess[:, :, 2]):
+        assert zero.tobytes() == np.zeros(zero.shape).tobytes()
+    assert hess[:, 0, 1].tolist() == [-1.0, -1.0]
+
+
+def test_compiles_once_per_wrt_and_order(monkeypatch):
+    made = []
+
+    class Counted(expr._Compiler):
+        def function(self, ast):
+            made.append((self.wrt, self.order))
+            return super().function(ast)
+
+    monkeypatch.setattr(expr, "_Compiler", Counted)
+    e = parse("v*exp(0.3*x1)")
+    env = {"x1": 0.2, "v": 1.5}
+    first = taylor_eval(e, env, ("x1", "v"), 1)
+    again = taylor_eval(e, env, ["x1", "v"], 1)
+    assert made == [(("x1", "v"), 1)]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first[:2], again))
+    taylor_eval(e, env, ("x1", "v"), 2)
+    taylor_eval(e, env, ("v",), 0)
+    taylor_eval(e, env, (), 0)  # order 0 does not read wrt
+    assert made == [(("x1", "v"), 1), (("x1", "v"), 2), ((), 0)]
+
+
+def _rich_tree(rng, depth):
+    """Source over x1, x2, v using every operator, function and kind of
+    exponent; may leave a domain."""
+    roll = rng.random()
+    if depth <= 0 or roll < 0.2:
+        return rng.choice(["x1", "x2", "v", "0.5", "2.0", "0"])
+    sub = lambda: _rich_tree(rng, depth - 1)  # noqa: E731
+    if roll < 0.55:
+        return f"({sub()}){rng.choice('+-*/')}({sub()})"
+    if roll < 0.7:
+        expo = rng.choice(["0", "1", "2", "3", "-1", "-2", "0.5", "x2"])
+        return f"pow({sub()},{expo})"
+    if roll < 0.8:
+        return f"-({sub()})"
+    return f"{rng.choice(sorted(UNARY_RULES))}({sub()})"
+
+
+def test_orders_agree_bitwise_on_random_trees():
+    # each order is its own compiled function: values, gradients and the
+    # Hessian's two triangles must still come out of the same arithmetic
+    rng = random.Random(2026)
+    env = {"x1": np.linspace(-1.5, 1.5, 8), "x2": np.array([[0.7], [-0.3]]),
+           "v": 1.3}
+    wrt = ("v", "x1", "x2")
+    checked = 0
+    with np.errstate(all="ignore"):
+        while checked < 400:
+            e = parse(_rich_tree(rng, 4))
+            try:
+                v0, _, _ = taylor_eval(e, env, wrt, 0)
+            except DomainEvalError:
+                continue
+            v1, g1, _ = taylor_eval(e, env, wrt, 1)
+            v2, g2, h2 = taylor_eval(e, env, wrt, 2)
+            assert v0.tobytes() == v1.tobytes() == v2.tobytes()
+            assert g1.tobytes() == g2.tobytes()
+            assert h2.tobytes() == np.swapaxes(h2, -1, -2).copy().tobytes()
+            checked += 1
+
+
+def test_evaluated_expression_pickles():
+    e = parse("v*exp(0.3*x1)")
+    env = {"x1": 0.2, "v": 1.5}
+    want = taylor_eval(e, env, ("x1", "v"), 2)
+    again = pickle.loads(pickle.dumps(e))
+    assert again == e and again.free_vars == e.free_vars
+    for a, b in zip(taylor_eval(again, env, ("x1", "v"), 2), want):
+        assert a.tobytes() == b.tobytes()

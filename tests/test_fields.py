@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from normalshift import expr
 from normalshift.errors import (
     VanishingDerivativeError,
     ZeroSpeedError,
@@ -179,6 +180,38 @@ def test_force_equivalence_conformal_metric():
     f1 = force_hw(pair, m, x, xdot)
     f2 = force_ab(DerivedAB(pair), m, x, xdot)
     assert np.max(np.abs(f1 - f2)) < 1e-12
+
+
+def test_derived_force_evaluates_one_jet_of_W(monkeypatch):
+    pair = hw("v*exp(0.3*x1)", h="w")
+    seen = []
+    taylor = expr.taylor_eval
+
+    def counted(e, env, wrt=(), order=2):
+        seen.append(("W" if e is pair.W else "h", order))
+        return taylor(e, env, wrt, order)
+
+    monkeypatch.setattr(expr, "taylor_eval", counted)
+    force_ab(DerivedAB(pair), EUC2, [0.1, 0.2], [1.0, 0.5])
+    assert seen == [("W", 1), ("h", 0)]
+
+
+@pytest.mark.parametrize("m", [
+    EUC2, MetricSpec(2, kind="conformal", conformal=parse("0.2*x2"))])
+def test_derived_force_matches_separate_a_and_b_bitwise(m):
+    class Separate:
+        """a and b from their own calls, one jet of W each."""
+
+        def __init__(self, src):
+            self.src = src
+
+        def ab_values(self, x, v):
+            return self.src.a_values(x, v), self.src.b_values(x, v)
+
+    derived = DerivedAB(hw("v*exp(0.5*x1+0.2*x2)", h="w^2"))
+    x, xdot = rand_states(np.random.default_rng(17), 2, 40)
+    assert force_ab(derived, m, x, xdot).tobytes() \
+        == force_ab(Separate(derived), m, x, xdot).tobytes()
 
 
 def test_unit_h_one_form_route_agrees():
