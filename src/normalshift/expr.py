@@ -104,7 +104,8 @@ class FieldExpr:
 
     ast: Node
     free_vars: tuple = ()
-    compiled: dict = field(default_factory=dict, compare=False, repr=False)
+    compiled: dict = field(default_factory=dict, init=False, compare=False,
+                           repr=False)
 
     def __reduce__(self):  # pickles without the compiled evaluators
         return FieldExpr, (self.ast, self.free_vars)
@@ -388,6 +389,7 @@ class _Compiler:
         if val in self.globals:  # a constant: each call returns its own copy
             val = self.let(f"{val}.copy()")
         k = len(self.wrt)
+        self.lines.append("g = h = None")  # the entries above the order
         if self.order >= 1:
             self.lines += [f"g = np.zeros({val}.shape + ({k},))"] + [
                 f"g[..., {i}] = {e}" for i, e in grad.items()]
@@ -395,14 +397,18 @@ class _Compiler:
             self.lines += [f"h = np.zeros({val}.shape + ({k}, {k}))"] + [
                 f"h[..., {i}, {j}] = h[..., {j}, {i}] = {e}"
                 for (i, j), e in hess.items()]
-        out = [val, "g" if self.order >= 1 else "None",
-               "h" if self.order >= 2 else "None"]
         body = "".join(f"    {line}\n" for line in self.lines)
-        source = f"def taylor(env):\n{body}    return {', '.join(out)}\n"
+        source = f"def taylor(env):\n{body}    return {val}, g, h\n"
         exec(compile(source, "<normalshift.expr>", "exec"), self.globals)
         return self.globals["taylor"]
 
-    def eval(self, node):
+    def eval(self, node):  # a malformed hand-built tree raises in walk order
+        try:
+            return self.jet(node)
+        except (TypeError, ValueError, IndexError) as exc:
+            return self.raise_(type(exc), *exc.args)
+
+    def jet(self, node):
         if isinstance(node, Num):
             return self.const(np.asarray(node.value, dtype=float)), {}, {}
         if isinstance(node, Var):
@@ -424,7 +430,7 @@ class _Compiler:
             return self.binop(node)
         if isinstance(node, Call):
             return self.call(node)
-        return self.raise_(TypeError, f"not an AST node: {node!r}")
+        raise TypeError(f"not an AST node: {node!r}")
 
     def binop(self, node):
         if node.op == "^":
@@ -445,7 +451,7 @@ class _Compiler:
         if node.op == "/":
             self.guard(f"{v}==0.0", "division by zero", node)
             return self.div(*lhs, *rhs)
-        return self.raise_(TypeError, f"unknown operator {node.op}")
+        raise TypeError(f"unknown operator {node.op}")
 
     def mul(self, u, ug, uh, v, vg, vh):
         val = self.let(f"({u}*{v})")
@@ -541,6 +547,7 @@ def taylor_eval(e: FieldExpr, env: Mapping[str, object],
     if key not in e.compiled:
         e.compiled[key] = _Compiler(*key).function(e.ast)
     return e.compiled[key](env)
+
 
 def bind(names, points, **extra):
     """Variable binding: names[i] to points[..., i], plus the keyword

@@ -170,8 +170,7 @@ class DerivedAB:
         self.dimension = hw.dimension
 
     def a_values(self, x, v):
-        W, _, wv = self.hw.w_jet1(x, v)
-        return self.hw.h_val(W) / wv
+        return self.ab_values(x, v)[0]
 
     def b_values(self, x, v):
         W, wx, wv = self.hw.w_jet1(x, v)

@@ -1,5 +1,6 @@
 """Expression DSL: parsing, round-trips, exact derivatives vs oracles."""
 
+import dataclasses
 import math
 import pickle
 import random
@@ -356,6 +357,29 @@ def test_unknown_call_raises_after_its_argument():
                        match="unknown function 'foo'") as exc:
         taylor_eval(bad, {"x1": 1.0}, ("x1",), 1)
     assert exc.value.offset == 3
+
+
+@pytest.mark.parametrize("call, error", [
+    (Call("pow", (Var("x1"),)), ValueError),
+    (Call("exp", ()), IndexError),
+])
+def test_malformed_call_raises_in_walk_order(call, error):
+    # the log guard to the left runs first, as in a walk of the tree
+    bad = FieldExpr(BinOp("+", Call("log", (Var("x1"),)), call))
+    with pytest.raises(DomainEvalError, match="log of non-positive value"):
+        taylor_eval(bad, {"x1": 0.0}, ("x1",), 1)
+    with pytest.raises(error):
+        taylor_eval(bad, {"x1": 1.0}, ("x1",), 1)
+
+
+def test_compiled_cache_is_not_an_input():
+    e = parse("v*exp(0.3*x1)")
+    taylor_eval(e, {"x1": 0.2, "v": 1.5}, ("x1", "v"), 1)
+    with pytest.raises(TypeError):
+        FieldExpr(e.ast, e.free_vars, e.compiled)
+    other = dataclasses.replace(e, ast=parse("x1").ast, free_vars=("x1",))
+    assert other.compiled == {}
+    assert taylor_eval(other, {"x1": 0.2}, ("x1",), 1)[0] == 0.2
 
 
 def test_structural_zeros_are_positive_zero():
