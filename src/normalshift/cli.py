@@ -29,6 +29,7 @@ from .errors import ConfigError, NormalShiftError, ScenarioError
 from .expr import parse as parse_expr
 from .dynamics import State, integrate, write_csv, write_trajectory_csv
 from .fields import (
+    DerivedAB,
     closedness_residual,
     collinearity_defect,
     force_hw,
@@ -92,24 +93,23 @@ def _point_str(x):
 
 
 def _state_grid(sc: Scenario):
-    """Deterministic sweep box for the check command."""
+    """Deterministic box of positions swept by check and fnorm."""
     n = sc.dimension
     run = sc.run
     lo = run.get("grid_min", [-1.0] * n)
     hi = run.get("grid_max", [1.0] * n)
     pts = run.get("grid_points", [5] * n)
     mesh = np.meshgrid(*map(np.linspace, lo, hi, pts), indexing="ij")
-    x = np.stack([m.ravel() for m in mesh], axis=-1)
-    v = np.linspace(run.get("v_min", 0.5), run.get("v_max", 2.0),
-                    run.get("v_points", 5))
-    return x, v
+    return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def _v_grid(run):
+def _v_grid(run, points):
+    """Speeds: run.v_grid, or run.v_points of them (default `points`)
+    from v_min to v_max."""
     if "v_grid" in run:
         return np.asarray(run["v_grid"], dtype=float)
     return np.linspace(run.get("v_min", 0.5), run.get("v_max", 2.0),
-                       run.get("v_points", 20))
+                       run.get("v_points", points))
 
 
 def _w_grid(run):
@@ -138,10 +138,13 @@ def _random_states(sc: Scenario, count):
 # --- commands --------------------------------------------------------------------
 
 def _require_ab(sc: Scenario, command):
-    if sc.ab is None:
+    """The (a, b) data of the field: derived from (h, W), or as given."""
+    if sc.force.kind == "hw":
+        return DerivedAB(sc.force.source)
+    if sc.force.kind != "ab":
         raise ScenarioError(f"{command} needs field kind 'hw' or 'ab'",
                             "field.kind")
-    return sc.ab
+    return sc.force.source
 
 
 def cmd_check(sc: Scenario, out_dir, report: Report):
@@ -150,9 +153,10 @@ def cmd_check(sc: Scenario, out_dir, report: Report):
     in blocks of rows of at most fields.BATCH_POINTS points (or one row),
     with one jet of the source per block."""
     ab = _require_ab(sc, "check")
-    x, v = _state_grid(sc)
+    x, v = _state_grid(sc), _v_grid(sc.run, 5)
+    hw = sc.force.source if sc.force.kind == "hw" else None
     names = ["closedness", "normalizing"]
-    if sc.field_kind == "hw":
+    if hw is not None:
         names.append("collinearity")
     worst = np.empty((len(names), len(x), len(v)))
     rows = max(1, fields.BATCH_POINTS // len(v))
@@ -160,8 +164,8 @@ def cmd_check(sc: Scenario, out_dir, report: Report):
         states = (x[lo:lo + rows, None, :], v[None, :])
         jet = ab.jet(*states)
         parts = [closedness_residual(jet), normalizing_residual(jet)]
-        if sc.field_kind == "hw":
-            parts.append(collinearity_defect(jet, sc.hw.w_jet2(*states)))
+        if hw is not None:
+            parts.append(collinearity_defect(jet, hw.w_jet2(*states)))
         for k, r in enumerate(parts):
             worst[k, lo:lo + rows] = np.abs(r).reshape(
                 r.shape[:2] + (-1,)).max(-1)
@@ -187,9 +191,9 @@ def cmd_trajectory(sc: Scenario, out_dir, report: Report):
 
 def cmd_shift(sc: Scenario, out_dir, report: Report):
     surface = sc.require_surface()
-    if sc.ab is not None:
-        nu = solve_nu(surface, sc.ab, float(sc.run["nu0"]),
-                      du=float(sc.run["du"]),
+    if sc.force.kind != "custom":
+        nu = solve_nu(surface, _require_ab(sc, "shift"),
+                      float(sc.run["nu0"]), du=float(sc.run["du"]),
                       compat_tol=float(sc.run["compat_tol"]))
     else:
         # custom force: constant launch speed over the surface
@@ -242,9 +246,8 @@ def cmd_fnorm(sc: Scenario, out_dir, report: Report):
     if f_expr is None:
         raise ScenarioError("weight expression is required", "run.f")
     weight = AdmissibleF(parse_expr(f_expr))
-    x, _ = _state_grid(sc)
-    v = _v_grid(sc.run)
-    est = f_norm_estimate(ab, weight, sc.metric, x, v)
+    est = f_norm_estimate(ab, weight, sc.force.metric, _state_grid(sc),
+                          _v_grid(sc.run, 20))
     report.info(f"fnorm_estimate {_fmt(est.value)} (lower bound for the "
                 f"supremum)")
     report.info(f"argmax at x={_point_str(est.argmax_x)} "
@@ -275,16 +278,16 @@ def cmd_monodromy(sc: Scenario, out_dir, report: Report):
 
 
 def cmd_gauge(sc: Scenario, out_dir, report: Report):
-    if sc.field_kind != "hw":
+    if sc.force.kind != "hw":
         raise ScenarioError("gauge needs field kind 'hw'", "field.kind")
     rho_src = sc.run.get("rho")
     if rho_src is None:
         raise ScenarioError("closed-form rho is required", "run.rho")
     rho = parse_expr(rho_src)
-    moved = gauge_transform(sc.hw, rho)
+    hw, metric = sc.force.source, sc.force.metric
     x, xdot = _random_states(sc, int(sc.run["n_states"]))
-    f0 = force_hw(sc.hw, sc.metric, x, xdot)
-    f1 = force_hw(moved, sc.metric, x, xdot)
+    f0 = force_hw(hw, metric, x, xdot)
+    f1 = force_hw(gauge_transform(hw, rho), metric, x, xdot)
     report.metric("gauge_force_discrepancy", float(np.max(np.abs(f1 - f0))),
                   float(sc.run["gauge_tol"]))
 
@@ -293,7 +296,7 @@ def cmd_extract_h(sc: Scenario, out_dir, report: Report):
     ab = _require_ab(sc, "extract-h")
     run = sc.run
     p0 = [float(c) for c in run.get("p0", [0.0] * sc.dimension)]
-    v = _v_grid(run)
+    v = _v_grid(run, 20)
     out = extract_h(ab, p0, v, dt=float(run.get("extract_dt", 1e-2)))
     write_csv(os.path.join(out_dir, "h_table.csv"), ["v", "h"],
               [np.column_stack([out.v, out.h])])
@@ -326,18 +329,13 @@ def build_parser():
         prog="normalshift",
         description="Verify and run force fields admitting the normal "
                     "shift of hypersurfaces.")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar="command")
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True)
-        p.add_argument("--out", required=True)
-        p.add_argument("--dt", type=float, default=None,
-                       help="override run.dt")
-        p.add_argument("--du", type=float, default=None,
-                       help="override run.du")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the command's gate tolerance(s)")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", required=True)
+    parser.add_argument("--out", required=True)
+    parser.add_argument("--dt", type=float, help="override run.dt")
+    parser.add_argument("--du", type=float, help="override run.du")
+    parser.add_argument("--tol", type=float,
+                        help="override the command's gate tolerance(s)")
     return parser
 
 

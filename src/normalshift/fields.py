@@ -285,6 +285,13 @@ class ForceField:
     source: object  # HWPair-like | ABFields-like | tuple of FieldExprs
     metric: MetricSpec
 
+    def __post_init__(self):
+        n = (len(self.source) if self.kind == "custom"
+             else self.source.dimension)
+        if n != self.metric.dimension:
+            raise FrameError(f"force source of dimension {n} on a metric of "
+                             f"dimension {self.metric.dimension}")
+
     @cached_property
     def kind(self):
         """The kind of source, inferred from it: "hw", "ab" or "custom"."""

@@ -222,9 +222,9 @@ class CoveringManifold:
         return parse_word(word, len(self.deck_generators))
 
 
-def _sample_grid(n, lo=-1.0, hi=1.0, per_axis=3):
-    axes = [np.linspace(lo, hi, per_axis)] * n
-    mesh = np.meshgrid(*axes, indexing="ij")
+def _sample_grid(n):
+    """The 3^n nodes of the box [-1, 1]^n."""
+    mesh = np.meshgrid(*[np.linspace(-1.0, 1.0, 3)] * n, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
@@ -394,7 +394,6 @@ def surface_frame(s: Hypersurface, m: MetricSpec, u):
 class SurfaceGrid:
     """Frames evaluated over the whole node grid."""
 
-    surface: Hypersurface
     points: np.ndarray    # grid + (n,)
     tangents: np.ndarray  # grid + (n-1, n)
     normals: np.ndarray   # grid + (n,)
@@ -415,4 +414,4 @@ def surface_grid(s: Hypersurface, m: MetricSpec) -> SurfaceGrid:
         if np.any(dots <= 0.0):
             raise FrameError(
                 f"normal field flips orientation along axis {ax + 1}")
-    return SurfaceGrid(s, x, taus, normals)
+    return SurfaceGrid(x, taus, normals)

@@ -407,17 +407,17 @@ def f_norm_estimate(ab, f: AdmissibleF, m: MetricSpec, x_grid, v_grid) \
 
 # --- finite-difference weights on arbitrary nodes --------------------------------------
 
-def fd_weights(z, nodes, order=1):
-    """Weights for the `order`-th derivative at z from the given nodes
-    (Fornberg recursion); exact on polynomials up to len(nodes)-1."""
+def fd_weights(z, nodes):
+    """Weights for the first derivative at z from the given nodes
+    (Fornberg recursion, carried to order 1); exact on polynomials up to
+    len(nodes)-1."""
     x = np.asarray(nodes, dtype=float)
     n = len(x)
-    c = np.zeros((n, order + 1))
+    c = np.zeros((n, 2))  # columns: value and first-derivative weights
     c1 = 1.0
     c4 = x[0] - z
     c[0, 0] = 1.0
     for i in range(1, n):
-        mn = min(i, order)
         c2 = 1.0
         c5 = c4
         c4 = x[i] - z
@@ -425,14 +425,12 @@ def fd_weights(z, nodes, order=1):
             c3 = x[i] - x[j]
             c2 *= c3
             if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
+                c[i, 1] = c1 * (c[i - 1, 0] - c5 * c[i - 1, 1]) / c2
                 c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
+            c[j, 1] = (c4 * c[j, 1] - c[j, 0]) / c3
             c[j, 0] = c4 * c[j, 0] / c3
         c1 = c2
-    return c[:, order]
+    return c[:, 1]
 
 
 def fd_matrix(nodes, width):
@@ -643,7 +641,8 @@ class ClosedFormRho:
         """rho^-1 on a bracket that starts at [1e-8, 1e8] and widens by
         that ratio until it encloses every target; raises if it reaches
         the extreme normal floats first (rho misses the target, or is not
-        finite there)."""
+        finite there).  A value that overflows to inf lies above every
+        target, which is all the bracket and the bisection ask of it."""
         y = np.asarray(y, dtype=float)
         lo, hi = 1e-8, 1e8
         tiny, huge = float(np.finfo(float).tiny), float(np.finfo(float).max)
@@ -652,12 +651,14 @@ class ClosedFormRho:
                 raise TableError(f"rho does not reach {float(np.min(y))!r} "
                                  f"for w down to {tiny!r}")
             lo = max(lo * 1e-8, tiny)
-        while not self(hi) >= np.max(y):
-            if hi == huge:
-                raise TableError(f"rho does not reach {float(np.max(y))!r} "
-                                 f"for w up to {huge!r}")
-            hi = min(hi * 1e8, huge)
-        return _invert_increasing(self, self.derivative, y, lo, hi)
+        with np.errstate(over="ignore"):
+            while not self(hi) >= np.max(y):
+                if hi == huge:
+                    raise TableError(
+                        f"rho does not reach {float(np.max(y))!r} for w up "
+                        f"to {huge!r}")
+                hi = min(hi * 1e8, huge)
+            return _invert_increasing(self, self.derivative, y, lo, hi)
 
 
 @dataclass(eq=False)

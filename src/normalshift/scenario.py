@@ -19,11 +19,11 @@ from __future__ import annotations
 import re
 import sys
 import tomllib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError, NormalShiftError, ScenarioError
 from .expr import parse as parse_expr
-from .fields import ABFields, DerivedAB, ForceField, HWPair
+from .fields import ABFields, ForceField, HWPair
 from .geometry import CoveringManifold, Hypersurface, MetricSpec
 
 __all__ = ["Scenario", "load_scenario", "parse_config", "validate_run"]
@@ -138,15 +138,18 @@ def validate_run(run: dict, n: int) -> None:
 
 @dataclass(eq=False)
 class Scenario:
-    dimension: int
-    metric: MetricSpec
+    """A validated scenario.  The force carries the field's source, its
+    kind and the metric; the manifold carries the metric and the deck
+    translations."""
+
     manifold: CoveringManifold
-    field_kind: str
-    hw: HWPair | None
-    ab: object | None            # ABFields or DerivedAB
     force: ForceField
     surface: Hypersurface | None
-    run: dict = field(default_factory=dict)
+    run: dict
+
+    @property
+    def dimension(self):
+        return self.manifold.metric.dimension
 
     def require_surface(self):
         if self.surface is None:
@@ -205,25 +208,23 @@ def _build_metric(man: dict, n: int) -> MetricSpec:
     raise ScenarioError(f"unknown metric kind '{kind}'", "manifold.metric")
 
 
-def _build_field(sec: dict, n: int, metric: MetricSpec):
+def _build_field(sec: dict, n: int, metric: MetricSpec) -> ForceField:
     kind = sec.get("kind", "")
     coords = [f"x{i + 1}" for i in range(n)]
     if kind == "hw":
         W = _expr(sec.get("W"), "field.W", coords + ["v"])
         h = _expr(sec.get("h", "1"), "field.h", ["w"])
         try:
-            hw = HWPair(W, h, n)
+            return ForceField(HWPair(W, h, n), metric)
         except NormalShiftError as err:
             raise ScenarioError(str(err), "field") from None
-        return kind, hw, DerivedAB(hw), ForceField(hw, metric)
     if kind == "ab":
         a = _expr(sec.get("a"), "field.a", coords + ["v"])
-        ab = ABFields(a, _exprs(sec.get("b"), "field.b", n, coords + ["v"]))
-        return kind, None, ab, ForceField(ab, metric)
+        b = _exprs(sec.get("b"), "field.b", n, coords + ["v"])
+        return ForceField(ABFields(a, b), metric)
     if kind == "custom":
         allowed = coords + [f"xdot{i + 1}" for i in range(n)] + ["v"]
-        F = _exprs(sec.get("F"), "field.F", n, allowed)
-        return kind, None, None, ForceField(F, metric)
+        return ForceField(_exprs(sec.get("F"), "field.F", n, allowed), metric)
     raise ScenarioError("kind must be 'hw', 'ab' or 'custom'", "field.kind")
 
 
@@ -287,7 +288,7 @@ def load_scenario(path) -> Scenario:
     fld = sections.get("field")
     if not fld:
         raise ScenarioError("section is required", "field")
-    kind, hw, ab, force = _build_field(fld, n, metric)
+    force = _build_field(fld, n, metric)
 
     surface = None
     if "surface" in sections:
@@ -310,4 +311,4 @@ def load_scenario(path) -> Scenario:
             manifold.word(run["word"])
         except NormalShiftError as err:
             raise ScenarioError(str(err), "run.word") from None
-    return Scenario(n, metric, manifold, kind, hw, ab, force, surface, run)
+    return Scenario(manifold, force, surface, run)

@@ -180,6 +180,9 @@ def solve_nu(s: Hypersurface, ab, nu0, du=1e-2, compat_tol=1e-6) -> NuField:
     axis, over every node) carries the lane through the base node along
     the same path, from the same nu0, as the forward solve's first sweep,
     so the forward solve starts from that line instead of recomputing it."""
+    if ab.dimension != s.dimension:
+        raise FrameError(f"(a, b) data of dimension {ab.dimension} on a "
+                         f"surface in dimension {s.dimension}")
     require_positive(nu0, "nu0")
     k = s.n_params
     nu = _solve_nu_grid(s, ab, nu0, du, list(range(k))[::-1])
@@ -214,7 +217,7 @@ class ShiftFamily:
     x: np.ndarray            # (L,) + grid + (n,)
     xdot: np.ndarray         # (L,) + grid + (n,)
     tangents0: np.ndarray    # grid + (n-1, n): exact tangents of layer 0
-    node_defects: np.ndarray | None = field(default=None)
+    node_defects: np.ndarray | None = field(default=None, init=False)
 
     @property
     def grid_shape(self):
@@ -226,6 +229,10 @@ def normal_shift(nu: NuField, force: ForceField, t_max, dt,
     """Launch one trajectory per node of nu's surface grid with initial
     state (x(u), nu(u) * unit normal), the normal taken in the force's
     metric, and collect the stored layers."""
+    if force.metric.dimension != nu.surface.dimension:
+        raise FrameError(
+            f"force of dimension {force.metric.dimension} on a surface in "
+            f"dimension {nu.surface.dimension}")
     sg = surface_grid(nu.surface, force.metric)
     grid_shape = sg.points.shape[:-1]
     n = nu.surface.dimension

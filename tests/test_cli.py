@@ -1,5 +1,6 @@
 """Command-line front end: reports, gates, exit codes, reproducibility."""
 
+import dataclasses
 import filecmp
 import importlib
 import inspect
@@ -155,6 +156,15 @@ def test_bad_surface_nu0_is_named(tmp_path, capsys, value):
     assert "run.nu0" not in err
 
 
+def test_scenario_holds_each_value_once():
+    # the force carries the field's source, its kind and the metric
+    sc = load_scenario(SCENARIOS / "check_consistent.toml")
+    assert [f.name for f in dataclasses.fields(sc)] \
+        == ["manifold", "force", "surface", "run"]
+    assert sc.force.kind == "hw"
+    assert sc.force.metric is sc.manifold.metric
+
+
 def test_scenario_defaults_and_surface(tmp_path):
     sc = load_scenario(SCENARIOS / "circle_shift.toml")
     assert sc.dimension == 2
@@ -173,6 +183,18 @@ def test_check_consistent_passes(tmp_path):
     assert "METRIC normalizing_max" in report
     assert "METRIC collinearity_max" in report
     assert "FAIL" not in report
+
+
+def test_check_reads_v_grid(tmp_path):
+    # speeds come from run.v_grid, as in fnorm and extract-h
+    cfg = tmp_path / "grid.toml"
+    cfg.write_text((SCENARIOS / "check_consistent.toml").read_text()
+                   .replace("v_points = 5", "v_grid = [0.25, 3.5]"))
+    assert run_cli("check", cfg, tmp_path / "out") == 0
+    speeds = {line.rsplit(" v=", 1)[1]
+              for line in read_report(tmp_path / "out").splitlines()
+              if " argmax at " in line}
+    assert speeds and speeds <= {"0.25", "3.5"}
 
 
 def test_check_broken_pair_fails(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 
 from normalshift import expr
 from normalshift.errors import (
+    FrameError,
     VanishingDerivativeError,
     ZeroSpeedError,
     first_bad,
@@ -244,6 +245,13 @@ def test_force_parallel_to_velocity_when_b_zero():
 def test_zero_speed_rejected():
     with pytest.raises(ZeroSpeedError):
         force_hw(hw("v"), EUC2, [0.0, 0.0], [0.0, 0.0])
+
+
+@pytest.mark.parametrize("source", [
+    hw("v", n=3), ab("1", ("0", "0", "0")), (parse("1"),) * 3])
+def test_force_rejects_a_source_of_another_dimension(source):
+    with pytest.raises(FrameError, match=r"dimension 3 .* dimension 2$"):
+        ForceField(source, EUC2)
 
 
 def test_custom_force_allows_zero_speed():

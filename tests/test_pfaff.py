@@ -535,6 +535,14 @@ def test_gauge_square_map():
     assert np.max(np.abs(f1 - f0)) < 1e-8
 
 
+def test_closed_form_inverse_past_overflow():
+    # rho(1e8) overflows: the bracket and the bisection take the inf as
+    # above the target, without an overflow warning (an error here)
+    rho = ClosedFormRho(parse("exp(w) - 1 + w"))
+    w = np.array([0.5, 3.0, 20.0])
+    assert rho(rho.inverse(rho(w))) == pytest.approx(rho(w), rel=1e-14)
+
+
 def test_gauge_with_sampled_monodromy_map():
     # a sampled linear map: interpolation and derivative stencils are exact
     w = np.logspace(-2, 2, 17)

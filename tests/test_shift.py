@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from normalshift import fields, shift
-from normalshift.errors import CompatibilityError, PathError, PositivityError
+from normalshift.errors import (
+    CompatibilityError,
+    FrameError,
+    PathError,
+    PositivityError,
+)
 from normalshift.expr import parse
 from normalshift.fields import ABFields, DerivedAB, ForceField, HWPair
 from normalshift.geometry import (
@@ -121,6 +126,19 @@ def test_nu_inputs_reject_nan_and_inf(bad):
         NuField(circle(8), np.full(8, bad), 0.0)
     with pytest.raises(PositivityError, match=f"got {bad}$"):
         solve_nu(circle(16), ab("1", ("0", "0")), bad)
+
+
+def test_nu_solve_rejects_data_of_another_dimension():
+    data = DerivedAB(HWPair(parse("v"), parse("1"), 3))
+    with pytest.raises(FrameError, match=r"dimension 3 .* dimension 2$"):
+        solve_nu(circle(16), data, 1.0)
+
+
+def test_shift_rejects_a_force_of_another_dimension():
+    nu = solve_nu(circle(16), ab("1", ("0", "0")), 1.0)
+    force = ForceField((parse("0"),) * 3, EUC3)
+    with pytest.raises(FrameError, match=r"dimension 3 .* dimension 2$"):
+        normal_shift(nu, force, 0.1, 1e-2)
 
 
 def test_nu_sweep_leaving_positive_axis_names_the_axis():
