@@ -227,8 +227,7 @@ def cmd_pfaff(sc: Scenario, out_dir, report: Report):
     report.info(f"endpoint V {_fmt(trace.end_V)}, V_w {_fmt(trace.end_Vw)}")
     if "path2" in run:
         other = _path_from(run, "path2")
-        defect = path_independence_defect(ab, path, other,
-                                          float(run["w0"]),
+        defect = path_independence_defect(ab, trace, other,
                                           dt=float(run["dt"]))
         report.metric("path_independence_defect", defect,
                       float(run["path_tol"]))

@@ -539,14 +539,18 @@ def taylor_eval(e: FieldExpr, env: Mapping[str, object],
     over `wrt`, the hessian two.  Entries above `order` are None.  The
     first call for a given `wrt` and order compiles `e` for them.
     """
-    missing = [name for name in e.free_vars if name not in env]
-    if missing:
-        raise UnboundVariableError(
-            f"variable '{missing[0]}' is not bound in the environment")
-    key = (tuple(wrt) if order > 0 else (), order)
-    if key not in e.compiled:
-        e.compiled[key] = _Compiler(*key).function(e.ast)
-    return e.compiled[key](env)
+    for name in e.free_vars:
+        if name not in env:
+            raise UnboundVariableError(
+                f"variable '{name}' is not bound in the environment")
+    try:
+        fn = e.compiled[wrt if order else (), order]
+    except (KeyError, TypeError):  # not compiled yet, or wrt is a list
+        key = (tuple(wrt) if order else (), order)
+        if key not in e.compiled:
+            e.compiled[key] = _Compiler(*key).function(e.ast)
+        fn = e.compiled[key]
+    return fn(env)
 
 
 def bind(names, points, **extra):
@@ -574,6 +578,11 @@ def eval_tuple(exprs: Sequence[FieldExpr], env: Mapping[str, object],
     values = tuple(env.values())
     batch = (np.broadcast(*values).shape if len(values) <= 64
              else np.broadcast_shapes(*map(np.shape, values)))
+    if order == 0 and len(exprs) > 1:
+        vals = np.empty(batch + (len(exprs),))
+        for i, e in enumerate(exprs):
+            vals[..., i] = taylor_eval(e, env, wrt, 0)[0]
+        return vals, None, None
     shapes = [batch + (len(wrt),) * rank for rank in range(order + 1)]
     if len(exprs) == 1:
         # nothing to stack: views of the expression's own arrays, since a

@@ -80,9 +80,10 @@ class HWPair:
     def w_jet1(self, x, v):
         """(W, dW/dx (..., n), dW/dv), with the dW/dv != 0 guard."""
         val, grad, _ = _state_eval((self.W,), self.dimension, x, v, 1)
-        wv = grad[..., -1, 0]
+        grad = grad[..., 0]
+        wv = grad[..., -1]
         _guard_wv(wv, x, v)
-        return val[..., 0], grad[..., :-1, 0], wv
+        return val[..., 0], grad[..., :-1], wv
 
     def w_jet2(self, x, v):
         """Adds the second derivatives: (W, Wx, Wv, Wxx, Wxv, Wvv)."""
@@ -215,14 +216,14 @@ def _velocity_frame(m: MetricSpec, x, xdot):
     else:
         g = metric_at(m, x)
         xdot_low = np.einsum("...ij,...j->...i", g, xdot)
-    v2 = np.einsum("...i,...i->...", xdot, xdot_low)
-    v = np.sqrt(v2)
-    if (v <= SPEED_EPS).any():
-        _, (pt,) = first_bad(v <= SPEED_EPS, x)
+    v = np.sqrt(np.einsum("...i,...i->...", xdot, xdot_low))
+    slow = v <= SPEED_EPS
+    if slow.any():
+        _, (pt,) = first_bad(slow, x)
         raise ZeroSpeedError(
             f"velocity modulus <= {SPEED_EPS} at x={point_str(pt)}")
     n_up = xdot / v[..., None]
-    n_low = xdot_low / v[..., None]
+    n_low = n_up if g is None else xdot_low / v[..., None]
     return v, n_up, n_low, g
 
 
@@ -241,12 +242,12 @@ def force_hw(hw, m: MetricSpec, x, xdot) -> np.ndarray:
     w_jet1 and h_val (e.g. a gauge-transformed pair)."""
     v, n_up, n_low, g = _velocity_frame(m, x, xdot)
     W, wx, wv = hw.w_jet1(x, v)
-    h = hw.h_val(W)
-    quot = wx / wv[..., None]
+    h, wv = hw.h_val(W)[..., None], wv[..., None]
+    quot = wx / wv
     # sum_i quot_i * (2 N^i N_k - delta^i_k)
     corr = (2.0 * np.einsum("...i,...i->...", quot, n_up)[..., None] * n_low
             - quot)
-    f_low = h[..., None] * n_low / wv[..., None] - v[..., None] * corr
+    f_low = h * n_low / wv - v[..., None] * corr
     return _raise_force(m, x, f_low, g)
 
 

@@ -15,10 +15,13 @@ respect to the initial datum,
     V_w(t) = exp( integral of sum_i (db_i/dv)(x, V) dx^i/dt ),
 
 is integrated jointly (in log form), which keeps it positive by
-construction.  The flow runs backward as well as forward: continued from
-(x, v) back to p0 along the straight chart segment, as `invert_V(ab, p0,
-x, v)` does, it ends at the global scalar W(x, v) with the normalization
-W(p0, v) = v, and its V_w there is W_v.
+construction and leaves V bitwise as a run without it computes it (b's
+values in the jet V_w needs are its order-0 values).  So a run carries V_w
+only where its caller reads it, and `path_independence_defect` takes path
+1 as the trace `continue_V` made.  The flow runs backward as well as
+forward: continued from (x, v) back to p0 along the straight chart
+segment, as `invert_V(ab, p0, x, v)` does, it ends at the global scalar
+W(x, v) with the normalization W(p0, v) = v, and its V_w there is W_v.
 
 Step counts scale with the chart length of each path segment, so `dt`
 means "step per unit chart length" for polylines and "step in the curve
@@ -184,16 +187,16 @@ def _stage_rate(ab, x, V, d, want_vw, t):
     try:
         if want_vw:
             b, _, bv = ab.b_jet(x, V)
-            rates = (b, bv)
         else:
-            rates = (ab.b_values(x, V),)
+            b = ab.b_values(x, V)
     except NormalShiftError as err:
         # a failed batch names no lane: give the point only when all
         # lanes share it
         raise ContinuationError(f"field evaluation failed: {err}", t=t,
                                 point=x if np.ndim(x) == 1 else None) \
             from err
-    return tuple(np.einsum("...i,...i->...", r, d) for r in rates)
+    rate = np.einsum("...i,...i->...", b, d)
+    return (rate, np.einsum("...i,...i->...", bv, d)) if want_vw else (rate,)
 
 
 def require_positive(x, what):
@@ -250,7 +253,9 @@ def _polyline_steps(pts, dt):
     """Steps along one polyline (K+1, n), or along a batch of polylines
     (P, K+1, n) whose lanes are the last axis of V.  Each segment takes
     round(length / dt) steps in its own fraction; the path parameter is
-    chart length (the longest of a batch)."""
+    chart length (the longest of a batch).  Step j's stage points are
+    p + s * delta at s = j*h, j*h + h/2 and j*h + h, computed for a whole
+    segment in one array expression."""
     t = 0.0
     for seg in range(pts.shape[-2] - 1):
         p = pts[..., seg, :]
@@ -260,10 +265,10 @@ def _polyline_steps(pts, dt):
         nsub = max(1, int(round(length / dt)))
         h = 1.0 / nsub
         dl = length / nsub
-        for j in range(nsub):
-            s = j * h
-            xs = (p + s * delta, p + (s + 0.5 * h) * delta,
-                  p + (s + h) * delta)
+        s = np.arange(nsub) * h
+        frac = np.stack([s, s + 0.5 * h, s + h], axis=1)
+        stages = p + frac.reshape(frac.shape + (1,) * p.ndim) * delta
+        for xs in stages:
             yield h, t, t + dl, xs, (delta, delta, delta)
             t += dl
 
@@ -308,28 +313,29 @@ def continue_V(ab, path: PathSpec, w0, dt=1e-3) -> ContinuationTrace:
     return _continue(ab, path, w0, dt, want_vw=True, store=True)
 
 
-def path_independence_defect(ab, path1: PathSpec, path2: PathSpec, w0,
+def path_independence_defect(ab, trace: ContinuationTrace, path2: PathSpec,
                              dt=1e-3):
-    """|V_path1(end) - V_path2(end)| for two paths sharing both endpoints
-    (to 1e-12 relative to the paths' coordinates)."""
-    span = (path1.sample(), path2.sample())
-    if (relative_deviation(path1.start(), path2.start(), *span) > 1e-12
-            or relative_deviation(path1.end(), path2.end(), *span) > 1e-12):
+    """|V_path1(end) - V_path2(end)|, path 1 given by its trace from
+    `continue_V`: path 2 is continued from trace.V[0] and must share both
+    endpoints of trace.x (to 1e-12 relative to the paths' coordinates)."""
+    span = (trace.x, path2.sample())
+    if (relative_deviation(trace.x[0], path2.start(), *span) > 1e-12
+            or relative_deviation(trace.x[-1], path2.end(), *span) > 1e-12):
         raise PathError("paths do not share start and end points")
-    v1 = _continue(ab, path1, w0, dt, want_vw=False, store=False).end_V
-    v2 = _continue(ab, path2, w0, dt, want_vw=False, store=False).end_V
-    return float(np.max(np.abs(v1 - v2)))
+    v2 = _continue(ab, path2, trace.V[0], dt, want_vw=False, store=False).end_V
+    return float(np.max(np.abs(trace.end_V - v2)))
 
 
 # --- inversion: w = W(x, v) ----------------------------------------------------------
 
-def _invert_on_path(ab, path, v_targets, dt):
-    """(W, W_v) at the path end for each target v: one continuation run
-    backward from (end, v) to the start.  Its end value is W and its V_w
-    is W_v.  Batches of polylines (P, K, n) take targets (..., P)."""
+def _invert_on_path(ab, path, v_targets, dt, want_vw):
+    """(W, W_v) at the path end for each target v, W_v None unless
+    want_vw: one continuation run backward from (end, v) to the start.
+    Its end value is W and its V_w is W_v.  Batches of polylines
+    (P, K, n) take targets (..., P)."""
     back = (path.reversed() if isinstance(path, PathSpec)
             else np.asarray(path, dtype=float)[..., ::-1, :])
-    tr = _continue(ab, back, v_targets, dt, want_vw=True, store=False)
+    tr = _continue(ab, back, v_targets, dt, want_vw, store=False)
     return tr.end_V, tr.end_Vw
 
 
@@ -342,7 +348,7 @@ def invert_V(ab, p0, x, v, dt=1e-3):
     require_positive(v, "target speed")
     p0, x = tuple(map(float, p0)), tuple(map(float, x))
     path = PathSpec.polyline([p0, x] if x != p0 else [p0])
-    w, _ = _invert_on_path(ab, path, v, dt)
+    w, _ = _invert_on_path(ab, path, v, dt, want_vw=False)
     return float(w) if np.ndim(v) == 0 else w
 
 
@@ -742,7 +748,7 @@ def extract_h(ab, p0, v_grid, dt=1e-2):
     paths = np.stack([np.broadcast_to(p0, ends.shape), ends], axis=1)
     v_sub = v_grid[:: max(1, len(v_grid) // 4)]
     targets = np.broadcast_to(v_sub[:, None], (len(v_sub), len(ends)))
-    w, w_v = _invert_on_path(ab, paths, targets, dt)
+    w, w_v = _invert_on_path(ab, paths, targets, dt, want_vw=True)
     product = ab.a_values(ends, targets) * w_v
     h_at_w = ab.a_values(p0, w)
     defect = float(np.max(np.abs(product - h_at_w)))

@@ -166,11 +166,12 @@ def test_05_path_independence():
     derived = DerivedAB(hw("v*exp(0.5*x1)"))
     l_path = PathSpec.polyline([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)])
     direct = PathSpec.polyline([(0.0, 0.0), (1.0, 1.0)])
-    assert path_independence_defect(derived, l_path, direct, 1.0,
-                                    dt=1e-3) < 1e-8
+    assert path_independence_defect(
+        derived, continue_V(derived, l_path, 1.0, dt=1e-3), direct,
+        dt=1e-3) < 1e-8
     curl = ab("1", ("x2", "0"))
-    assert path_independence_defect(curl, direct, l_path, 1.0,
-                                    dt=1e-3) > 1e-3
+    assert path_independence_defect(
+        curl, continue_V(curl, direct, 1.0, dt=1e-3), l_path, dt=1e-3) > 1e-3
     announce(5, "path independence for closed data, dependence for curl")
 
 

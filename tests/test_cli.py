@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import normalshift
-from normalshift import dynamics, expr, fields
+from normalshift import dynamics, expr, fields, pfaff
 from normalshift.cli import main
 from normalshift.errors import ConfigError, ScenarioError
 from normalshift.scenario import load_scenario, parse_config
@@ -299,6 +299,22 @@ def test_pfaff_command_paths(tmp_path):
     assert len(lines) == 1 + 2001
 
 
+def test_pfaff_continues_each_path_once(tmp_path, monkeypatch):
+    # path 1's trace serves both continuation.csv and the independence
+    # audit, so only path 2 is continued again
+    paths = []
+    cont = pfaff._continue
+
+    def counted(ab, path, *args, **kwargs):
+        paths.append(np.asarray(path.points).tolist())
+        return cont(ab, path, *args, **kwargs)
+
+    monkeypatch.setattr(pfaff, "_continue", counted)
+    assert run_cli("pfaff", SCENARIOS / "pfaff_paths.toml", tmp_path) == 0
+    assert paths == [[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]],
+                     [[0.0, 0.0], [1.0, 1.0]]]
+
+
 def test_fnorm_command(tmp_path):
     code = run_cli("fnorm", SCENARIOS / "fnorm_decay.toml", tmp_path)
     assert code == 0
@@ -349,6 +365,27 @@ def test_monodromy_command(tmp_path):
     import math
     w, rho = map(float, lines[1].split(","))
     assert rho / w == pytest.approx(math.exp(math.pi), rel=1e-6)
+
+
+def test_monodromy_inversion_skips_the_datum_derivative(tmp_path,
+                                                         monkeypatch):
+    # invert_V reads only W, so its run evaluates b alone, never b's jet
+    calls = []
+
+    def counted(name):
+        method = getattr(fields.ABFields, name)
+
+        def call(src, x, v):
+            calls.append(name)
+            return method(src, x, v)
+        return call
+
+    for name in ("b_values", "b_jet"):
+        monkeypatch.setattr(fields.ABFields, name, counted(name))
+    assert run_cli("monodromy", SCENARIOS / "cylinder_monodromy.toml",
+                   tmp_path) == 0
+    assert "b_values" in calls
+    assert "b_jet" not in calls
 
 
 def test_monodromy_default_word_is_checked(tmp_path, capsys):

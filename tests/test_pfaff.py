@@ -25,6 +25,7 @@ from normalshift.pfaff import (
     _check_deck_invariance,
     _continue,
     _invert_on_path,
+    _polyline_steps,
     continue_V,
     extract_h,
     f_norm_estimate,
@@ -106,6 +107,57 @@ def test_continue_parametric_path():
                                0.0, math.pi / 2)
     tr = continue_V(DECAY, path, 1.0, dt=1e-3)
     assert tr.end_V == pytest.approx(math.exp(0.5), rel=1e-8)
+
+
+def test_polyline_stage_points_are_segment_fractions():
+    # reference: the stage points one step at a time; step j of a segment
+    # split into nsub steps of h = 1/nsub has its three stages at
+    # p + s*delta for s = j*h, j*h + h/2 and j*h + h
+    dt = 0.07
+    one = np.array([(0.0, 0.0), (0.3, -0.7), (1.1, 0.2), (-2.0, 0.9)])
+    batch = np.stack([one, 1.7 * one[::-1] + 0.1, one + 0.37])
+    for pts in (one, batch):
+        steps = _polyline_steps(pts, dt)
+        for seg in range(pts.shape[-2] - 1):
+            p = pts[..., seg, :]
+            delta = pts[..., seg + 1, :] - p
+            length = float(np.max(np.linalg.norm(
+                np.atleast_2d(delta), axis=-1)))
+            nsub = max(1, int(round(length / dt)))
+            h = 1.0 / nsub
+            for j in range(nsub):
+                s = j * h
+                want = (p + s * delta, p + (s + 0.5 * h) * delta,
+                        p + (s + h) * delta)
+                step_h, _, _, xs, ds = next(steps)
+                assert step_h == h
+                assert [x.tobytes() for x in xs] \
+                    == [w.tobytes() for w in want]
+                assert all(d.tobytes() == delta.tobytes() for d in ds)
+        assert next(steps, None) is None
+
+
+@settings(max_examples=10, deadline=None)
+@given(c=st.lists(st.floats(-0.8, 0.8), min_size=4, max_size=4),
+       points=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                       min_size=2, max_size=4),
+       w=st.floats(0.5, 2.0), derived=st.booleans())
+def test_datum_derivative_leaves_V_unchanged(c, points, w, derived):
+    # a run that carries V_w takes b's values from its order-1 jet, one
+    # without from order 0; the V it continues is the same to the bit, so
+    # path 1's trace from continue_V can serve the independence audit
+    assume(all(p != q for p, q in zip(points, points[1:])))
+    c0, c1, c2, c3 = (f"({k!r})" for k in c)
+    if derived:
+        data = DerivedAB(hw(f"(v+{abs(c[0])!r}*v^3)"
+                            f"*exp({c1}*x1+{c2}*x2+{c3}*sin(x1*x2))"))
+    else:
+        data = ab("1", (f"v*({c0}*sin({c1}*x2+v)+{c2})", f"{c3}*v*cos(x1)"))
+    path = PathSpec.polyline(points)
+    for w0 in (w, np.array([0.5 * w, w, 3.0 * w])):
+        with_vw = _continue(data, path, w0, 0.05, want_vw=True, store=True)
+        without = _continue(data, path, w0, 0.05, want_vw=False, store=True)
+        assert with_vw.V.tobytes() == without.V.tobytes()
 
 
 def test_continuation_leaves_domain():
@@ -220,14 +272,16 @@ def test_path_independence_closed_b():
     derived = DerivedAB(hw("v*exp(0.5*x1)"))
     l1 = PathSpec.polyline([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)])
     l2 = PathSpec.polyline([(0.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
-    assert path_independence_defect(derived, l1, l2, 1.0, dt=1e-3) < 1e-8
+    assert path_independence_defect(
+        derived, continue_V(derived, l1, 1.0, dt=1e-3), l2, dt=1e-3) < 1e-8
 
 
 def test_path_dependence_of_curl():
     direct = PathSpec.polyline([(0.0, 0.0), (1.0, 1.0)])
     detour = PathSpec.polyline([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)])
     # direct integrates x2 dx1 = 1/2; the detour gives 0
-    d = path_independence_defect(CURL, direct, detour, 1.0, dt=1e-3)
+    d = path_independence_defect(CURL, continue_V(CURL, direct, 1.0, dt=1e-3),
+                                 detour, dt=1e-3)
     assert d == pytest.approx(0.5, abs=1e-10)
     assert d > 1e-3
 
@@ -236,7 +290,7 @@ def test_path_independence_requires_shared_endpoints():
     p1 = PathSpec.polyline([(0.0, 0.0), (1.0, 0.0)])
     p2 = PathSpec.polyline([(0.0, 0.0), (0.0, 1.0)])
     with pytest.raises(PathError):
-        path_independence_defect(ZERO_B, p1, p2, 1.0)
+        path_independence_defect(ZERO_B, continue_V(ZERO_B, p1, 1.0), p2)
 
 
 @pytest.mark.parametrize("radius", [1e-6, 1.0, 1e4, 1e6])
@@ -247,10 +301,11 @@ def test_endpoint_check_does_not_depend_on_scale(radius):
                               0.0, math.pi)
     dt = 0.1 * max(radius, 1.0)
     chord = PathSpec.polyline([(radius, 0.0), (-radius, 0.0)])
-    assert path_independence_defect(ZERO_B, arc, chord, 1.0, dt=dt) == 0.0
+    trace = continue_V(ZERO_B, arc, 1.0, dt=dt)
+    assert path_independence_defect(ZERO_B, trace, chord, dt=dt) == 0.0
     short = PathSpec.polyline([(radius, 0.0), (-0.5 * radius, 0.0)])
     with pytest.raises(PathError):
-        path_independence_defect(ZERO_B, arc, short, 1.0, dt=dt)
+        path_independence_defect(ZERO_B, trace, short, dt=dt)
 
 
 # --- inversion --------------------------------------------------------------------------
@@ -299,7 +354,7 @@ def test_invert_round_trip_property(alpha, beta, x1, x2, w):
     assert invert_V(data, (0.0, 0.0), (x1, x2), float(forward.end_V),
                     dt=1e-2) == pytest.approx(w, rel=1e-9)
     _, w_v = _invert_on_path(data, straight(np.array([x1, x2])),
-                             forward.end_V, 1e-2)
+                             forward.end_V, 1e-2, want_vw=True)
     assert w_v * forward.end_Vw == pytest.approx(1.0, rel=1e-12)
 
 
