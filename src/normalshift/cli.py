@@ -162,10 +162,12 @@ def cmd_check(sc: Scenario, out_dir, report: Report):
     rows = max(1, fields.BATCH_POINTS // len(v))
     for lo in range(0, len(x), rows):
         states = (x[lo:lo + rows, None, :], v[None, :])
-        jet = ab.jet(*states)
-        parts = [closedness_residual(jet), normalizing_residual(jet)]
-        if hw is not None:
-            parts.append(collinearity_defect(jet, hw.w_jet2(*states)))
+        # with (h, W), one order-2 jet of W serves all three checks
+        w2 = None if hw is None else hw.w_jet2(*states)
+        jet = ab.jet(*states) if w2 is None else fields.derived_jet(hw, w2)
+        coll = [] if w2 is None else [collinearity_defect(jet, w2)]
+        del w2  # not held while the other residuals are computed
+        parts = [closedness_residual(jet), normalizing_residual(jet)] + coll
         for k, r in enumerate(parts):
             worst[k, lo:lo + rows] = np.abs(r).reshape(
                 r.shape[:2] + (-1,)).max(-1)

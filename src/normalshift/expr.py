@@ -18,11 +18,12 @@ is "^" with two arguments.  A literal integer exponent is valid for any
 base; any other exponent needs a positive base at evaluation time.
 
 Evaluation propagates truncated Taylor data (value, gradient, Hessian), so
-derivatives are exact up to rounding.  Each (expr, wrt, order) is compiled
-once into straight-line numpy that carries only the entries a node depends
-on structurally; the others are +0.0.  Environments may bind numpy arrays,
-which evaluate elementwise over the batch.  A `FieldExpr` is immutable but
-for that cache, and evaluation is pure, so concurrent use is safe.
+derivatives are exact up to rounding.  Each (exprs, wrt, order) is compiled
+once, on the first expression, into one straight-line numpy function that
+writes only the entries a node depends on structurally; the others are +0.0.
+Environments may bind numpy arrays, which evaluate elementwise over the
+batch.  A `FieldExpr` is immutable but for that cache of functions, and
+evaluation is pure, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -104,10 +105,11 @@ class FieldExpr:
 
     ast: Node
     free_vars: tuple = ()
+    # (ids of the tuple's other expressions, wrt, order) -> its function
     compiled: dict = field(default_factory=dict, init=False, compare=False,
                            repr=False)
 
-    def __reduce__(self):  # pickles without the compiled evaluators
+    def __reduce__(self):  # pickles without the compiled functions
         return FieldExpr, (self.ast, self.free_vars)
 
     def unparse(self) -> str:
@@ -346,13 +348,13 @@ def _minus(a, b):
 
 
 class _Compiler:
-    """Emit one straight-line numpy function of `env` for an AST, `wrt` and
-    order.  Its source holds only generated names: numbers, variable names
-    and messages are globals of the function."""
+    """Emit one straight-line numpy function of `env` for a tuple of
+    expressions, `wrt` and order.  Its source holds only generated names:
+    numbers, variable names and messages are globals of the function."""
 
     def __init__(self, wrt, order):
         self.wrt, self.order = wrt, order
-        self.lines, self.loaded = [], {}  # loaded: variable name -> local
+        self.lines, self.keys, self.loaded = [], {}, {}  # by variable name
         self.globals = {"np": np, "asarray": np.asarray}
 
     def const(self, obj):
@@ -377,6 +379,13 @@ class _Compiler:
         self.raise_(lambda: DomainEvalError(message, _unparse(node, 0)),
                     cond=f"({cond}).any()")
 
+    def bound(self, name):  # the global holding name, once checked in env
+        if name not in self.keys:
+            key = self.keys[name] = self.const(name)
+            self.raise_(UnboundVariableError, f"variable '{name}' is not "
+                        "bound in the environment", cond=f"{key} not in env")
+        return self.keys[name]
+
     def entries(self, keys, rule):
         return {key: e for key in keys if (e := self.let(rule(key)))}
 
@@ -384,21 +393,36 @@ class _Compiler:
         keys = sorted(grad) if self.order >= 2 else []
         return [(i, j) for n, i in enumerate(keys) for j in keys[n:]]
 
-    def function(self, ast):
-        val, grad, hess = self.eval(ast)
-        if val in self.globals:  # a constant: each call returns its own copy
-            val = self.let(f"{val}.copy()")
-        k = len(self.wrt)
-        self.lines.append("g = h = None")  # the entries above the order
+    def function(self, exprs):
+        """Each expression's variable checks and body in turn, then the
+        writes of every structurally nonzero entry into the outputs."""
+        # np.broadcast is 4x cheaper on one lane but takes at most 64 arrays
+        self.lines += ["values = tuple(env.values())",
+                       "batch = (np.broadcast(*values).shape if len(values)"
+                       " <= 64 else np.broadcast_shapes(*map(np.shape, "
+                       "values)))"]
+        jets = []
+        for e in exprs:
+            for name in e.free_vars:
+                self.bound(name)
+            jets.append(self.eval(e.ast))
+        k, m = len(self.wrt), len(exprs)
+        self.lines += [f"vals = np.empty(batch + ({m},))", "g = h = None"] + [
+            f"vals[..., {c}] = {val}" for c, (val, _, _) in enumerate(jets)]
         if self.order >= 1:
-            self.lines += [f"g = np.zeros({val}.shape + ({k},))"] + [
-                f"g[..., {i}] = {e}" for i, e in grad.items()]
+            self.lines += [f"g = np.zeros(batch + ({k}, {m}))"] + [
+                f"g[..., {i}, {c}] = {e}"
+                for c, (_, grad, _) in enumerate(jets)
+                for i, e in grad.items()]
         if self.order >= 2:  # one entry fills both triangles: symmetric
-            self.lines += [f"h = np.zeros({val}.shape + ({k}, {k}))"] + [
-                f"h[..., {i}, {j}] = h[..., {j}, {i}] = {e}"
+            self.lines += [f"h = np.zeros(batch + ({k}, {k}, {m}))"] + [
+                "".join(f"h[..., {a}, {b}, {c}] = "
+                        for a, b in {(i, j), (j, i)}) + e
+                for c, (_, _, hess) in enumerate(jets)
                 for (i, j), e in hess.items()]
         body = "".join(f"    {line}\n" for line in self.lines)
-        source = f"def taylor(env):\n{body}    return {val}, g, h\n"
+        source = f"def taylor(env):\n{body}    return vals, g, h\n"
+        self.globals["others"] = tuple(exprs[1:])  # keeps keyed ids alive
         exec(compile(source, "<normalshift.expr>", "exec"), self.globals)
         return self.globals["taylor"]
 
@@ -414,11 +438,8 @@ class _Compiler:
         if isinstance(node, Var):
             name = node.name
             if name not in self.loaded:
-                key = self.const(name)
-                self.raise_(UnboundVariableError, f"variable '{name}' is "
-                            "not bound in the environment",
-                            cond=f"{key} not in env")
-                self.loaded[name] = self.let(f"asarray(env[{key}], float)")
+                self.loaded[name] = self.let(
+                    f"asarray(env[{self.bound(name)}], float)")
             grad = {self.wrt.index(name): _ONE} if name in self.wrt else {}
             return self.loaded[name], grad, {}
         if isinstance(node, Neg):
@@ -530,29 +551,6 @@ class _Compiler:
         return val, grad, hess
 
 
-def taylor_eval(e: FieldExpr, env: Mapping[str, object],
-                wrt: Sequence[str] = (), order: int = 2):
-    """Evaluate `e` with derivative arrays up to `order` (0, 1 or 2).
-
-    `env` values may be scalars or broadcast-compatible numpy arrays.
-    Returns (value, gradient, hessian); gradient carries a trailing axis
-    over `wrt`, the hessian two.  Entries above `order` are None.  The
-    first call for a given `wrt` and order compiles `e` for them.
-    """
-    for name in e.free_vars:
-        if name not in env:
-            raise UnboundVariableError(
-                f"variable '{name}' is not bound in the environment")
-    try:
-        fn = e.compiled[wrt if order else (), order]
-    except (KeyError, TypeError):  # not compiled yet, or wrt is a list
-        key = (tuple(wrt) if order else (), order)
-        if key not in e.compiled:
-            e.compiled[key] = _Compiler(*key).function(e.ast)
-        fn = e.compiled[key]
-    return fn(env)
-
-
 def bind(names, points, **extra):
     """Variable binding: names[i] to points[..., i], plus the keyword
     variables as given."""
@@ -566,33 +564,22 @@ def eval_tuple(exprs: Sequence[FieldExpr], env: Mapping[str, object],
                wrt: Sequence[str], order: int):
     """Evaluate every expression of `exprs` on one binding.
 
-    Returns (values, gradients, hessians) of shapes batch + (m,),
+    Returns new (values, gradients, hessians) arrays of shapes batch + (m,),
     batch + (k, m) and batch + (k, k, m) for m expressions and k = len(wrt),
     where batch is the broadcast shape of the bound values; entries above
-    `order` are None.  Constant results are broadcast to the batch.  For a
-    single expression the arrays are views of its own (read-only where
-    broadcast); otherwise they are new.
+    `order` are None.  The first call for a tuple, `wrt` and order compiles
+    one function for them, cached on the first expression.
     """
-    # np.broadcast costs a quarter of np.broadcast_shapes, which shows on
-    # one-lane batches, but takes at most 64 arrays
-    values = tuple(env.values())
-    batch = (np.broadcast(*values).shape if len(values) <= 64
-             else np.broadcast_shapes(*map(np.shape, values)))
-    if order == 0 and len(exprs) > 1:
-        vals = np.empty(batch + (len(exprs),))
-        for i, e in enumerate(exprs):
-            vals[..., i] = taylor_eval(e, env, wrt, 0)[0]
-        return vals, None, None
-    shapes = [batch + (len(wrt),) * rank for rank in range(order + 1)]
-    if len(exprs) == 1:
-        # nothing to stack: views of the expression's own arrays, since a
-        # copy would double the peak memory of a wide order-2 call
-        parts = taylor_eval(exprs[0], env, wrt, order)
-        out = [(p if p.shape == s else np.broadcast_to(p, s))[..., None]
-               for p, s in zip(parts, shapes)]
-    else:
-        out = [np.empty(s + (len(exprs),)) for s in shapes]
-        for i, e in enumerate(exprs):
-            for arr, part in zip(out, taylor_eval(e, env, wrt, order)):
-                arr[..., i] = part
-    return tuple(out) + (None,) * (2 - order)
+    key = (tuple(map(id, exprs[1:])), tuple(wrt) if order else (), order)
+    fn = exprs[0].compiled.get(key)
+    if fn is None:
+        fn = exprs[0].compiled[key] = _Compiler(*key[1:]).function(exprs)
+    return fn(env)
+
+
+def taylor_eval(e: FieldExpr, env: Mapping[str, object],
+                wrt: Sequence[str] = (), order: int = 2):
+    """`eval_tuple` of the one expression `e`, without the expression axis:
+    (value, gradient, hessian) of shapes batch, batch + (k,), batch + (k, k)."""
+    return tuple(None if part is None else part[..., 0]
+                 for part in eval_tuple((e,), env, wrt, order))

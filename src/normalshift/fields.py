@@ -37,11 +37,11 @@ from .errors import (
     point_str,
 )
 from .expr import FieldExpr, bind, eval_tuple
-from .geometry import MetricSpec, coordinate_names, metric_at
+from .geometry import MetricSpec, coordinate_names, metric_at, state_names
 
 __all__ = [
     "HWPair", "ABFields", "DerivedAB", "ForceField",
-    "force_hw", "force_ab",
+    "force_hw", "force_ab", "derived_jet",
     "closedness_residual", "normalizing_residual", "collinearity_defect",
 ]
 
@@ -53,8 +53,8 @@ BATCH_POINTS = 4096  # points per evaluation batch in a grid sweep
 
 def _state_eval(exprs, n, x, v, order):
     """`eval_tuple` on the state (x, v), differentiated along x1..xn, v."""
-    names = coordinate_names(n) + ("v",)
-    return eval_tuple(exprs, bind(names[:-1], x, v=v), names, order)
+    return eval_tuple(exprs, bind(coordinate_names(n), x, v=v),
+                      state_names(n), order)
 
 
 # --- the (h, W) presentation ---------------------------------------------------
@@ -68,8 +68,7 @@ class HWPair:
     dimension: int
 
     def __post_init__(self):
-        allowed = set(coordinate_names(self.dimension)) | {"v"}
-        extra = set(self.W.free_vars) - allowed
+        extra = set(self.W.free_vars) - set(state_names(self.dimension))
         if extra:
             raise FrameError(f"W uses unknown variables {sorted(extra)}")
         extra = set(self.h.free_vars) - {"w"}
@@ -80,19 +79,15 @@ class HWPair:
     def w_jet1(self, x, v):
         """(W, dW/dx (..., n), dW/dv), with the dW/dv != 0 guard."""
         val, grad, _ = _state_eval((self.W,), self.dimension, x, v, 1)
-        grad = grad[..., 0]
-        wv = grad[..., -1]
-        _guard_wv(wv, x, v)
-        return val[..., 0], grad[..., :-1], wv
+        wv = _guard_wv(grad[..., -1, 0], x, v)
+        return val[..., 0], grad[..., :-1, 0], wv
 
     def w_jet2(self, x, v):
         """Adds the second derivatives: (W, Wx, Wv, Wxx, Wxv, Wvv)."""
         val, grad, hess = _state_eval((self.W,), self.dimension, x, v, 2)
-        grad, hess = grad[..., 0], hess[..., 0]
-        wv = grad[..., -1]
-        _guard_wv(wv, x, v)
-        return (val[..., 0], grad[..., :-1], wv,
-                hess[..., :-1, :-1], hess[..., :-1, -1], hess[..., -1, -1])
+        wv = _guard_wv(grad[..., -1, 0], x, v)
+        return (val[..., 0], grad[..., :-1, 0], wv, hess[..., :-1, :-1, 0],
+                hess[..., :-1, -1, 0], hess[..., -1, -1, 0])
 
     def h_val(self, w):
         return eval_tuple((self.h,), {"w": w}, (), 0)[0][..., 0]
@@ -109,6 +104,7 @@ def _guard_wv(wv, x, v):
         raise VanishingDerivativeError(
             f"dW/dv vanished (|dW/dv| <= {WV_EPS}) at "
             f"x={point_str(pt)}, v={float(vv[0])}")
+    return wv
 
 
 # --- the (a, b) presentation ----------------------------------------------------
@@ -129,7 +125,9 @@ class ABFields:
         return len(self.b)
 
     def __post_init__(self):
-        allowed = set(coordinate_names(self.dimension)) | {"v"}
+        if not self.b:
+            raise FrameError("b needs at least one component")
+        allowed = set(state_names(self.dimension))
         for label, e in [("a", self.a)] + [
                 (f"b{i + 1}", c) for i, c in enumerate(self.b)]:
             extra = set(e.free_vars) - allowed
@@ -148,13 +146,14 @@ class ABFields:
         return self.a_values(x, v), self.b_values(x, v)
 
     def b_jet(self, x, v):
-        """(b (..., n), db/dx (..., n, n) [i, j] = d b_i / d x^j,
-        db/dv (..., n))."""
-        vals, grad, _ = _state_eval(self.b, self.dimension, x, v, 1)
-        return vals, np.swapaxes(grad[..., :-1, :], -1, -2), grad[..., -1, :]
+        """(b (..., n), db/dv (..., n)): what the continuation reads."""
+        env = bind(coordinate_names(self.dimension), x, v=v)
+        vals, grad, _ = eval_tuple(self.b, env, ("v",), 1)
+        return vals, grad[..., 0, :]
 
     def jet(self, x, v):
-        """((a, da/dx, da/dv), b_jet) from one evaluation, b's first."""
+        """((a, da/dx, da/dv), (b, db/dx, db/dv)) from one evaluation, b's
+        first; db/dx[..., i, j] = d b_i / d x^j."""
         f, g, _ = _state_eval(self.b + (self.a,), self.dimension, x, v, 1)
         return ((f[..., -1], g[..., :-1, -1], g[..., -1, -1]),
                 (f[..., :-1], np.swapaxes(g[..., :-1, :-1], -1, -2),
@@ -185,23 +184,29 @@ class DerivedAB:
         return _quotient_b(*self.hw.w_jet2(x, v))
 
     def jet(self, x, v):
-        """((a, da/dx, da/dv), b_jet) from one order-2 jet of W."""
-        W, wx, wv, wxx, wxv, wvv = w2 = self.hw.w_jet2(x, v)
-        h, hp = self.hw.h_jet1(W)
-        a = h / wv
-        ax = (hp[..., None] * wx * wv[..., None] - h[..., None] * wxv) \
-            / wv[..., None] ** 2
-        av = hp - h * wvv / wv ** 2
-        return (a, ax, av), _quotient_b(*w2)
+        """The (a, b) jet of `ABFields.jet` from one order-2 jet of W."""
+        return derived_jet(self.hw, self.hw.w_jet2(x, v))
+
+
+def derived_jet(hw, w_jet2):
+    """`DerivedAB(hw).jet` from W's order-2 jet `w_jet2` on the same states."""
+    W, wx, wv, wxx, wxv, wvv = w_jet2
+    h, hp = hw.h_jet1(W)
+    a = h / wv
+    ax = (hp[..., None] * wx * wv[..., None] - h[..., None] * wxv) \
+        / wv[..., None] ** 2
+    av = hp - h * wvv / wv ** 2
+    b, bv = _quotient_b(*w_jet2)
+    bx = -(wxx * wv[..., None, None]
+           - wx[..., :, None] * wxv[..., None, :]) / wv[..., None, None] ** 2
+    return (a, ax, av), (b, bx, bv)
 
 
 def _quotient_b(W, wx, wv, wxx, wxv, wvv):
-    """b_jet of b = -W_x / W_v from W's order-2 jet, by the quotient rule."""
+    """b = -W_x / W_v and db/dv from W's order-2 jet, by the quotient rule."""
     b = -wx / wv[..., None]
-    dx = -(wxx * wv[..., None, None]
-           - wx[..., :, None] * wxv[..., None, :]) / wv[..., None, None] ** 2
     dv = -(wxv * wv[..., None] - wx * wvv[..., None]) / wv[..., None] ** 2
-    return b, dx, dv
+    return b, dv
 
 
 # --- velocity frame and forces ----------------------------------------------------

@@ -42,6 +42,11 @@ def coordinate_names(n):
     return tuple(f"x{i + 1}" for i in range(n))
 
 
+@functools.cache
+def state_names(n):  # the variables of force data
+    return coordinate_names(n) + ("v",)
+
+
 def parameter_names(n):
     return tuple(f"u{i + 1}" for i in range(n))
 
@@ -322,9 +327,7 @@ def embed_with_tangents(s: Hypersurface, u):
     tau (..., n-1, n) with tau[k] the tangent along axis k.
     """
     names = parameter_names(s.n_params)
-    # tau: batch + (k, n); row q = tangent along u_q
-    x, tau, _ = eval_tuple(s.parametrization, bind(names, u), names, 1)
-    return x, tau
+    return eval_tuple(s.parametrization, bind(names, u), names, 1)[:2]
 
 
 def _unit_normal(taus, g, orientation):

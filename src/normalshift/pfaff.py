@@ -110,6 +110,8 @@ class PathSpec:
     @staticmethod
     def parametric(exprs, t0, t1) -> "PathSpec":
         exprs = tuple(exprs)
+        if not exprs:
+            raise PathError("parametric path needs at least one component")
         for e in exprs:
             extra = set(e.free_vars) - {"t"}
             if extra:
@@ -186,7 +188,7 @@ def _stage_rate(ab, x, V, d, want_vw, t):
     """dV/dt, and d(log V_w)/dt when want_vw, at one RK4 stage."""
     try:
         if want_vw:
-            b, _, bv = ab.b_jet(x, V)
+            b, bv = ab.b_jet(x, V)
         else:
             b = ab.b_values(x, V)
     except NormalShiftError as err:
@@ -742,7 +744,7 @@ def extract_h(ab, p0, v_grid, dt=1e-2):
             f"(a, b) violates the defining equations (residual {worst:.3e} "
             f"> {residual_tol:.1e}); the factor h is ill-defined")
 
-    h_vals = np.broadcast_to(ab.a_values(p0, v_grid), v_grid.shape).copy()
+    h_vals = ab.a_values(p0, v_grid)  # a new array of v_grid's shape
 
     ends = p0 + np.vstack([0.5 * np.eye(n), 0.5 ** np.arange(n)])
     paths = np.stack([np.broadcast_to(p0, ends.shape), ends], axis=1)

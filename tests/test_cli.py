@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import normalshift
-from normalshift import dynamics, expr, fields, pfaff
+from normalshift import dynamics, fields, pfaff
 from normalshift.cli import main
 from normalshift.errors import ConfigError, ScenarioError
 from normalshift.scenario import load_scenario, parse_config
@@ -223,21 +223,21 @@ def test_check_blocks_leave_the_report_unchanged(tmp_path, monkeypatch,
 
 def test_check_evaluates_one_jet_per_block(tmp_path, monkeypatch):
     orders = []
-    taylor = expr.taylor_eval
+    evaluate = fields.eval_tuple
 
-    def counted(e, env, wrt=(), order=2):
+    def counted(exprs, env, wrt, order):
         orders.append(order)
-        return taylor(e, env, wrt, order)
+        return evaluate(exprs, env, wrt, order)
 
-    monkeypatch.setattr(expr, "taylor_eval", counted)
+    monkeypatch.setattr(fields, "eval_tuple", counted)
     monkeypatch.setattr(fields, "BATCH_POINTS", 15)
-    # hw: 25 rows of 5 speeds in 9 blocks, each with W's order-2 jet
-    # once in ab.jet and once in hw.w_jet2
+    # hw: 25 rows of 5 speeds in 9 blocks, each with one order-2 jet of W
+    # for both the derived jet and the collinearity check
     assert run_cli("check", SCENARIOS / "check_consistent.toml",
                    tmp_path / "hw") == 0
-    assert orders.count(2) == 2 * 9
-    # ab: 16 rows of 4 speeds in 6 blocks, one order-1 jet of (b1, b2, a)
-    # each
+    assert orders.count(2) == 9
+    # ab: 16 rows of 4 speeds in 6 blocks, one order-1 jet of the tuple
+    # (b1, b2, a) each
     orders.clear()
     jets = []
     jet = fields.ABFields.jet
@@ -250,7 +250,7 @@ def test_check_evaluates_one_jet_per_block(tmp_path, monkeypatch):
     assert run_cli("check", SCENARIOS / "check_broken.toml",
                    tmp_path / "ab") == 1
     assert len(jets) == 6
-    assert orders == [1] * 3 * 6
+    assert orders == [1] * 6
 
 
 def test_unknown_command_usage_exit_2(capsys):

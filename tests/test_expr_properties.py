@@ -1,9 +1,10 @@
 """Property-based invariants of the expression DSL (hypothesis)."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from normalshift.errors import DomainEvalError
+from normalshift.errors import DomainEvalError, UnboundVariableError
 from normalshift.expr import eval_tuple, parse, taylor_eval
 
 VARS = ("x1", "x2", "v")
@@ -93,3 +94,78 @@ def test_gradient_matches_finite_differences(src, env):
         fd = (taylor_eval(e, up, (), 0)[0]
               - taylor_eval(e, dn, (), 0)[0]) / (2 * h)
         assert abs(grad[i] - fd) <= 1e-5 * max(1.0, abs(fd))
+
+
+# --- tuples -----------------------------------------------------------------------
+
+# a constant, a variable or a tree; all of them share the variables VARS
+_component = st.one_of(_leaf, _tree)
+# leaves its domain in its last factor, on every lane: the tree is total
+_leaving = st.tuples(_tree, st.sampled_from([
+    "log(x1-x1-1)", "1/(v-v)", "sqrt(x2-x2-0.5)", "(x1-x1-2)^0.5",
+])).map(lambda t: f"({t[0]})*({t[1]})")
+# bound arrays of different shapes, which broadcast to (2, 3)
+_SHAPES = [(), (3,), (2, 1), (1, 3), (2, 3)]
+_batch_env = st.tuples(
+    st.sampled_from(_SHAPES), st.sampled_from(_SHAPES),
+    st.sampled_from(_SHAPES), st.integers(min_value=0, max_value=2 ** 32 - 1),
+).map(lambda t: {
+    name: np.random.default_rng(t[3]).uniform(lo, hi, shape)
+    for name, lo, hi, shape in zip(VARS, (-1.5, -1.5, 0.2), (1.5, 1.5, 2.0),
+                                   t[:3])})
+
+
+def _error(exprs, env, order):
+    with pytest.raises((DomainEvalError, UnboundVariableError)) as exc:
+        eval_tuple(exprs, env, VARS, order)
+    return type(exc.value), str(exc.value)
+
+
+@given(st.lists(_component, min_size=1, max_size=4), st.booleans(),
+       _batch_env)
+@settings(max_examples=60, deadline=None)
+def test_tuple_is_its_components_bitwise(srcs, repeat, env):
+    # the one function of a tuple computes each component as the function
+    # of that component alone does, also when the tuple repeats one
+    exprs = tuple(map(parse, srcs))
+    exprs += exprs[:1] if repeat else ()
+    batch = np.broadcast_shapes(*map(np.shape, env.values()))
+    with np.errstate(all="ignore"):
+        for order in (0, 1, 2):
+            whole = eval_tuple(exprs, env, VARS, order)
+            assert whole[0].shape == batch + (len(exprs),)
+            for i, e in enumerate(exprs):
+                alone = eval_tuple((e,), env, VARS, order)
+                for got, want in zip(whole, alone):
+                    assert (got is None) == (want is None)
+                    if want is not None:
+                        assert got[..., i].tobytes() == want[..., 0].tobytes()
+
+
+@given(st.lists(_component, min_size=1, max_size=3), _leaving,
+       st.lists(st.one_of(_component, _leaving), max_size=2), _batch_env)
+@settings(max_examples=60, deadline=None)
+def test_tuple_raises_as_its_first_leaving_component(before, leaving, after,
+                                                     env):
+    exprs = tuple(map(parse, before + [leaving] + after))
+    with np.errstate(all="ignore"):
+        for order in (0, 1, 2):
+            assert _error(exprs, env, order) \
+                == _error((exprs[len(before)],), env, order)
+
+
+@given(_component, _leaving, _leaving, _batch_env)
+@settings(max_examples=40, deadline=None)
+def test_unbound_variable_is_reported_in_component_order(good, first, src,
+                                                         env):
+    # y is unbound, and read after its component has left its domain
+    unbound = parse(f"({src})+y")
+    first = parse(first)
+    message = "variable 'y' is not bound in the environment"
+    with np.errstate(all="ignore"):
+        for order in (0, 1, 2):
+            for exprs in ((unbound,), (parse(good), unbound)):
+                assert _error(exprs, env, order) \
+                    == (UnboundVariableError, message)
+            assert _error((first, unbound), env, order) \
+                == _error((first,), env, order)

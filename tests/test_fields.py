@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from normalshift import expr
+from normalshift import fields
 from normalshift.errors import (
     FrameError,
     VanishingDerivativeError,
@@ -186,13 +186,14 @@ def test_force_equivalence_conformal_metric():
 def test_derived_force_evaluates_one_jet_of_W(monkeypatch):
     pair = hw("v*exp(0.3*x1)", h="w")
     seen = []
-    taylor = expr.taylor_eval
+    evaluate = fields.eval_tuple
 
-    def counted(e, env, wrt=(), order=2):
+    def counted(exprs, env, wrt, order):
+        (e,) = exprs
         seen.append(("W" if e is pair.W else "h", order))
-        return taylor(e, env, wrt, order)
+        return evaluate(exprs, env, wrt, order)
 
-    monkeypatch.setattr(expr, "taylor_eval", counted)
+    monkeypatch.setattr(fields, "eval_tuple", counted)
     force_ab(DerivedAB(pair), EUC2, [0.1, 0.2], [1.0, 0.5])
     assert seen == [("W", 1), ("h", 0)]
 
@@ -266,11 +267,13 @@ def test_custom_force_allows_zero_speed():
     DerivedAB(hw("v*exp(0.5*x1+0.2*x2)", h="w^2")),
 ])
 def test_jet_b_is_b_jet_bitwise(src):
-    # the checks read b from jet, the continuation from b_jet: the same bits
+    # the checks read b and db/dv from jet, the continuation from b_jet:
+    # the same bits
     rng = np.random.default_rng(29)
     x = rng.uniform(-1, 1, size=(12, 1, 2))
     v = rng.uniform(0.5, 2.0, size=(1, 7))
-    for got, want in zip(src.jet(x, v)[1], src.b_jet(x, v)):
+    b, _, bv = src.jet(x, v)[1]
+    for got, want in zip((b, bv), src.b_jet(x, v)):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
@@ -281,9 +284,9 @@ def test_derived_b_jet_does_not_evaluate_h(monkeypatch):
 
     monkeypatch.setattr(HWPair, "h_jet1", refuse)
     monkeypatch.setattr(HWPair, "h_val", refuse)
-    b, dx, dv = DerivedAB(hw("v*exp(0.5*x1)", h="w^2")).b_jet(
-        [0.0, 0.0], 1.0)
+    b, dv = DerivedAB(hw("v*exp(0.5*x1)", h="w^2")).b_jet([0.0, 0.0], 1.0)
     assert b == pytest.approx([-0.5, 0.0], abs=1e-15)
+    assert dv == pytest.approx([-0.5, 0.0], abs=1e-15)
 
 
 def test_closedness_zero_for_derived_b():
@@ -381,3 +384,8 @@ def test_ab_components_may_only_use_position_and_speed():
         ab("1", ("xdot1", "0"))
     with pytest.raises(FrameError):
         ABFields(parse("u1"), (parse("0"), parse("0")))
+
+
+def test_ab_needs_a_b_component():
+    with pytest.raises(FrameError, match="at least one component"):
+        ABFields(parse("1"), ())

@@ -233,6 +233,11 @@ def test_path_validation():
         PathSpec.parametric([parse("t"), parse("0")], 1.0, 0.0)
 
 
+def test_parametric_path_needs_a_component():
+    with pytest.raises(PathError, match="at least one component"):
+        PathSpec.parametric([], 0.0, 1.0)
+
+
 def test_polyline_rejects_ragged_points():
     with pytest.raises(PathError, match=r"point 1 \(1\.0,\) has 1 "
                                         r"coordinates, point 0 has 2"):
