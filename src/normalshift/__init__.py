@@ -24,7 +24,7 @@ from .fields import (
     force_hw,
     normalizing_residual,
 )
-from .dynamics import State, Trajectory, integrate
+from .dynamics import integrate_batch
 from .pfaff import (
     AdmissibleF,
     MonodromyMap,
@@ -56,7 +56,7 @@ __all__ = [
     "HWPair", "ABFields", "DerivedAB", "ForceField",
     "force_hw", "force_ab",
     "closedness_residual", "normalizing_residual", "collinearity_defect",
-    "State", "Trajectory", "integrate",
+    "integrate_batch",
     "PathSpec", "AdmissibleF", "MonodromyMap",
     "continue_V", "path_independence_defect", "invert_V",
     "f_norm_estimate", "monodromy", "gauge_transform", "extract_h",

@@ -24,10 +24,10 @@ import sys
 
 import numpy as np
 
-from . import fields
+from . import dynamics, fields
 from .errors import ConfigError, NormalShiftError, ScenarioError
 from .expr import parse as parse_expr
-from .dynamics import State, integrate, write_csv, write_trajectory_csv
+from .dynamics import write_csv, write_trajectory_csv
 from .fields import (
     DerivedAB,
     closedness_residual,
@@ -124,7 +124,10 @@ def _path_from(run, key):
     pts = run.get(key)
     if pts is None:
         raise ScenarioError("path is required by this command", f"run.{key}")
-    return PathSpec.polyline([tuple(float(c) for c in p) for p in pts])
+    try:
+        return PathSpec.polyline(pts)
+    except NormalShiftError as err:
+        raise ScenarioError(str(err), f"run.{key}") from None
 
 
 def _random_states(sc: Scenario, count):
@@ -180,15 +183,14 @@ def cmd_check(sc: Scenario, out_dir, report: Report):
 
 def cmd_trajectory(sc: Scenario, out_dir, report: Report):
     run = sc.run
-    x0 = tuple(map(float, run.get("x0", [0.0] * sc.dimension)))
-    xdot0 = run.get("xdot0")
-    if xdot0 is None:
+    if "xdot0" not in run:
         raise ScenarioError("initial velocity is required", "run.xdot0")
-    traj = integrate(sc.force, State(x0, tuple(map(float, xdot0))),
-                     float(run["t_max"]), float(run["dt"]))
-    write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), traj)
-    report.info(f"steps {len(traj) - 1}, final speed "
-                f"{_fmt(traj.speeds()[-1])}")
+    times, x, xdot = dynamics.integrate_batch(
+        sc.force, run.get("x0", [0.0] * sc.dimension), run["xdot0"],
+        float(run["t_max"]), float(run["dt"]))
+    speeds = write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"),
+                                  sc.force.metric, times, x, xdot)
+    report.info(f"steps {len(times) - 1}, final speed {_fmt(speeds[-1])}")
 
 
 def cmd_shift(sc: Scenario, out_dir, report: Report):
@@ -220,21 +222,22 @@ def cmd_shift(sc: Scenario, out_dir, report: Report):
 def cmd_pfaff(sc: Scenario, out_dir, report: Report):
     ab = _require_ab(sc, "pfaff")
     run = sc.run
+    # every path is read before any output is written
     path = _path_from(run, "path")
+    other = _path_from(run, "path2") if "path2" in run else None
+    loop = _path_from(run, "loop") if "loop" in run else None
     trace = continue_V(ab, path, float(run["w0"]), dt=float(run["dt"]))
     header = (["t"] + [f"x{i + 1}" for i in range(sc.dimension)]
               + ["V", "V_w"])
     write_csv(os.path.join(out_dir, "continuation.csv"), header,
               [np.column_stack([trace.t, trace.x, trace.V, trace.Vw])])
     report.info(f"endpoint V {_fmt(trace.end_V)}, V_w {_fmt(trace.end_Vw)}")
-    if "path2" in run:
-        other = _path_from(run, "path2")
+    if other is not None:
         defect = path_independence_defect(ab, trace, other,
                                           dt=float(run["dt"]))
         report.metric("path_independence_defect", defect,
                       float(run["path_tol"]))
-    if "loop" in run:
-        loop = _path_from(run, "loop")
+    if loop is not None:
         defect = loop_closure_defect(loop, ab, float(run["nu0"]),
                                      dt=float(run["dt"]),
                                      manifold=sc.manifold)

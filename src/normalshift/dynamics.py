@@ -5,9 +5,10 @@
 by classical fixed-step fourth-order Runge-Kutta on the equivalent
 first-order system.  Fixed step keeps convergence-order measurements
 clean; the connection term is re-evaluated at every stage so the order
-is preserved on curved metrics.  Batches of initial states integrate
-together with no shared mutable state, and a step that leaves any lane
-non-finite stops the integration.
+is preserved on curved metrics.  `integrate_batch` is the one
+integrator: batches of initial states integrate together with no shared
+mutable state, a single trajectory is a batch of one lane, and a step
+that leaves any lane non-finite stops the integration.
 
 The metric is the force's own, `ForceField.metric`, and is not given twice.
 
@@ -17,8 +18,6 @@ rate that needs its stage inputs checked checks them itself.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,42 +31,9 @@ from .errors import (
 from .fields import SPEED_EPS, ForceField
 from .geometry import christoffel, metric_at
 
-__all__ = ["State", "Trajectory", "integrate", "integrate_batch",
-           "write_csv", "write_trajectory_csv"]
+__all__ = ["integrate_batch", "write_csv", "write_trajectory_csv"]
 
 CSV_BLOCK_ROWS = 4096
-
-
-@dataclass(frozen=True)
-class State:
-    x: tuple
-    xdot: tuple
-    t: float = 0.0
-
-
-@dataclass(eq=False)
-class Trajectory:
-    """States at uniform time steps, with the force that produced them."""
-
-    times: np.ndarray      # (m+1,)
-    x: np.ndarray          # (m+1, n)
-    xdot: np.ndarray       # (m+1, n)
-    force: ForceField
-
-    def __len__(self):
-        return len(self.times)
-
-    def state(self, i) -> State:
-        return State(tuple(self.x[i]), tuple(self.xdot[i]),
-                     float(self.times[i]))
-
-    def final_state(self) -> State:
-        return self.state(len(self.times) - 1)
-
-    def speeds(self) -> np.ndarray:
-        g = metric_at(self.force.metric, self.x)
-        return np.sqrt(np.einsum("...i,...ij,...j->...", self.xdot, g,
-                                 self.xdot))
 
 
 def _acceleration(force: ForceField, x, xdot):
@@ -161,12 +127,6 @@ def _check_speed(metric, x, xdot):
             f"(state {lane} at x={point_str(pt)})")
 
 
-def integrate(force: ForceField, s0: State, T, dt) -> Trajectory:
-    """Single trajectory from s0; every step is stored."""
-    times, xs, xds = integrate_batch(force, s0.x, s0.xdot, T, dt)
-    return Trajectory(times + s0.t, xs, xds, force)
-
-
 def write_csv(path, header, blocks, int_cols=0):
     """Write the header line, then the rows of each 2-d block
     (rows, len(header)) in order; the first int_cols columns hold
@@ -188,11 +148,14 @@ def write_csv(path, header, blocks, int_cols=0):
                 fh.write(row * len(part) % tuple(part.ravel().tolist()))
 
 
-def write_trajectory_csv(path, traj: Trajectory):
-    """Columns t, x1..xn, xdot1..xdotn, speed at full double precision."""
-    n = traj.x.shape[-1]
-    speeds = traj.speeds()
+def write_trajectory_csv(path, metric, times, x, xdot):
+    """Columns t, x1..xn, xdot1..xdotn and the g-speed under `metric`, at
+    full double precision, for one trajectory of `integrate_batch`
+    (times (L,), x and xdot (L, n)).  Returns the speed column."""
+    n = x.shape[-1]
+    speeds = np.sqrt(np.einsum("...i,...ij,...j->...", xdot,
+                               metric_at(metric, x), xdot))
     header = (["t"] + [f"x{i + 1}" for i in range(n)]
               + [f"xdot{i + 1}" for i in range(n)] + ["speed"])
-    write_csv(path, header, [np.column_stack([traj.times, traj.x,
-                                              traj.xdot, speeds])])
+    write_csv(path, header, [np.column_stack([times, x, xdot, speeds])])
+    return speeds

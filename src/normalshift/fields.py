@@ -135,15 +135,15 @@ class ABFields:
                 raise FrameError(
                     f"{label} uses unknown variables {sorted(extra)}")
 
-    def a_values(self, x, v):
-        return _state_eval((self.a,), self.dimension, x, v, 0)[0][..., 0]
-
     def b_values(self, x, v):
         # value-only path: the continuation inner loop lives here
         return _state_eval(self.b, self.dimension, x, v, 0)[0]
 
     def ab_values(self, x, v):
-        return self.a_values(x, v), self.b_values(x, v)
+        """(a, b (..., n)) from one evaluation, a's first, so a state
+        where both leave their domain raises a's error."""
+        f = _state_eval((self.a,) + self.b, self.dimension, x, v, 0)[0]
+        return f[..., 0], f[..., 1:]
 
     def b_jet(self, x, v):
         """(b (..., n), db/dv (..., n)): what the continuation reads."""
@@ -168,9 +168,6 @@ class DerivedAB:
     def __init__(self, hw: HWPair):
         self.hw = hw
         self.dimension = hw.dimension
-
-    def a_values(self, x, v):
-        return self.ab_values(x, v)[0]
 
     def b_values(self, x, v):
         W, wx, wv = self.hw.w_jet1(x, v)

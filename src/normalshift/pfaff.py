@@ -129,12 +129,6 @@ class PathSpec:
                             "tangent on the interval")
         return path
 
-    @property
-    def dimension(self):
-        if self.kind == "polyline":
-            return len(self.points[0])
-        return len(self.exprs)
-
     def start(self):
         if self.kind == "polyline":
             return np.asarray(self.points[0], dtype=float)
@@ -744,14 +738,14 @@ def extract_h(ab, p0, v_grid, dt=1e-2):
             f"(a, b) violates the defining equations (residual {worst:.3e} "
             f"> {residual_tol:.1e}); the factor h is ill-defined")
 
-    h_vals = ab.a_values(p0, v_grid)  # a new array of v_grid's shape
+    h_vals = ab.ab_values(p0, v_grid)[0]  # of v_grid's shape
 
     ends = p0 + np.vstack([0.5 * np.eye(n), 0.5 ** np.arange(n)])
     paths = np.stack([np.broadcast_to(p0, ends.shape), ends], axis=1)
     v_sub = v_grid[:: max(1, len(v_grid) // 4)]
     targets = np.broadcast_to(v_sub[:, None], (len(v_sub), len(ends)))
     w, w_v = _invert_on_path(ab, paths, targets, dt, want_vw=True)
-    product = ab.a_values(ends, targets) * w_v
-    h_at_w = ab.a_values(p0, w)
+    product = ab.ab_values(ends, targets)[0] * w_v
+    h_at_w = ab.ab_values(p0, w)[0]
     defect = float(np.max(np.abs(product - h_at_w)))
     return ExtractedH(v_grid, h_vals, defect, tuple(map(tuple, ends)))

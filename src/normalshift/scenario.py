@@ -24,7 +24,15 @@ from dataclasses import dataclass
 from .errors import ConfigError, NormalShiftError, ScenarioError
 from .expr import parse as parse_expr
 from .fields import ABFields, ForceField, HWPair
-from .geometry import CoveringManifold, Hypersurface, MetricSpec
+from .geometry import (
+    CoveringManifold,
+    Hypersurface,
+    MetricSpec,
+    base_node_index,
+    coordinate_names,
+    parameter_names,
+    state_names,
+)
 
 __all__ = ["Scenario", "load_scenario", "parse_config", "validate_run"]
 
@@ -190,7 +198,7 @@ def _floats(value, path, length):
 
 def _build_metric(man: dict, n: int) -> MetricSpec:
     kind = man.get("metric", "euclidean")
-    coords = [f"x{i + 1}" for i in range(n)]
+    coords = coordinate_names(n)
     if kind == "euclidean":
         return MetricSpec(n)
     if kind == "conformal":
@@ -210,29 +218,28 @@ def _build_metric(man: dict, n: int) -> MetricSpec:
 
 def _build_field(sec: dict, n: int, metric: MetricSpec) -> ForceField:
     kind = sec.get("kind", "")
-    coords = [f"x{i + 1}" for i in range(n)]
+    state = state_names(n)
     if kind == "hw":
-        W = _expr(sec.get("W"), "field.W", coords + ["v"])
+        W = _expr(sec.get("W"), "field.W", state)
         h = _expr(sec.get("h", "1"), "field.h", ["w"])
         try:
             return ForceField(HWPair(W, h, n), metric)
         except NormalShiftError as err:
             raise ScenarioError(str(err), "field") from None
     if kind == "ab":
-        a = _expr(sec.get("a"), "field.a", coords + ["v"])
-        b = _exprs(sec.get("b"), "field.b", n, coords + ["v"])
+        a = _expr(sec.get("a"), "field.a", state)
+        b = _exprs(sec.get("b"), "field.b", n, state)
         return ForceField(ABFields(a, b), metric)
     if kind == "custom":
-        allowed = coords + [f"xdot{i + 1}" for i in range(n)] + ["v"]
+        allowed = state + tuple(f"xdot{i + 1}" for i in range(n))
         return ForceField(_exprs(sec.get("F"), "field.F", n, allowed), metric)
     raise ScenarioError("kind must be 'hw', 'ab' or 'custom'", "field.kind")
 
 
 def _build_surface(sec: dict, n: int) -> Hypersurface:
     k = n - 1
-    params = [f"u{i + 1}" for i in range(k)]
     parametrization = _exprs(sec.get("parametrization"),
-                             "surface.parametrization", n, params)
+                             "surface.parametrization", n, parameter_names(k))
     ranges_raw = sec.get("ranges")
     if not isinstance(ranges_raw, list) or len(ranges_raw) != k:
         raise ScenarioError(f"expected {k} ranges", "surface.ranges")
@@ -253,10 +260,15 @@ def _build_surface(sec: dict, n: int) -> Hypersurface:
         raise ScenarioError("orientation must be 1 or -1",
                             "surface.orientation")
     try:
-        return Hypersurface(n, parametrization, ranges, tuple(grid),
-                            tuple(base), tuple(closed), orientation)
+        surface = Hypersurface(n, parametrization, ranges, tuple(grid),
+                               tuple(base), tuple(closed), orientation)
     except NormalShiftError as err:
         raise ScenarioError(str(err), "surface") from None
+    try:
+        base_node_index(surface)
+    except NormalShiftError as err:
+        raise ScenarioError(str(err), "surface.base") from None
+    return surface
 
 
 def load_scenario(path) -> Scenario:

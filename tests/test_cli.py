@@ -17,6 +17,7 @@ import normalshift
 from normalshift import dynamics, fields, pfaff
 from normalshift.cli import main
 from normalshift.errors import ConfigError, ScenarioError
+from normalshift.geometry import metric_at
 from normalshift.scenario import load_scenario, parse_config
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -156,6 +157,32 @@ def test_bad_surface_nu0_is_named(tmp_path, capsys, value):
     assert "run.nu0" not in err
 
 
+def test_surface_base_off_the_grid_is_named(tmp_path, capsys):
+    # a configuration error found when the surface is loaded, not a
+    # computation error of the shift
+    cfg = tmp_path / "circle.toml"
+    cfg.write_text((SCENARIOS / "circle_shift.toml").read_text()
+                   .replace("base = [0.0]", "base = [0.01]"))
+    assert run_cli("shift", cfg, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "surface.base: base point coordinate 0.01 is not a grid node" \
+        in err
+    assert not (tmp_path / "out" / "report.txt").exists()
+
+
+@pytest.mark.parametrize("key", ["path", "path2"])
+def test_coincident_path_points_are_named(tmp_path, capsys, key):
+    cfg = tmp_path / "pfaff.toml"
+    text = (SCENARIOS / "pfaff_paths.toml").read_text()
+    old = [line for line in text.splitlines() if line.startswith(key + " =")]
+    cfg.write_text(text.replace(
+        old[0], f"{key} = [[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]]"))
+    assert run_cli("pfaff", cfg, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert f"run.{key}: consecutive polyline points coincide" in err
+    assert list((tmp_path / "out").iterdir()) == []  # nothing is written
+
+
 def test_scenario_holds_each_value_once():
     # the force carries the field's source, its kind and the metric
     sc = load_scenario(SCENARIOS / "check_consistent.toml")
@@ -274,6 +301,32 @@ def test_trajectory_csv_written(tmp_path):
     lines = (tmp_path / "trajectory.csv").read_text().splitlines()
     assert lines[0] == "t,x1,x2,xdot1,xdot2,speed"
     assert len(lines) == 1 + 11  # header + initial + 10 steps
+
+
+def test_trajectory_speed_column_is_the_metric_quadratic_form(tmp_path):
+    # on an n = 3 explicit metric the speed column is, bitwise,
+    # sqrt(xdot . g(x) . xdot) as one three-operand einsum over the
+    # written states; lowering xdot first differs in the last bits on 27
+    # of these 201 rows
+    cfg = tmp_path / "traj3.toml"
+    cfg.write_text(
+        '[manifold]\ndimension = 3\nmetric = "explicit"\n'
+        'explicit = [["1 + 0.3*x2^2", "0.2*x1", "0.1"],\n'
+        '            ["0.2*x1", "2 + 0.1*x1*x3", "0"],\n'
+        '            ["0.1", "0", "1.5 + 0.2*x3^2"]]\n'
+        '[field]\nkind = "custom"\nF = ["0.1*x2", "-0.2", "0.3*x1"]\n'
+        '[run]\nt_max = 0.2\ndt = 1e-3\nx0 = [0.1, -0.2, 0.3]\n'
+        'xdot0 = [0.7, 0.4, -0.5]\n')
+    assert run_cli("trajectory", cfg, tmp_path) == 0
+    rows = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",",
+                      skiprows=1)
+    assert rows.shape == (201, 8)
+    x, xdot, speed = rows[:, 1:4], rows[:, 4:7], rows[:, 7]
+    metric = load_scenario(cfg).force.metric
+    want = np.sqrt(np.einsum("...i,...ij,...j->...", xdot,
+                             metric_at(metric, x), xdot))
+    assert speed.tobytes() == want.tobytes()
+    assert f"final speed {want[-1]:.17g}" in read_report(tmp_path)
 
 
 def test_shift_command_circle(tmp_path):

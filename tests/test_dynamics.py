@@ -9,9 +9,7 @@ from normalshift.errors import IntegrationAborted, ZeroSpeedError
 from normalshift.expr import parse
 from normalshift import dynamics
 from normalshift.dynamics import (
-    State,
     _check_speed,
-    integrate,
     integrate_batch,
     rk4,
     write_csv,
@@ -30,30 +28,29 @@ def hw_force(W, h="1", n=2, metric=None):
 
 def test_free_motion_is_straight_line():
     ff = ForceField((parse("0"), parse("0")), EUC2)
-    traj = integrate(ff, State((0.0, 0.0), (1.0, 0.0)), 1.0, 1e-2)
-    assert traj.x[-1] == pytest.approx([1.0, 0.0], abs=1e-14)
-    assert np.max(np.abs(traj.x[:, 1])) == 0.0
+    times, x, _ = integrate_batch(ff, (0.0, 0.0), (1.0, 0.0), 1.0, 1e-2)
+    assert x[-1] == pytest.approx([1.0, 0.0], abs=1e-14)
+    assert np.max(np.abs(x[:, 1])) == 0.0
     # strictly increasing uniform time stamps
-    gaps = np.diff(traj.times)
+    gaps = np.diff(times)
     assert np.max(np.abs(gaps - 1e-2)) < 1e-12
 
 
 def test_unit_thrust_speed_growth():
     # F = N gives dv/dt = 1 along a straight ray: v(T) = 1 + T
     ff, _ = hw_force("v")
-    traj = integrate(ff, State((0.0, 0.0), (1.0, 0.0)), 1.0, 1e-3)
-    assert traj.speeds()[-1] == pytest.approx(2.0, abs=1e-8)
+    _, _, xdot = integrate_batch(ff, (0.0, 0.0), (1.0, 0.0), 1.0, 1e-3)
+    assert np.linalg.norm(xdot[-1]) == pytest.approx(2.0, abs=1e-8)
 
 
 def test_convergence_order_is_four():
     # curved trajectories (transverse gradient) so RK4 has genuine error
     ff, _ = hw_force("v*exp(0.5*x1)")
-    s0 = State((0.0, 0.0), (0.6, 0.8))
+    x0, xdot0 = (0.0, 0.0), (0.6, 0.8)
     ends = []
     for dt in (0.2, 0.1, 0.05):
-        traj = integrate(ff, s0, 2.0, dt)
-        ends.append(traj.x[-1])
-    ref = integrate(ff, s0, 2.0, 0.002).x[-1]
+        ends.append(integrate_batch(ff, x0, xdot0, 2.0, dt)[1][-1])
+    ref = integrate_batch(ff, x0, xdot0, 2.0, 0.002)[1][-1]
     e1 = np.linalg.norm(ends[0] - ref)
     e2 = np.linalg.norm(ends[1] - ref)
     e3 = np.linalg.norm(ends[2] - ref)
@@ -91,7 +88,7 @@ def test_non_finite_state_aborts_and_names_the_lane():
         with pytest.raises(IntegrationAborted,
                            match=r"step 1 .*non-finite; the step started "
                                  r"at x=\(0\.7, 0\.0\)") as exc:
-            integrate(ff, State((0.7, 0.0), (1.0, 0.5)), 0.01, 1e-3)
+            integrate_batch(ff, (0.7, 0.0), (1.0, 0.5), 0.01, 1e-3)
         assert exc.value.step == 1
         assert np.all(np.isfinite(exc.value.partial[1]))
         # in a batch the lane that failed is named with its own point
@@ -104,31 +101,29 @@ def test_non_finite_state_aborts_and_names_the_lane():
 
 def test_time_reversal_of_free_motion():
     ff = ForceField((parse("0"), parse("0")), EUC2)
-    fwd = integrate(ff, State((0.2, -0.4), (0.7, 1.1)), 1.0, 1e-2)
-    last = fwd.final_state()
-    back = integrate(ff,
-                     State(last.x, tuple(-c for c in last.xdot)), 1.0, 1e-2)
-    assert back.x[-1] == pytest.approx([0.2, -0.4], abs=1e-9)
+    _, x, xdot = integrate_batch(ff, (0.2, -0.4), (0.7, 1.1), 1.0, 1e-2)
+    _, back, _ = integrate_batch(ff, x[-1], -xdot[-1], 1.0, 1e-2)
+    assert back[-1] == pytest.approx([0.2, -0.4], abs=1e-9)
 
 
 def test_deck_equivariance():
     # field independent of position; metric euclidean; translation in x1
     ff, m = hw_force("v")
     man = CoveringManifold(m, ((2 * math.pi, 0.0),))
-    s0 = State((0.1, 0.3), (1.0, 0.5))
-    shifted_x = tuple(deck_apply(man, "g1", np.array(s0.x)))
-    t1 = integrate(ff, s0, 1.0, 1e-2)
-    t2 = integrate(ff, State(shifted_x, s0.xdot), 1.0, 1e-2)
-    diff = t2.x - (t1.x + np.array([2 * math.pi, 0.0]))
+    x0, xdot0 = np.array([0.1, 0.3]), (1.0, 0.5)
+    _, x1, xd1 = integrate_batch(ff, x0, xdot0, 1.0, 1e-2)
+    _, x2, xd2 = integrate_batch(ff, deck_apply(man, "g1", x0), xdot0,
+                                 1.0, 1e-2)
+    diff = x2 - (x1 + np.array([2 * math.pi, 0.0]))
     assert np.max(np.abs(diff)) < 1e-12
-    assert np.max(np.abs(t2.xdot - t1.xdot)) < 1e-12
+    assert np.max(np.abs(xd2 - xd1)) < 1e-12
 
 
 def test_speed_collapse_aborts_with_partial():
     # constant deceleration along the ray: speed hits zero at t = 0.5
     ff, _ = hw_force("v", h="-1")
     with pytest.raises(IntegrationAborted) as exc:
-        integrate(ff, State((0.0, 0.0), (0.5, 0.0)), 1.0, 1e-3)
+        integrate_batch(ff, (0.0, 0.0), (0.5, 0.0), 1.0, 1e-3)
     err = exc.value
     assert err.partial is not None
     assert 0.0 < err.time < 1.0
@@ -151,23 +146,25 @@ def test_curved_metric_straight_geodesic_check():
     # cross-check one step against a tiny-step reference
     m = MetricSpec(2, kind="conformal", conformal=parse("0.3*x1"))
     ff = ForceField((parse("0"), parse("0")), m)
-    coarse = integrate(ff, State((0.0, 0.0), (1.0, 0.2)), 0.5, 0.5 / 8)
-    fine = integrate(ff, State((0.0, 0.0), (1.0, 0.2)), 0.5, 0.5 / 256)
-    assert coarse.x[-1] == pytest.approx(fine.x[-1], abs=1e-6)
+    coarse = integrate_batch(ff, (0.0, 0.0), (1.0, 0.2), 0.5, 0.5 / 8)[1]
+    fine = integrate_batch(ff, (0.0, 0.0), (1.0, 0.2), 0.5, 0.5 / 256)[1]
+    assert coarse[-1] == pytest.approx(fine[-1], abs=1e-6)
 
 
 def test_trajectory_csv_format(tmp_path):
-    ff, _ = hw_force("v")
-    traj = integrate(ff, State((0.0, 0.0), (1.0, 0.0)), 0.1, 1e-2)
+    ff, m = hw_force("v")
+    times, x, xdot = integrate_batch(ff, (0.0, 0.0), (1.0, 0.0), 0.1, 1e-2)
     out = tmp_path / "traj.csv"
-    write_trajectory_csv(out, traj)
+    speeds = write_trajectory_csv(out, m, times, x, xdot)
     lines = out.read_text().splitlines()
     assert lines[0] == "t,x1,x2,xdot1,xdot2,speed"
-    assert len(lines) == 1 + len(traj.times)
+    assert len(lines) == 1 + len(times)
     # full double precision round-trips
     row = lines[5].split(",")
-    assert float(row[0]) == traj.times[4]
-    assert float(row[1]) == traj.x[4][0]
+    assert float(row[0]) == times[4]
+    assert float(row[1]) == x[4][0]
+    # the speed column is the one returned
+    assert [float(r.split(",")[-1]) for r in lines[1:]] == speeds.tolist()
 
 
 def test_csv_blocks_match_per_value_format(tmp_path, monkeypatch):

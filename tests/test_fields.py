@@ -7,6 +7,7 @@ import pytest
 
 from normalshift import fields
 from normalshift.errors import (
+    DomainEvalError,
     FrameError,
     VanishingDerivativeError,
     ZeroSpeedError,
@@ -99,14 +100,14 @@ def test_a_from_hW_values():
     for W, h, x, v, want in (("v", "1", [0.1, 0.2], 1.5, 1.0),
                              ("v*exp(0.5*x1)", "1", [0.0, 0.0], 1.0, 1.0),
                              ("v", "w^2", [0.0, 0.0], 3.0, 9.0)):
-        a = DerivedAB(hw(W, h=h)).a_values(x, v)
+        a, _ = DerivedAB(hw(W, h=h)).ab_values(x, v)
         assert a == pytest.approx(want)
 
 
 def test_vanishing_wv_is_an_error():
     # W = x1 has no speed dependence at all
     derived = DerivedAB(hw("x1"))
-    for values in (derived.b_values, derived.a_values):
+    for values in (derived.b_values, derived.ab_values):
         with pytest.raises(VanishingDerivativeError):
             values([0.5, 0.5], 1.0)
 
@@ -198,6 +199,43 @@ def test_derived_force_evaluates_one_jet_of_W(monkeypatch):
     assert seen == [("W", 1), ("h", 0)]
 
 
+def test_ab_force_evaluates_one_tuple(monkeypatch):
+    src = ab("2+v*x2", ("-0.5*v", "0.3*x1*v"))
+    seen = []
+    evaluate = fields.eval_tuple
+
+    def counted(exprs, env, wrt, order):
+        seen.append((exprs, order))
+        return evaluate(exprs, env, wrt, order)
+
+    monkeypatch.setattr(fields, "eval_tuple", counted)
+    x, xdot = rand_states(np.random.default_rng(5), 2, 30)
+    force_ab(src, EUC2, x, xdot)
+    assert seen == [((src.a,) + src.b, 0)]
+
+
+@pytest.mark.parametrize("x,v", [
+    ([0.3, -0.7], 1.3),
+    (np.linspace(-1.0, 1.0, 6).reshape(3, 1, 2), np.array([[0.5, 1.0, 2.5]])),
+])
+def test_ab_values_are_the_components_bitwise(x, v):
+    src = ab("2+v*x2", ("-0.5*v", "0.3*x1*v"))
+    a, b = src.ab_values(x, v)
+    a_alone = _state_eval((src.a,), 2, x, v, 0)[0][..., 0]
+    assert a.shape == a_alone.shape and a.tobytes() == a_alone.tobytes()
+    b_alone = src.b_values(x, v)
+    assert b.shape == b_alone.shape and b.tobytes() == b_alone.tobytes()
+
+
+def test_ab_values_raise_the_error_of_a_first():
+    # both a and b leave their domain at x = (-1, -1)
+    src = ab("log(x1)", ("sqrt(x2)", "0"))
+    with pytest.raises(DomainEvalError, match=r"'log\(x1\)'$"):
+        src.ab_values([-1.0, -1.0], 1.0)
+    with pytest.raises(DomainEvalError, match=r"'sqrt\(x2\)'$"):
+        src.ab_values([1.0, -1.0], 1.0)
+
+
 @pytest.mark.parametrize("m", [
     EUC2, MetricSpec(2, kind="conformal", conformal=parse("0.2*x2"))])
 def test_derived_force_matches_separate_a_and_b_bitwise(m):
@@ -208,7 +246,7 @@ def test_derived_force_matches_separate_a_and_b_bitwise(m):
             self.src = src
 
         def ab_values(self, x, v):
-            return self.src.a_values(x, v), self.src.b_values(x, v)
+            return self.src.ab_values(x, v)[0], self.src.b_values(x, v)
 
     derived = DerivedAB(hw("v*exp(0.5*x1+0.2*x2)", h="w^2"))
     x, xdot = rand_states(np.random.default_rng(17), 2, 40)
