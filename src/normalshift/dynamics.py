@@ -28,7 +28,7 @@ from .errors import (
     first_bad,
     point_str,
 )
-from .fields import SPEED_EPS, ForceField
+from .fields import SPEED_EPS, ForceField, _columns, _dot
 from .geometry import christoffel, metric_at
 
 __all__ = ["integrate_batch", "write_csv", "write_trajectory_csv"]
@@ -116,15 +116,17 @@ def _check_finite(start, x, xdot):
 
 def _check_speed(metric, x, xdot):
     if metric.is_euclidean:
-        v2 = np.einsum("...i,...i->...", xdot, xdot)
+        cols = _columns(xdot)
+        v2 = _dot(cols, cols)
     else:
         v2 = np.einsum("...i,...ij,...j->...", xdot, metric_at(metric, x),
                        xdot)
     if (v2 <= SPEED_EPS ** 2).any():
         lane, (pt,) = first_bad(v2 <= SPEED_EPS ** 2, x)
+        where = f"state {lane} at " if lane else ""
         raise ZeroSpeedError(
             f"velocity modulus collapsed below {SPEED_EPS} mid-integration "
-            f"(state {lane} at x={point_str(pt)})")
+            f"({where}x={point_str(pt)})")
 
 
 def write_csv(path, header, blocks, int_cols=0):

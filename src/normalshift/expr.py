@@ -350,7 +350,10 @@ def _minus(a, b):
 class _Compiler:
     """Emit one straight-line numpy function of `env` for a tuple of
     expressions, `wrt` and order.  Its source holds only generated names:
-    numbers, variable names and messages are globals of the function."""
+    numbers, variable names and messages are globals of the function.
+    A variable that `loaded` maps to a generated name reads that name in
+    place of `env`, so callers can emit a function of their own around
+    the jets (`fields` does, for the force)."""
 
     def __init__(self, wrt, order):
         self.wrt, self.order = wrt, order
@@ -393,14 +396,25 @@ class _Compiler:
         keys = sorted(grad) if self.order >= 2 else []
         return [(i, j) for n, i in enumerate(keys) for j in keys[n:]]
 
-    def function(self, exprs):
-        """Each expression's variable checks and body in turn, then the
-        writes of every structurally nonzero entry into the outputs."""
+    def batch(self, values):
+        """`batch`: the broadcast shape of the arrays `values` holds."""
         # np.broadcast is 4x cheaper on one lane but takes at most 64 arrays
-        self.lines += ["values = tuple(env.values())",
+        self.lines += [f"values = {values}",
                        "batch = (np.broadcast(*values).shape if len(values)"
                        " <= 64 else np.broadcast_shapes(*map(np.shape, "
                        "values)))"]
+
+    def define(self, signature, result):
+        """The function `def signature` with the lines so far as its body."""
+        body = "".join(f"    {line}\n" for line in self.lines)
+        source = f"def {signature}:\n{body}    return {result}\n"
+        exec(compile(source, "<normalshift.expr>", "exec"), self.globals)
+        return self.globals[signature.partition("(")[0]]
+
+    def function(self, exprs):
+        """Each expression's variable checks and body in turn, then the
+        writes of every structurally nonzero entry into the outputs."""
+        self.batch("tuple(env.values())")
         jets = []
         for e in exprs:
             for name in e.free_vars:
@@ -420,11 +434,8 @@ class _Compiler:
                         for a, b in {(i, j), (j, i)}) + e
                 for c, (_, _, hess) in enumerate(jets)
                 for (i, j), e in hess.items()]
-        body = "".join(f"    {line}\n" for line in self.lines)
-        source = f"def taylor(env):\n{body}    return vals, g, h\n"
         self.globals["others"] = tuple(exprs[1:])  # keeps keyed ids alive
-        exec(compile(source, "<normalshift.expr>", "exec"), self.globals)
-        return self.globals["taylor"]
+        return self.define("taylor(env)", "vals, g, h")
 
     def eval(self, node):  # a malformed hand-built tree raises in walk order
         try:

@@ -20,12 +20,17 @@ pointwise residuals of that jet so that sweeps can audit declared data.
 
 Everything evaluates on batches: position arrays (..., n) and speed or
 velocity arrays broadcast along the leading axes.
+
+`force_hw` and `force_ab` are the readable reference.  A `ForceField` of
+an `HWPair` or `ABFields` source on a euclidean metric runs their formula
+compiled with its jet into one straight-line function, bitwise equal to
+them: both sum with `_dot`, and a zero jet entry still enters as 0.0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -36,7 +41,7 @@ from .errors import (
     first_bad,
     point_str,
 )
-from .expr import FieldExpr, bind, eval_tuple
+from .expr import FieldExpr, _Compiler, bind, eval_tuple
 from .geometry import MetricSpec, coordinate_names, metric_at, state_names
 
 __all__ = [
@@ -208,6 +213,33 @@ def _quotient_b(W, wx, wv, wxx, wxv, wvv):
 
 # --- velocity frame and forces ----------------------------------------------------
 
+def _dot(a, b):
+    """sum_i a_i b_i of two sequences of n columns, summed as
+    np.einsum("...i,...i->...") sums a unit-stride last axis: from 0.0,
+    pairwise for n = 3 and 4, and by np.einsum itself for n >= 5."""
+    if len(a) >= 5:
+        a, b = (np.stack(np.broadcast_arrays(*c), -1) for c in (a, b))
+        return np.einsum("...i,...i->...", a, b)
+    p = [s * t for s, t in zip(a, b)]
+    if len(p) == 4:
+        return 0.0 + ((p[0] + p[2]) + (p[1] + p[3]))
+    if len(p) == 3:
+        return 0.0 + ((p[0] + p[2]) + p[1])
+    return 0.0 + (p[0] + p[1] if len(p) == 2 else p[0])
+
+
+def _columns(a):
+    return np.moveaxis(a, -1, 0)
+
+
+def _guard_speed(v, x):
+    slow = v <= SPEED_EPS
+    if slow.any():
+        _, (pt,) = first_bad(slow, x)
+        raise ZeroSpeedError(
+            f"velocity modulus <= {SPEED_EPS} at x={point_str(pt)}")
+
+
 def _velocity_frame(m: MetricSpec, x, xdot):
     """g-speed, unit direction (contravariant and covariant), and the
     metric matrix (None for a euclidean metric, which lowers nothing)."""
@@ -218,12 +250,8 @@ def _velocity_frame(m: MetricSpec, x, xdot):
     else:
         g = metric_at(m, x)
         xdot_low = np.einsum("...ij,...j->...i", g, xdot)
-    v = np.sqrt(np.einsum("...i,...i->...", xdot, xdot_low))
-    slow = v <= SPEED_EPS
-    if slow.any():
-        _, (pt,) = first_bad(slow, x)
-        raise ZeroSpeedError(
-            f"velocity modulus <= {SPEED_EPS} at x={point_str(pt)}")
+    v = np.sqrt(_dot(_columns(xdot), _columns(xdot_low)))
+    _guard_speed(v, x)
     n_up = xdot / v[..., None]
     n_low = n_up if g is None else xdot_low / v[..., None]
     return v, n_up, n_low, g
@@ -247,7 +275,7 @@ def force_hw(hw, m: MetricSpec, x, xdot) -> np.ndarray:
     h, wv = hw.h_val(W)[..., None], wv[..., None]
     quot = wx / wv
     # sum_i quot_i * (2 N^i N_k - delta^i_k)
-    corr = (2.0 * np.einsum("...i,...i->...", quot, n_up)[..., None] * n_low
+    corr = (2.0 * _dot(_columns(quot), _columns(n_up))[..., None] * n_low
             - quot)
     f_low = h * n_low / wv - v[..., None] * corr
     return _raise_force(m, x, f_low, g)
@@ -260,8 +288,7 @@ def force_ab(ab, m: MetricSpec, x, xdot) -> np.ndarray:
     """
     v, n_up, n_low, g = _velocity_frame(m, x, xdot)
     a, b = ab.ab_values(x, v)
-    corr = (2.0 * np.einsum("...i,...i->...", b, n_up)[..., None] * n_low
-            - b)
+    corr = 2.0 * _dot(_columns(b), _columns(n_up))[..., None] * n_low - b
     f_low = a[..., None] * n_low + v[..., None] * corr
     return _raise_force(m, x, f_low, g)
 
@@ -304,12 +331,59 @@ class ForceField:
             return "ab"
         return "custom"
 
+    def __reduce__(self):  # pickles without the compiled force
+        return ForceField, (self.source, self.metric)
+
+    @cached_property
+    def _kernel(self):
+        """The compiled force of an `HWPair` or `ABFields` source on a
+        euclidean metric; None where the reference functions serve."""
+        euclidean_hw_or_ab = (self.metric.is_euclidean
+                              and type(self.source) in (HWPair, ABFields))
+        return _compile_force(self.source) if euclidean_hw_or_ab else None
+
     def __call__(self, x, xdot):
+        if self._kernel is not None:
+            return self._kernel(x, xdot)
         if self.kind == "hw":
             return force_hw(self.source, self.metric, x, xdot)
         if self.kind == "ab":
             return force_ab(self.source, self.metric, x, xdot)
         return custom_force(self.source, self.metric, x, xdot)
+
+
+def _compile_force(src):
+    """`force_hw` or `force_ab` of `src` on a euclidean metric as one
+    function force(x, xdot), column by column: the same operations on the
+    same values, so the same bits and the same errors in the same order."""
+    n, hw = src.dimension, isinstance(src, HWPair)
+    c = _Compiler(state_names(n), 1 if hw else 0)
+    x, xdot = c.let("asarray(x, float)"), c.let("asarray(xdot, float)")
+    xs, xdots = ([c.let(f"{a}[..., {i}]") for i in range(n)]
+                 for a in (x, xdot))
+    join, dot = ", ".join, c.const(_dot)
+    v = c.let(f"np.sqrt({dot}([{join(xdots)}], [{join(xdots)}]))")
+    c.lines.append(f"{c.const(_guard_speed)}({v}, {x})")
+    unit = [c.let(f"({d}/{v})") for d in xdots]
+    c.loaded.update(zip(state_names(n), xs + [v]))
+    c.batch(f"[{join(xs + [v])}]")
+    if hw:  # F_k = h N_k / W_v - v (2 (q.N) N_k - q_k), q = W_x / W_v
+        W, grad, _ = c.eval(src.W.ast)
+        wv = c.let(f"{c.const(_guard_wv)}({grad.get(n, '0.0')}, {x}, {v})")
+        c.loaded["w"] = W
+        h = c.eval(src.h.ast)[0]
+        # equal entries, such as the structural zeros, share one quotient
+        over = cache(lambda e: c.let(f"({e}/{wv})"))
+        b = [over(grad.get(i, "0.0")) for i in range(n)]
+        lead = f"(({h}*{{}})/{wv})-"
+    else:  # F_k = a N_k + v (2 (b.N) N_k - b_k)
+        a, *b = [c.eval(e.ast)[0] for e in (src.a,) + src.b]
+        lead = f"({a}*{{}})+"
+    twice = c.let(f"(2.0*{dot}([{join(b)}], [{join(unit)}]))")
+    c.lines += [f"F = np.empty(batch + ({n},))"] + [
+        f"F[..., {k}] = ({lead.format(u)}({v}*(({twice}*{u})-{q})))"
+        for k, (u, q) in enumerate(zip(unit, b))]
+    return c.define("force(x, xdot)", "F")
 
 
 # --- PDE residuals -----------------------------------------------------------------

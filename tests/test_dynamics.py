@@ -141,6 +141,13 @@ def test_speed_collapse_names_the_failing_lane():
         _check_speed(EUC2, x, xdot)
 
 
+def test_one_lane_speed_collapse_names_no_index():
+    # one lane has no index to name, as in the non-finite state check
+    with pytest.raises(ZeroSpeedError) as exc:
+        _check_speed(EUC2, np.array([0.1, 0.2]), np.array([0.0, 0.0]))
+    assert str(exc.value).endswith("mid-integration (x=(0.1, 0.2))")
+
+
 def test_curved_metric_straight_geodesic_check():
     # zero force on a conformal metric: the geodesic equation is exercised;
     # cross-check one step against a tiny-step reference

@@ -1,13 +1,28 @@
 """Property-based invariants of the paper's force (hypothesis): the (h, W)
-and (a, b) presentations give the same force, and a monotone
-reparametrization of W (a gauge transformation) leaves it unchanged."""
+and (a, b) presentations give the same force, a monotone
+reparametrization of W (a gauge transformation) leaves it unchanged, and
+the compiled force of a euclidean metric is its reference function's."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
+from test_expr_properties import _div_tree, _leaving, _tree
 
+from normalshift.errors import (
+    DomainEvalError,
+    VanishingDerivativeError,
+    ZeroSpeedError,
+)
 from normalshift.expr import parse
-from normalshift.fields import DerivedAB, HWPair, force_ab, force_hw
-from normalshift.geometry import MetricSpec
+from normalshift.fields import (
+    ABFields,
+    DerivedAB,
+    ForceField,
+    HWPair,
+    force_ab,
+    force_hw,
+)
+from normalshift.geometry import MetricSpec, coordinate_names, state_names
 from normalshift.pfaff import gauge_transform
 
 EUC2 = MetricSpec(2)
@@ -85,3 +100,120 @@ def test_force_is_gauge_invariant(W, h, rho, seed):
     f1 = force_hw(gauge_transform(pair, parse(rho)), EUC2, x, xdot)
     err = np.linalg.norm(f1 - f0, axis=-1)
     assert err.max() <= 1e-9 * _term_scale(pair, x, xdot).max()
+
+
+# --- the compiled force against its reference ------------------------------------
+
+# batch shapes of x and xdot: equal, or broadcast against each other
+_BATCHES = [((), ()), ((1,), (1,)), ((7,), (7,)), ((64, 32), (64, 32)),
+            ((7,), ()), ((), (7,)), ((1,), (7,)), ((64, 1), (32,))]
+
+
+def _sources(W, h, component, n):
+    """(h, W) pairs and (a, b) fields of dimension n from source strategies."""
+    return st.one_of(
+        st.tuples(W, h).map(lambda t: HWPair(parse(t[0]), parse(t[1]), n)),
+        st.lists(component, min_size=n + 1, max_size=n + 1).map(
+            lambda c: ABFields(parse(c[0]), tuple(map(parse, c[1:])))))
+
+
+def _valid_W(n):
+    # W_v = g'(v) e^{sin T1} + g(v) e^{sin T1} cos(T1) dT1/dv
+    return st.tuples(_speed_factor, _trees(state_names(n)),
+                     _trees(coordinate_names(n))).map(
+        lambda t: f"{t[0]}*exp(sin({t[1]}))+{t[2]}")
+
+
+def _valid(n):
+    return _sources(_valid_W(n), _trees(("w",)),
+                    st.one_of(_trees(state_names(n)), _tree), n)
+
+
+def _failing(n):
+    """Sources that leave their domain (on every lane, or where they divide
+    by zero), W with a zero or tiny W_v, and h that leaves its domain."""
+    names, xs = state_names(n), coordinate_names(n)
+    ok = st.one_of(_trees(names), _tree)
+    W = st.one_of(_leaving, _trees(xs),
+                  _trees(xs).map(lambda s: f"1e-11*v+{s}"))
+    h = st.sampled_from(["log(w-w-1)", "sqrt(w-w-1)", "1/(w-w)", "log(w)"])
+    return st.one_of(
+        _sources(W, _trees(("w",)), st.one_of(_leaving, _div_tree, ok), n),
+        _sources(_valid_W(n), h, _leaving, n))
+
+
+def _outcome(force, *args):
+    """The force's bytes and shape, or the type and message it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            f = force(*args)
+    except Exception as err:  # noqa: BLE001 - compared, not handled
+        return type(err), str(err)
+    return f.shape, f.tobytes()
+
+
+def _case(source, batches, seed, stop):
+    """The outcomes of the compiled force and its reference function on
+    random states; with `stop`, the last lane of xdot is at rest."""
+    n = source.dimension
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.5, 1.5, batches[0] + (n,))
+    xdot = rng.uniform(-1.5, 1.5, batches[1] + (n,))
+    if stop:
+        xdot.reshape(-1, n)[-1] = 0.0
+    metric = MetricSpec(n)
+    reference = force_hw if isinstance(source, HWPair) else force_ab
+    return (_outcome(ForceField(source, metric), x, xdot),
+            _outcome(reference, source, metric, x, xdot))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_compiled_force_is_the_reference_bitwise(n, data):
+    compiled, reference = _case(data.draw(_valid(n)),
+                                data.draw(st.sampled_from(_BATCHES)),
+                                data.draw(_seed), False)
+    assert compiled == reference
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_compiled_force_fails_as_the_reference(n, data):
+    compiled, reference = _case(data.draw(_failing(n)),
+                                data.draw(st.sampled_from(_BATCHES)),
+                                data.draw(_seed), data.draw(st.booleans()))
+    assert compiled == reference
+
+
+@pytest.mark.parametrize("source, stop, error", [
+    (HWPair(parse("v*log(x1-x1-1)"), parse("1"), 2), False, DomainEvalError),
+    (HWPair(parse("v*exp(x1)"), parse("log(w-w-1)"), 2), False,
+     DomainEvalError),
+    (HWPair(parse("1e-11*v+x1"), parse("w"), 3), False,
+     VanishingDerivativeError),
+    (HWPair(parse("x1*x2"), parse("w"), 2), False, VanishingDerivativeError),
+    (HWPair(parse("x1"), parse("log(w-w-1)"), 2), False,
+     VanishingDerivativeError),
+    (ABFields(parse("sqrt(v-v-1)"), (parse("1/(v-v)"), parse("0"))), False,
+     DomainEvalError),
+    (ABFields(parse("1"), (parse("v"), parse("1/(v-v)"))), False,
+     DomainEvalError),
+    (HWPair(parse("v*log(x1-x1-1)"), parse("1"), 2), True, ZeroSpeedError)])
+@pytest.mark.parametrize("batches", [((), ()), ((7,), (7,)), ((1,), (7,))])
+def test_compiled_force_raises_the_reference_error(source, stop, error,
+                                                  batches):
+    compiled, reference = _case(source, batches, 0, stop)
+    assert compiled == reference
+    assert compiled[0] is error
+
+
+def test_structurally_zero_entry_keeps_its_sign():
+    # W_x2 = 0 enters as q_2 = 0.0 / W_v = -0.0, and F_2 = -0.0 - v (-0.0
+    # - q_2) shows its sign: F_2 is -0.0, where q_2 = +0.0 would give +0.0
+    source = HWPair(parse("-v*exp(x1)"), parse("1"), 2)
+    x, xdot = np.array([0.3, 0.2]), np.array([-1.0, 0.0])
+    f = ForceField(source, EUC2)(x, xdot)
+    assert f.tobytes() == force_hw(source, EUC2, x, xdot).tobytes()
+    assert f[1] == 0.0 and np.signbit(f[1])

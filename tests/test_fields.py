@@ -1,6 +1,7 @@
 """Force presentations, conversions between them, and PDE residuals."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -296,6 +297,74 @@ def test_force_rejects_a_source_of_another_dimension(source):
 def test_custom_force_allows_zero_speed():
     ff = ForceField((parse("1"), parse("0")), EUC2)
     assert ff([0.0, 0.0], [0.0, 0.0]) == pytest.approx([1.0, 0.0])
+
+
+# --- the dot product and the compiled force --------------------------------------
+
+def _operand(rng, shape, n, strided):
+    """Values of magnitude 1e-12..1e12 with +0.0 and -0.0 mixed in.  A
+    strided operand is a view whose batch axes are strided, as the b of
+    `ab_values` is; its last axis keeps unit stride, as every operand of
+    a force does (np.einsum sums a strided last axis in another order)."""
+    full = shape + (n + 1,)
+    a = rng.standard_normal(full) * 10.0 ** rng.uniform(-12, 12, full)
+    a[rng.random(full) < 0.2] = 0.0
+    a[rng.random(full) < 0.2] = -0.0
+    return a[..., 1:] if strided else np.ascontiguousarray(a[..., 1:])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("shape", [(), (1,), (7,), (2048,), (64, 32)])
+def test_dot_sums_as_einsum_bitwise(n, shape):
+    rng = np.random.default_rng(n)
+    for strided in [(False, False), (True, False), (True, True)]:
+        a, b = (_operand(rng, shape, n, s) for s in strided)
+        for lhs in (a, -a, np.zeros_like(a), -np.zeros_like(a)):
+            want = np.asarray(np.einsum("...i,...i->...", lhs, b))
+            got = np.asarray(fields._dot(fields._columns(lhs),
+                                         fields._columns(b)))
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+STATES = (np.array([[0.3, -0.2], [1.0, 0.5]]),
+          np.array([[0.7, 1.1], [-0.4, 0.2]]))
+
+
+def test_force_compiles_once(monkeypatch):
+    defined, define = [], fields._Compiler.define
+
+    def counted(self, signature, result):
+        defined.append(signature)
+        return define(self, signature, result)
+    monkeypatch.setattr(fields._Compiler, "define", counted)
+    ff = ForceField(hw("v*exp(0.3*x1)", h="w"), EUC2)
+    for _ in range(100):
+        f = ff(*STATES)
+    assert defined == ["force(x, xdot)"]
+    assert f.tobytes() == force_hw(ff.source, EUC2, *STATES).tobytes()
+
+
+def test_called_force_pickles():
+    ff = ForceField(hw("v*exp(0.3*x1)", h="w"), EUC2)
+    f = ff(*STATES)
+    assert pickle.loads(pickle.dumps(ff))(*STATES).tobytes() == f.tobytes()
+
+
+@pytest.mark.parametrize("source, metric, reference", [
+    (hw("v*exp(0.3*x1)", h="w"),
+     MetricSpec(2, kind="conformal", conformal=parse("0.2*x2")), force_hw),
+    (ab("1+v", ("0.1*x2", "-v")),
+     MetricSpec(2, kind="conformal", conformal=parse("0.2*x2")), force_ab),
+    (DerivedAB(hw("v*exp(0.3*x1)")), EUC2, force_ab),
+    ((parse("x1*v"), parse("xdot1")), EUC2, fields.custom_force)])
+def test_other_forces_take_the_reference_path(monkeypatch, source, metric,
+                                              reference):
+    def refuse(src):
+        raise AssertionError("compiled a force kernel")
+    monkeypatch.setattr(fields, "_compile_force", refuse)
+    f = ForceField(source, metric)(*STATES)
+    assert f.tobytes() == reference(source, metric, *STATES).tobytes()
 
 
 # --- residuals ----------------------------------------------------------------------
