@@ -32,7 +32,6 @@ from .fields import (
     DerivedAB,
     closedness_residual,
     collinearity_defect,
-    force_hw,
     normalizing_residual,
 )
 from .geometry import grid_axes
@@ -45,6 +44,7 @@ from .pfaff import (
     gauge_transform,
     monodromy,
     path_independence_defect,
+    require_shared_ends,
 )
 from .scenario import Scenario, load_scenario, validate_run
 from .shift import (
@@ -52,6 +52,7 @@ from .shift import (
     loop_closure_defect,
     normal_shift,
     orthogonality_defect,
+    require_closed_loop,
     solve_nu,
     write_shift_family_csv,
 )
@@ -113,21 +114,38 @@ def _v_grid(run, points):
 
 
 def _w_grid(run):
+    """A monodromy table's nodes: run.w_grid, or run.w_points of them
+    log-spaced from w_min to w_max; at least two, strictly increasing."""
     if "w_grid" in run:
-        return np.asarray(run["w_grid"], dtype=float)
-    return np.logspace(np.log10(run.get("w_min", 0.1)),
-                       np.log10(run.get("w_max", 10.0)),
-                       run.get("w_points", 10))
+        w, keys = np.asarray(run["w_grid"], dtype=float), ("w_grid",) * 2
+    else:
+        w = np.logspace(np.log10(run.get("w_min", 0.1)),
+                        np.log10(run.get("w_max", 10.0)),
+                        run.get("w_points", 10))
+        keys = ("w_points", "w_max")
+    if len(w) < 2:
+        raise ScenarioError("a monodromy table needs at least 2 nodes",
+                            f"run.{keys[0]}")
+    if np.any(np.diff(w) <= 0.0):
+        raise ScenarioError("the w grid must be strictly increasing",
+                            f"run.{keys[1]}")
+    return w
+
+
+def _checked(key, check, *args):
+    """check(*args), a library check of scenario values, whose error
+    becomes a configuration error naming `key`."""
+    try:
+        return check(*args)
+    except NormalShiftError as err:
+        raise ScenarioError(str(err), key) from None
 
 
 def _path_from(run, key):
     pts = run.get(key)
     if pts is None:
         raise ScenarioError("path is required by this command", f"run.{key}")
-    try:
-        return PathSpec.polyline(pts)
-    except NormalShiftError as err:
-        raise ScenarioError(str(err), f"run.{key}") from None
+    return _checked(f"run.{key}", PathSpec.polyline, pts)
 
 
 def _random_states(sc: Scenario, count):
@@ -222,10 +240,14 @@ def cmd_shift(sc: Scenario, out_dir, report: Report):
 def cmd_pfaff(sc: Scenario, out_dir, report: Report):
     ab = _require_ab(sc, "pfaff")
     run = sc.run
-    # every path is read before any output is written
+    # every path is read and checked before any output is written
     path = _path_from(run, "path")
     other = _path_from(run, "path2") if "path2" in run else None
     loop = _path_from(run, "loop") if "loop" in run else None
+    if other is not None:
+        _checked("run.path2", require_shared_ends, path.sample(), other)
+    if loop is not None:
+        _checked("run.loop", require_closed_loop, loop, sc.manifold)
     trace = continue_V(ab, path, float(run["w0"]), dt=float(run["dt"]))
     header = (["t"] + [f"x{i + 1}" for i in range(sc.dimension)]
               + ["V", "V_w"])
@@ -288,10 +310,10 @@ def cmd_gauge(sc: Scenario, out_dir, report: Report):
     if rho_src is None:
         raise ScenarioError("closed-form rho is required", "run.rho")
     rho = parse_expr(rho_src)
-    hw, metric = sc.force.source, sc.force.metric
     x, xdot = _random_states(sc, int(sc.run["n_states"]))
-    f0 = force_hw(hw, metric, x, xdot)
-    f1 = force_hw(gauge_transform(hw, rho), metric, x, xdot)
+    f0 = sc.force(x, xdot)
+    f1 = fields.ForceField(gauge_transform(sc.force.source, rho),
+                           sc.force.metric)(x, xdot)
     report.metric("gauge_force_discrepancy", float(np.max(np.abs(f1 - f0))),
                   float(sc.run["gauge_tol"]))
 

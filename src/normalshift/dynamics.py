@@ -81,9 +81,9 @@ def integrate_batch(force: ForceField, x0, xdot0, T, dt, store_every=1):
     x = np.array(x0, dtype=float)
     xdot = np.array(xdot0, dtype=float)
     nsteps = int(round(T / dt))
-    times = [0.0]
-    xs = [x.copy()]
-    xds = [xdot.copy()]
+    # each step makes new arrays and nothing writes into them, so the
+    # stored layers need no copies
+    times, xs, xds = [0.0], [x], [xdot]
     for step in range(nsteps):
         start = x
         try:
@@ -99,8 +99,8 @@ def integrate_batch(force: ForceField, x0, xdot0, T, dt, store_every=1):
                 step=step + 1, time=(step + 1) * dt) from err
         if (step + 1) % store_every == 0 or step + 1 == nsteps:
             times.append((step + 1) * dt)
-            xs.append(x.copy())
-            xds.append(xdot.copy())
+            xs.append(x)
+            xds.append(xdot)
     return np.asarray(times), np.asarray(xs), np.asarray(xds)
 
 

@@ -30,7 +30,7 @@ them: both sum with `_dot`, and a zero jet entry still enters as 0.0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 
 import numpy as np
 
@@ -183,7 +183,8 @@ class DerivedAB:
         return self.hw.h_val(W) / wv, -wx / wv[..., None]
 
     def b_jet(self, x, v):
-        return _quotient_b(*self.hw.w_jet2(x, v))
+        _, wx, wv, _, wxv, wvv = self.hw.w_jet2(x, v)
+        return _quotient_b(wx, wv, wxv, wvv)
 
     def jet(self, x, v):
         """The (a, b) jet of `ABFields.jet` from one order-2 jet of W."""
@@ -198,13 +199,13 @@ def derived_jet(hw, w_jet2):
     ax = (hp[..., None] * wx * wv[..., None] - h[..., None] * wxv) \
         / wv[..., None] ** 2
     av = hp - h * wvv / wv ** 2
-    b, bv = _quotient_b(*w_jet2)
+    b, bv = _quotient_b(wx, wv, wxv, wvv)
     bx = -(wxx * wv[..., None, None]
            - wx[..., :, None] * wxv[..., None, :]) / wv[..., None, None] ** 2
     return (a, ax, av), (b, bx, bv)
 
 
-def _quotient_b(W, wx, wv, wxx, wxv, wvv):
+def _quotient_b(wx, wv, wxv, wvv):
     """b = -W_x / W_v and db/dv from W's order-2 jet, by the quotient rule."""
     b = -wx / wv[..., None]
     dv = -(wxv * wv[..., None] - wx * wvv[..., None]) / wv[..., None] ** 2
@@ -257,8 +258,8 @@ def _velocity_frame(m: MetricSpec, x, xdot):
     return v, n_up, n_low, g
 
 
-def _raise_force(m, x, f_low, g):
-    if m.is_euclidean:
+def _raise_force(f_low, g):
+    if g is None:  # a euclidean metric
         return f_low
     return np.einsum("...ij,...j->...i", np.linalg.inv(g), f_low)
 
@@ -278,7 +279,7 @@ def force_hw(hw, m: MetricSpec, x, xdot) -> np.ndarray:
     corr = (2.0 * _dot(_columns(quot), _columns(n_up))[..., None] * n_low
             - quot)
     f_low = h * n_low / wv - v[..., None] * corr
-    return _raise_force(m, x, f_low, g)
+    return _raise_force(f_low, g)
 
 
 def force_ab(ab, m: MetricSpec, x, xdot) -> np.ndarray:
@@ -290,7 +291,7 @@ def force_ab(ab, m: MetricSpec, x, xdot) -> np.ndarray:
     a, b = ab.ab_values(x, v)
     corr = 2.0 * _dot(_columns(b), _columns(n_up))[..., None] * n_low - b
     f_low = a[..., None] * n_low + v[..., None] * corr
-    return _raise_force(m, x, f_low, g)
+    return _raise_force(f_low, g)
 
 
 def custom_force(exprs, m: MetricSpec, x, xdot) -> np.ndarray:
@@ -331,25 +332,21 @@ class ForceField:
             return "ab"
         return "custom"
 
-    def __reduce__(self):  # pickles without the compiled force
+    def __reduce__(self):  # pickles without the chosen evaluator
         return ForceField, (self.source, self.metric)
 
     @cached_property
-    def _kernel(self):
+    def _evaluate(self):
         """The compiled force of an `HWPair` or `ABFields` source on a
-        euclidean metric; None where the reference functions serve."""
-        euclidean_hw_or_ab = (self.metric.is_euclidean
-                              and type(self.source) in (HWPair, ABFields))
-        return _compile_force(self.source) if euclidean_hw_or_ab else None
+        euclidean metric, else the reference function of its kind."""
+        if (self.metric.is_euclidean
+                and type(self.source) in (HWPair, ABFields)):
+            return _compile_force(self.source)
+        reference = {"hw": force_hw, "ab": force_ab, "custom": custom_force}
+        return partial(reference[self.kind], self.source, self.metric)
 
     def __call__(self, x, xdot):
-        if self._kernel is not None:
-            return self._kernel(x, xdot)
-        if self.kind == "hw":
-            return force_hw(self.source, self.metric, x, xdot)
-        if self.kind == "ab":
-            return force_ab(self.source, self.metric, x, xdot)
-        return custom_force(self.source, self.metric, x, xdot)
+        return self._evaluate(x, xdot)
 
 
 def _compile_force(src):

@@ -182,8 +182,6 @@ _WORD_TOKEN = re.compile(r"g(\d+)(?:\^(-?\d+))?$")
 
 def parse_word(word: str, n_generators: int):
     """Parse a word like 'g1 g2^-1' over the deck generators."""
-    if word is None:
-        return ()
     letters = [w for w in re.split(r"[\s*]+", word.strip()) if w]
     out = []
     for letter in letters:

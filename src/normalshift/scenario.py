@@ -21,7 +21,12 @@ import sys
 import tomllib
 from dataclasses import dataclass
 
-from .errors import ConfigError, NormalShiftError, ScenarioError
+from .errors import (
+    ConfigError,
+    DeckInvarianceError,
+    NormalShiftError,
+    ScenarioError,
+)
 from .expr import parse as parse_expr
 from .fields import ABFields, ForceField, HWPair
 from .geometry import (
@@ -208,11 +213,12 @@ def _build_metric(man: dict, n: int) -> MetricSpec:
         rows = man.get("explicit")
         if not isinstance(rows, list) or len(rows) != n:
             raise ScenarioError(f"expected {n} rows", "manifold.explicit")
-        entries = tuple(
-            tuple(_expr(rows[i][j], f"manifold.explicit[{i}][{j}]", coords)
-                  for j in range(n))
-            for i in range(n))
-        return MetricSpec(n, kind="explicit", entries=entries)
+        entries = tuple(_exprs(row, f"manifold.explicit[{i}]", n, coords)
+                        for i, row in enumerate(rows))
+        try:
+            return MetricSpec(n, kind="explicit", entries=entries)
+        except NormalShiftError as err:
+            raise ScenarioError(str(err), "manifold.explicit") from None
     raise ScenarioError(f"unknown metric kind '{kind}'", "manifold.metric")
 
 
@@ -294,8 +300,10 @@ def load_scenario(path) -> Scenario:
                  for i, p in enumerate(periods))
     try:
         manifold = CoveringManifold(metric, gens)
-    except NormalShiftError as err:
+    except DeckInvarianceError as err:
         raise ScenarioError(str(err), "manifold.periods") from None
+    except NormalShiftError as err:  # the metric, evaluated on a box
+        raise ScenarioError(str(err), f"manifold.{metric.kind}") from None
 
     fld = sections.get("field")
     if not fld:

@@ -292,20 +292,10 @@ def orthogonality_defect(fam: ShiftFamily) -> np.ndarray:
         xl = fam.x[li]
         xdl = fam.xdot[li]
         g = metric_at(fam.force.metric, xl)
-        xd_low = np.einsum("...ij,...j->...i", g, xdl)
-        speed = np.sqrt(np.einsum("...i,...i->...", xdl, xd_low))
-        taus = []
-        for axis in range(k):
-            if li == 0:
-                tau = fam.tangents0[..., axis, :]
-            else:
-                tau = _axis_tangents(xl, axis, s.closed[axis],
-                                     spacings[axis])
-            taus.append(tau)
-            norm_tau = np.sqrt(np.einsum("...i,...ij,...j->...", tau, g, tau))
-            defect = np.abs(np.einsum("...i,...i->...", xd_low, tau)) \
-                / (speed * norm_tau)
-            defects[li] = np.maximum(defects[li], defect)
+        taus = [fam.tangents0[..., axis, :] if li == 0
+                else _axis_tangents(xl, axis, s.closed[axis], spacings[axis])
+                for axis in range(k)]
+        # checked first: a collapsed layer's tangents would divide by zero
         det = normalized_gram_det(np.stack(taus, axis=-2), g)
         bad = ~(det > GRAM_TOL)
         if np.any(bad):
@@ -314,6 +304,13 @@ def orthogonality_defect(fam: ShiftFamily) -> np.ndarray:
                 f"shifted layer {li} (t={fam.times[li]:.6g}) degenerates at "
                 f"node {tuple(int(i) for i in node)}: normalized Gram "
                 f"determinant {float(det[node]):.3e}")
+        xd_low = np.einsum("...ij,...j->...i", g, xdl)
+        speed = np.sqrt(np.einsum("...i,...i->...", xdl, xd_low))
+        for tau in taus:
+            norm_tau = np.sqrt(np.einsum("...i,...ij,...j->...", tau, g, tau))
+            defect = np.abs(np.einsum("...i,...i->...", xd_low, tau)) \
+                / (speed * norm_tau)
+            defects[li] = np.maximum(defects[li], defect)
         per_layer[li] = float(np.max(defects[li]))
     fam.node_defects = defects
     return per_layer
@@ -327,6 +324,15 @@ def loop_closure_defect(loop: PathSpec, ab, nu0, dt=1e-3, manifold=None):
     when a covering manifold is supplied; either to 1e-9 relative to the
     loop's coordinates).  No manifold means a chart with no deck
     translations."""
+    require_closed_loop(loop, manifold)
+    end = _continue(ab, loop, nu0, dt, want_vw=False, store=False).end_V
+    return float(np.abs(end - nu0))
+
+
+def require_closed_loop(loop: PathSpec, manifold=None):
+    """PathError unless the loop closes in the chart up to a deck
+    translation of `manifold` (with no manifold, in the chart), to 1e-9
+    relative to the loop's coordinates."""
     start, end, span = loop.start(), loop.end(), loop.sample()
     gens = np.reshape(manifold.deck_generators if manifold is not None
                       else (), (-1, len(start))).T
@@ -334,8 +340,6 @@ def loop_closure_defect(loop: PathSpec, ab, nu0, dt=1e-3, manifold=None):
     if relative_deviation(end, start + gens @ np.round(coeff), span) > 1e-9:
         raise PathError("loop is not closed in the chart up to a deck "
                         "translation")
-    end = _continue(ab, loop, nu0, dt, want_vw=False, store=False).end_V
-    return float(np.abs(end - nu0))
 
 
 # --- output ---------------------------------------------------------------------------------

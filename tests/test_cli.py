@@ -4,6 +4,7 @@ import dataclasses
 import filecmp
 import importlib
 import inspect
+import math
 import os
 import pkgutil
 import subprocess
@@ -183,6 +184,40 @@ def test_coincident_path_points_are_named(tmp_path, capsys, key):
     assert list((tmp_path / "out").iterdir()) == []  # nothing is written
 
 
+_METRIC_2D = ('[manifold]\ndimension = 2\n{manifold}\n'
+              '[field]\nkind = "hw"\nW = "v"\nh = "1"\n'
+              '[run]\nt_max = 0.01\ndt = 0.01\nxdot0 = [1.0, 0.0]\n')
+
+
+@pytest.mark.parametrize("manifold,key", [
+    pytest.param('metric = "explicit"\nexplicit = [["1", "0"], ["0"]]',
+                 "manifold.explicit[1]", id="short-row"),
+    pytest.param('metric = "explicit"\nexplicit = [["1", "0"], 5]',
+                 "manifold.explicit[1]", id="number-row"),
+    pytest.param('metric = "explicit"\nexplicit = ["10", "01"]',
+                 "manifold.explicit[0]", id="string-rows"),
+    pytest.param('metric = "explicit"\n'
+                 'explicit = [["2", "0", "7"], ["0", "3", "9"]]',
+                 "manifold.explicit[0]", id="long-rows"),
+    pytest.param('metric = "explicit"\nexplicit = [["1", "0"], ["x1", "1"]]',
+                 "manifold.explicit", id="asymmetric"),
+    pytest.param('metric = "explicit"\nexplicit = [["1", "0"], ["0", "-1"]]',
+                 "manifold.explicit", id="indefinite"),
+    pytest.param('metric = "conformal"\nconformal = "log(x1)"',
+                 "manifold.conformal", id="conformal-off-domain"),
+])
+def test_metric_errors_name_the_metric_key(tmp_path, capsys, manifold, key):
+    # every metric table is read like the other expression tables, and a
+    # metric that cannot be evaluated is named by its own key
+    cfg = tmp_path / "metric.toml"
+    cfg.write_text(_METRIC_2D.format(manifold=manifold))
+    assert run_cli("trajectory", cfg, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"normalshift: {key}: ")
+    assert "Traceback" not in err and "manifold.periods" not in err
+    assert not (tmp_path / "out" / "report.txt").exists()
+
+
 def test_scenario_holds_each_value_once():
     # the force carries the field's source, its kind and the metric
     sc = load_scenario(SCENARIOS / "check_consistent.toml")
@@ -329,6 +364,40 @@ def test_trajectory_speed_column_is_the_metric_quadratic_form(tmp_path):
     assert f"final speed {want[-1]:.17g}" in read_report(tmp_path)
 
 
+def test_computation_error_exits_1_with_a_report(tmp_path, capsys):
+    # a zero initial velocity has no direction for the force: the
+    # integration aborts at its first step
+    cfg = tmp_path / "still.toml"
+    cfg.write_text(
+        '[manifold]\ndimension = 2\n'
+        '[field]\nkind = "hw"\nW = "v"\nh = "1"\n'
+        '[run]\nt_max = 0.1\ndt = 0.01\nxdot0 = [0.0, 0.0]\n')
+    assert run_cli("trajectory", cfg, tmp_path) == 1
+    lines = read_report(tmp_path).splitlines()
+    assert lines[-2].startswith("INFO ERROR integration aborted at step 1 ")
+    assert lines[-1] == "RESULT FAIL"
+    assert capsys.readouterr().err.startswith(
+        "normalshift: integration aborted at step 1 ")
+
+
+def test_trajectory_on_a_conformal_metric_gains_unit_speed(tmp_path):
+    # (h, W) = (1, v) gives a = 1 and b = 0, so dv/dt = 1 in any metric:
+    # the g-speed column is s0 + t up to the RK4 error
+    cfg = tmp_path / "conformal.toml"
+    cfg.write_text(
+        '[manifold]\ndimension = 2\nmetric = "conformal"\n'
+        'conformal = "0.3*x1 - 0.2*x2"\n'
+        '[field]\nkind = "hw"\nW = "v"\nh = "1"\n'
+        '[run]\nt_max = 0.5\ndt = 0.01\nx0 = [0.1, -0.2]\n'
+        'xdot0 = [0.8, 0.6]\n')
+    assert run_cli("trajectory", cfg, tmp_path) == 0
+    rows = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",",
+                      skiprows=1)
+    t, speed = rows[:, 0], rows[:, -1]
+    assert len(t) == 51
+    assert np.max(np.abs(speed - (speed[0] + t))) < 1e-9
+
+
 def test_shift_command_circle(tmp_path):
     code = run_cli("shift", SCENARIOS / "circle_shift.toml", tmp_path)
     assert code == 0
@@ -339,6 +408,25 @@ def test_shift_command_circle(tmp_path):
     assert csv[0] == "i1,t,x1,x2,xdot1,xdot2,nu,defect"
     # header + nodes x stored layers (0.3/0.01 = 30 steps, every 10th + t=0)
     assert len(csv) == 1 + 128 * 4
+
+
+def test_shift_with_a_custom_field_launches_at_nu0(tmp_path):
+    # custom force data has no (a, b) to solve nu from: every node is
+    # launched at the constant speed nu0, here 0.5 in free motion
+    cfg = tmp_path / "custom.toml"
+    cfg.write_text((SCENARIOS / "circle_shift.toml").read_text()
+                   .replace('kind = "hw"\nW = "v"\nh = "1"',
+                            'kind = "custom"\nF = ["0", "0"]')
+                   .replace("nu0 = 1.0", "nu0 = 0.5"))
+    assert run_cli("shift", cfg, tmp_path) == 0
+    assert "METRIC nu_mixed_path_defect 0 " in read_report(tmp_path)
+    rows = np.loadtxt(tmp_path / "shift_family.csv", delimiter=",",
+                      skiprows=1)
+    t, x, nu = rows[:, 1], rows[:, 2:4], rows[:, 6]
+    assert np.all(nu == 0.5)
+    # free motion along the unit normal: circles of radius 1 + 0.5 t
+    radius = np.linalg.norm(x, axis=1)
+    assert np.max(np.abs(radius - (1.0 + 0.5 * t))) < 1e-12
 
 
 def test_pfaff_command_paths(tmp_path):
@@ -366,6 +454,78 @@ def test_pfaff_continues_each_path_once(tmp_path, monkeypatch):
     assert run_cli("pfaff", SCENARIOS / "pfaff_paths.toml", tmp_path) == 0
     assert paths == [[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]],
                      [[0.0, 0.0], [1.0, 1.0]]]
+
+
+def test_pfaff_reports_the_loop_closure_defect(tmp_path):
+    # once around the cylinder, the decay field scales V by e^{-pi}
+    cfg = tmp_path / "loop.toml"
+    cfg.write_text((SCENARIOS / "pfaff_paths.toml").read_text()
+                   .replace('metric = "euclidean"', 'metric = "euclidean"\n'
+                            'periods = [[6.283185307179586, 0.0]]')
+                   + "loop = [[0.0, 0.0], [6.283185307179586, 0.0]]\n")
+    assert run_cli("pfaff", cfg, tmp_path / "out") == 0
+    line = next(l for l in read_report(tmp_path / "out").splitlines()
+                if l.startswith("INFO loop_closure_defect "))
+    assert float(line.split()[2]) == pytest.approx(1 - math.exp(-math.pi),
+                                                   rel=1e-9)
+
+
+@pytest.mark.parametrize("key,old,new", [
+    pytest.param("run.path2", "path2 = [[0.0, 0.0], [1.0, 1.0]]",
+                 "path2 = [[0.0, 0.0], [1.0, 1.5]]", id="path2-elsewhere"),
+    pytest.param("run.loop", "path_tol = 1e-8", "path_tol = 1e-8\n"
+                 "loop = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]",
+                 id="open-loop"),
+])
+def test_pfaff_path_errors_are_configuration_errors(tmp_path, capsys, key,
+                                                    old, new):
+    # path 2 must share path's ends, and a loop must close (here, with no
+    # deck translations, in the chart): checked before any continuation
+    cfg = tmp_path / "pfaff.toml"
+    text = (SCENARIOS / "pfaff_paths.toml").read_text()
+    assert old in text
+    cfg.write_text(text.replace(old, new))
+    assert run_cli("pfaff", cfg, tmp_path / "out") == 2
+    assert f"{key}: " in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []  # nothing is written
+
+
+@pytest.mark.parametrize("key,grid", [
+    pytest.param("run.w_grid", "w_grid = [1.0, 3.0, 2.0]", id="unordered"),
+    pytest.param("run.w_grid", "w_grid = [2.0]", id="one-node"),
+    pytest.param("run.w_max", "w_min = 5.0\nw_max = 1.0", id="reversed"),
+    pytest.param("run.w_max", "w_min = 2.0\nw_max = 2.0", id="empty-range"),
+    pytest.param("run.w_points", "w_points = 1", id="one-point"),
+])
+def test_monodromy_grid_errors_are_configuration_errors(
+        tmp_path, capsys, monkeypatch, key, grid):
+    text = (SCENARIOS / "cylinder_monodromy.toml").read_text()
+    text = "".join(line for line in text.splitlines(keepends=True)
+                   if not line.startswith(("w_min", "w_max", "w_points")))
+    cfg = tmp_path / "grid.toml"
+    cfg.write_text(text + grid + "\n")
+    runs = []
+    monkeypatch.setattr(pfaff, "_continue", lambda *a, **k: runs.append(a))
+    assert run_cli("monodromy", cfg, tmp_path / "out") == 2
+    assert f"{key}: " in capsys.readouterr().err
+    assert runs == []
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_monodromy_empty_word_and_given_grid(tmp_path):
+    # the empty word maps every w to itself, which the identity_defect
+    # gate checks, on the nodes of run.w_grid
+    text = (SCENARIOS / "cylinder_monodromy.toml").read_text()
+    cfg = tmp_path / "identity.toml"
+    cfg.write_text(text.replace('word = "g1"', 'word = ""')
+                   + "w_grid = [0.5, 1.25, 4.0]\n")
+    assert run_cli("monodromy", cfg, tmp_path / "out") == 0
+    report = read_report(tmp_path / "out")
+    assert "INFO word '', 3 samples" in report
+    assert "METRIC identity_defect 0 1e-10 PASS" in report
+    rows = np.loadtxt(tmp_path / "out" / "monodromy.csv", delimiter=",",
+                      skiprows=1)
+    assert rows.tolist() == [[0.5, 0.5], [1.25, 1.25], [4.0, 4.0]]
 
 
 def test_fnorm_command(tmp_path):
@@ -396,6 +556,21 @@ def test_gauge_command(tmp_path):
     line = next(l for l in report.splitlines()
                 if l.startswith("METRIC gauge_force_discrepancy"))
     assert line.endswith("PASS")
+
+
+def test_gauge_evaluates_both_forces_through_force_field(tmp_path,
+                                                       monkeypatch):
+    # the untransformed and the gauged force: one ForceField call each
+    calls = []
+    call = fields.ForceField.__call__
+
+    def counted(ff, x, xdot):
+        calls.append(ff.kind)
+        return call(ff, x, xdot)
+
+    monkeypatch.setattr(fields.ForceField, "__call__", counted)
+    assert run_cli("gauge", SCENARIOS / "gauge_scale.toml", tmp_path) == 0
+    assert calls == ["hw", "hw"]
 
 
 def test_extract_h_command(tmp_path):

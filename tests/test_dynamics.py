@@ -5,7 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from normalshift.errors import IntegrationAborted, ZeroSpeedError
+from normalshift.errors import (
+    IntegrationAborted,
+    NormalShiftError,
+    ZeroSpeedError,
+)
 from normalshift.expr import parse
 from normalshift import dynamics
 from normalshift.dynamics import (
@@ -34,6 +38,17 @@ def test_free_motion_is_straight_line():
     # strictly increasing uniform time stamps
     gaps = np.diff(times)
     assert np.max(np.abs(gaps - 1e-2)) < 1e-12
+
+
+@pytest.mark.parametrize("T,dt,match", [
+    (1.0, 0.0, "step must be positive"),
+    (1.0, -1e-2, "step must be positive"),
+    (-1.0, 1e-2, "duration must be >= 0"),
+])
+def test_step_and_duration_are_checked(T, dt, match):
+    ff = ForceField((parse("0"), parse("0")), EUC2)
+    with pytest.raises(NormalShiftError, match=match):
+        integrate_batch(ff, (0.0, 0.0), (1.0, 0.0), T, dt)
 
 
 def test_unit_thrust_speed_growth():

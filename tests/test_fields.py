@@ -66,7 +66,7 @@ def force_from_one_form(w_expr, m, x, xdot):
     corr = (2.0 * np.einsum("...i,...i->...", quot, n_up)[..., None] * n_low
             - quot)
     f_low = n_low / last[..., None] - v[..., None] * corr
-    return _raise_force(m, x, f_low, g)
+    return _raise_force(f_low, g)
 
 
 def rand_states(rng, n, count, lo=-1.0, hi=1.0):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from normalshift import pfaff
 from normalshift.errors import (
     CompatibilityError,
     ContinuationError,
@@ -638,6 +639,59 @@ def test_closed_form_rho_inverse_rejects_unreachable_targets():
         rho.inverse(1.5)
     with pytest.raises(TableError, match="rho does not reach 0.0"):
         rho.inverse(np.array([0.5, 0.0]))
+
+
+def test_closed_form_inverse_evaluates_rho_once_per_bisection(monkeypatch):
+    # a target inside the image of the first bracket [1e-8, 1e8]: one
+    # evaluation at each end of the bracket, then one per bisection
+    rho = ClosedFormRho(parse("w^2"))
+    calls = []
+    evaluate = pfaff.eval_tuple
+
+    def counted(exprs, *args):
+        calls.append(exprs)
+        return evaluate(exprs, *args)
+
+    monkeypatch.setattr(pfaff, "eval_tuple", counted)
+    assert rho.inverse(9.0) == pytest.approx(3.0, rel=2.0 ** -52)
+    assert calls == [(rho.expr,)] * 82
+
+
+# increasing maps of the positive axis whose float evaluation is
+# monotone too, steep ones included
+_INCREASING = ["w", "3*w", "w^2", "w + 0.5*w^3", "sqrt(w)", "log(1 + w)",
+               "w^40", "exp(3*w)", "exp(w) - 1 + w"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_INCREASING), st.floats(min_value=-3.0, max_value=2.0),
+       st.floats(min_value=0.5, max_value=2.0))
+def test_closed_form_inverse_ends_on_adjacent_floats(source, exponent,
+                                                      scale):
+    # the result w and its neighbouring floats bracket the target
+    rho = ClosedFormRho(parse(source))
+    y = rho(10.0 ** exponent) * scale
+    assume(rho(1e-8) <= y)  # below it, the bracket would widen to tiny
+    w = rho.inverse(y)
+    assert rho(np.nextafter(w, 0.0)) <= y <= rho(np.nextafter(w, np.inf))
+
+
+def test_parametric_second_path():
+    # the quarter circle from (1, 0) to (0, 1) against the chord: its
+    # end() and sample() give the endpoint check, and the closed decay
+    # field ends at the same V on both
+    chord = PathSpec.polyline([(1.0, 0.0), (0.0, 1.0)])
+    trace = continue_V(DECAY, chord, 1.0, dt=1e-3)
+    arc = PathSpec.parametric((parse("cos(t)"), parse("sin(t)")), 0.0,
+                              math.pi / 2)
+    assert arc.end() == pytest.approx([0.0, 1.0], abs=1e-16)
+    assert arc.sample().shape == (pfaff.PARAMETRIC_SAMPLES, 2)
+    assert path_independence_defect(DECAY, trace, arc, dt=1e-3) < 1e-12
+    assert trace.end_V == pytest.approx(math.exp(0.5), rel=1e-12)
+    half = PathSpec.parametric((parse("cos(t)"), parse("sin(t)")), 0.0,
+                               math.pi)
+    with pytest.raises(PathError, match="do not share start and end"):
+        path_independence_defect(DECAY, trace, half, dt=1e-3)
 
 
 @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])

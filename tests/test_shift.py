@@ -314,6 +314,25 @@ def test_orthogonality_gate_does_not_depend_on_scale(radius):
     assert np.max(orthogonality_defect(fam)) < 1e-10
 
 
+def test_coarse_closed_axis_takes_the_three_point_stencil():
+    # under 7 nodes a closed axis is differenced by the periodic central
+    # difference (x[i+1] - x[i-1]) / (2h)
+    h = 2 * math.pi / 6
+    u = np.arange(6) * h
+    layer = np.stack([np.cos(u), np.sin(u)], axis=-1)
+    want = (np.roll(layer, -1, axis=0) - np.roll(layer, 1, axis=0)) / (2 * h)
+    assert shift._axis_tangents(layer, 0, True, h) == pytest.approx(
+        want, abs=1e-15)
+
+
+def test_collapsed_layer_is_a_frame_error():
+    # every node of the last layer at one point: no tangent frame
+    s, fam = radial_circle_family(nodes=16, t_max=0.1)
+    fam.x[-1] = 0.0
+    with pytest.raises(FrameError, match="shifted layer 2 .* node \\(0,\\)"):
+        orthogonality_defect(fam)
+
+
 def test_zero_duration_family():
     s, fam = radial_circle_family(nodes=32, t_max=0.0)
     assert len(fam.times) == 1
