@@ -105,7 +105,8 @@ class FieldExpr:
 
     ast: Node
     free_vars: tuple = ()
-    # (ids of the tuple's other expressions, wrt, order) -> its function
+    # (ids of the tuple's other expressions, wrt, order) -> its function,
+    # and (those ids, derived, n, want_vw) -> `fields.continuation_rate`
     compiled: dict = field(default_factory=dict, init=False, compare=False,
                            repr=False)
 

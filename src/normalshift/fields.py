@@ -141,7 +141,6 @@ class ABFields:
                     f"{label} uses unknown variables {sorted(extra)}")
 
     def b_values(self, x, v):
-        # value-only path: the continuation inner loop lives here
         return _state_eval(self.b, self.dimension, x, v, 0)[0]
 
     def ab_values(self, x, v):
@@ -151,7 +150,7 @@ class ABFields:
         return f[..., 0], f[..., 1:]
 
     def b_jet(self, x, v):
-        """(b (..., n), db/dv (..., n)): what the continuation reads."""
+        """(b (..., n), db/dv (..., n)): what a continuation reads."""
         env = bind(coordinate_names(self.dimension), x, v=v)
         vals, grad, _ = eval_tuple(self.b, env, ("v",), 1)
         return vals, grad[..., 0, :]
@@ -381,6 +380,60 @@ def _compile_force(src):
         f"F[..., {k}] = ({lead.format(u)}({v}*(({twice}*{u})-{q})))"
         for k, (u, q) in enumerate(zip(unit, b))]
     return c.define("force(x, xdot)", "F")
+
+
+# `_dot`'s order of summing the products {0}..{n-1} from {z}, for n <= 4
+_DOT_ORDER = {1: "({z}+{0})", 2: "({z}+({0}+{1}))",
+              3: "({z}+(({0}+{2})+{1}))", 4: "({z}+(({0}+{2})+({1}+{3})))"}
+
+
+def continuation_rate(src, want_vw):
+    """The continuation's rate(x, V, d) -> (b.d,), or (b.d, (db/dv).d)
+    with want_vw, of an `ABFields` or a `DerivedAB` over an `HWPair`, by
+    exact type: compiled once, and kept with the compiled functions of b
+    or W.  None for any other source, whose rate is `pfaff._stage_rate`."""
+    derived = type(src) is DerivedAB and type(src.hw) is HWPair
+    if derived or type(src) is ABFields:
+        exprs = (src.hw.W,) if derived else src.b
+        key = (tuple(map(id, exprs[1:])), derived, src.dimension, want_vw)
+        if key not in exprs[0].compiled:
+            exprs[0].compiled[key] = _compile_rate(src, exprs, want_vw)
+        return exprs[0].compiled[key]
+
+
+def _compile_rate(src, exprs, want_vw):
+    """`pfaff._stage_rate` of `src` as one function: the reference's
+    operations on its values, so its bits and errors in its order (W's
+    domain, |W_v|, then b), and its sums, `_dot`'s for a unit-stride d."""
+    n, derived = src.dimension, isinstance(src, DerivedAB)
+    # W's jet is one order above b's; b's own jet is in v alone
+    order = want_vw + derived
+    c = _Compiler(state_names(n) if derived else ("v",) * want_vw, order)
+    V = c.loaded["v"] = c.let("asarray(V, float)")
+    used = set().union(*(e.free_vars for e in exprs))
+    c.loaded.update((name, c.let(f"asarray(x[..., {i}], float)")) for i, name
+                    in enumerate(coordinate_names(n)) if name in used)
+    jets = [c.eval(e.ast) for e in exprs]
+    if derived:  # b = -W_x / W_v, and db/dv by `_quotient_b`'s arithmetic
+        _, grad, hess = jets[0]
+        wv = c.let(f"{c.const(_guard_wv)}({grad.get(n, '0.0')}, x, {V})")
+        wx = [grad.get(i, "0.0") for i in range(n)]
+        b = [c.let(f"((-{e})/{wv})") for e in wx]
+        wvv = hess.get((n, n), "0.0")
+        bv = [f"((-(({hess.get((i, n), '0.0')}*{wv})-({e}*{wvv})))"
+              f"/({wv}*{wv}))" for i, e in enumerate(wx)]
+    else:
+        b = [val for val, _, _ in jets]
+        bv = [grad.get(0, "0.0") for _, grad, _ in jets]
+    d = [c.let(f"d[..., {i}]") for i in range(n)]
+    # sums from 0.0 * V, +0.0 on V's lanes (the stage inputs are guarded
+    # positive), since the reference's b has them even where b reads no V
+    zero, dot, join = c.let(f"(0.0*{V})"), c.const(_dot), ", ".join
+    sums = [c.let(_DOT_ORDER[n].format(*map("({}*{})".format, q, d), z=zero)
+                  if n <= 4 else f"({zero}+{dot}([{join(q)}], [{join(d)}]))")
+            for q in ([b, bv] if want_vw else [b])]
+    c.globals["others"] = exprs[1:]  # keeps the keyed ids alive
+    return c.define("rate(x, V, d)", "".join(f"{r}, " for r in sums))
 
 
 # --- PDE residuals -----------------------------------------------------------------

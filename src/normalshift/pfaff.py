@@ -9,8 +9,11 @@ The central object is the first-order system
     dV/dt = sum_i b_i(x(t), V) dx^i/dt,        V(t0) = w > 0,
 
 integrated along chart paths by fixed-step RK4 (`dynamics.rk4`, given
-a rate that guards its own stage inputs).  Its derivative with
-respect to the initial datum,
+a rate that guards its own stage inputs).  The rate of an `ABFields`,
+or of a `DerivedAB` over an `HWPair`, is compiled into one function
+(`fields.continuation_rate`).  Any other source runs `_stage_rate`,
+the reference that the tests hold the compiled rates to, bit for bit.
+The system's derivative with respect to the initial datum,
 
     V_w(t) = exp( integral of sum_i (db_i/dv)(x, V) dx^i/dt ),
 
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -53,7 +56,8 @@ from .errors import (
 )
 from .dynamics import rk4
 from .expr import FieldExpr, eval_tuple
-from .fields import closedness_residual, normalizing_residual
+from .fields import (closedness_residual, continuation_rate,
+                     normalizing_residual)
 from .geometry import (
     DECK_TOL,
     CoveringManifold,
@@ -178,21 +182,11 @@ class ContinuationTrace:
         return None if self.Vw is None else self.Vw[-1]
 
 
-def _stage_rate(ab, x, V, d, want_vw, t):
-    """dV/dt, and d(log V_w)/dt when want_vw, at one RK4 stage."""
-    try:
-        if want_vw:
-            b, bv = ab.b_jet(x, V)
-        else:
-            b = ab.b_values(x, V)
-    except NormalShiftError as err:
-        # a failed batch names no lane: give the point only when all
-        # lanes share it
-        raise ContinuationError(f"field evaluation failed: {err}", t=t,
-                                point=x if np.ndim(x) == 1 else None) \
-            from err
-    rate = np.einsum("...i,...i->...", b, d)
-    return (rate, np.einsum("...i,...i->...", bv, d)) if want_vw else (rate,)
+def _stage_rate(ab, want_vw, x, V, d):
+    """dV/dt, and d(log V_w)/dt when want_vw, at one RK4 stage: the rate
+    of other sources, and the reference of `fields.continuation_rate`."""
+    bs = ab.b_jet(x, V) if want_vw else (ab.b_values(x, V),)
+    return tuple(np.einsum("...i,...i->...", b, d) for b in bs)
 
 
 def require_positive(x, what):
@@ -208,8 +202,10 @@ def require_positive(x, what):
 def _guard_positive(V, t, x):
     """Raise for the first lane of V off the positive axis, naming that
     lane and its own point among the stage points x (..., n)."""
+    if V.ndim == 0 and 0.0 < V < np.inf:  # one lane: no array reduction
+        return
     ok = (V > 0.0) & (V < np.inf)   # False for NaN as well
-    if not ok.all():
+    if np.count_nonzero(ok) < ok.size:  # half the cost of ok.all()
         lane, (point,) = first_bad(~ok, x)
         where = f" in lane {lane}" if lane else ""
         raise ContinuationError(
@@ -230,15 +226,24 @@ def _rk4_run(ab, steps, V, want_vw):
     cross a square-root zero of V, where the stages go negative, and land
     back on the positive axis.  The rate guards its own input at stages
     1 and 2; stage 0 is the previous step's end, guarded here."""
+    evaluate = (continuation_rate(ab, want_vw)
+                or partial(_stage_rate, ab, want_vw))
     y = (V, np.zeros_like(V)) if want_vw else (V,)
     for h, t0, t1, xs, ds in steps:
         ts = (t0, 0.5 * (t0 + t1), t1)
 
         def rate(stage, y):
+            x, t = xs[stage], ts[stage]
             if stage:
-                _guard_positive(y[0], ts[stage], xs[stage])
-            return _stage_rate(ab, xs[stage], y[0], ds[stage], want_vw,
-                               ts[stage])
+                _guard_positive(y[0], t, x)
+            try:
+                return evaluate(x, y[0], ds[stage])
+            except NormalShiftError as err:
+                # a failed batch names no lane: give the point only when
+                # all lanes share it
+                raise ContinuationError(
+                    f"field evaluation failed: {err}", t=t,
+                    point=x if np.ndim(x) == 1 else None) from err
 
         y = rk4(rate, y, h)
         _guard_positive(y[0], t1, xs[2])

@@ -42,7 +42,7 @@ from .errors import (
     PositivityError,
 )
 from .dynamics import integrate_batch, write_csv
-from .fields import ForceField
+from .fields import ForceField, _columns, _dot
 from .geometry import (
     GRAM_TOL,
     Hypersurface,
@@ -305,10 +305,10 @@ def orthogonality_defect(fam: ShiftFamily) -> np.ndarray:
                 f"node {tuple(int(i) for i in node)}: normalized Gram "
                 f"determinant {float(det[node]):.3e}")
         xd_low = np.einsum("...ij,...j->...i", g, xdl)
-        speed = np.sqrt(np.einsum("...i,...i->...", xdl, xd_low))
+        speed = np.sqrt(_dot(_columns(xdl), _columns(xd_low)))
         for tau in taus:
             norm_tau = np.sqrt(np.einsum("...i,...ij,...j->...", tau, g, tau))
-            defect = np.abs(np.einsum("...i,...i->...", xd_low, tau)) \
+            defect = np.abs(_dot(_columns(xd_low), _columns(tau))) \
                 / (speed * norm_tau)
             defects[li] = np.maximum(defects[li], defect)
         per_layer[li] = float(np.max(defects[li]))

@@ -597,8 +597,13 @@ def test_monodromy_command(tmp_path):
 
 def test_monodromy_inversion_skips_the_datum_derivative(tmp_path,
                                                          monkeypatch):
-    # invert_V reads only W, so its run evaluates b alone, never b's jet
-    calls = []
+    # invert_V reads only W, so its run evaluates b alone, never b's jet,
+    # and compiles only the rate without V_w
+    calls, compiled, compile_rate = [], [], fields._compile_rate
+
+    def recorded(src, exprs, want_vw):
+        compiled.append(want_vw)
+        return compile_rate(src, exprs, want_vw)
 
     def counted(name):
         method = getattr(fields.ABFields, name)
@@ -610,10 +615,12 @@ def test_monodromy_inversion_skips_the_datum_derivative(tmp_path,
 
     for name in ("b_values", "b_jet"):
         monkeypatch.setattr(fields.ABFields, name, counted(name))
+    monkeypatch.setattr(fields, "_compile_rate", recorded)
     assert run_cli("monodromy", SCENARIOS / "cylinder_monodromy.toml",
                    tmp_path) == 0
     assert "b_values" in calls
     assert "b_jet" not in calls
+    assert compiled == [False]
 
 
 def test_monodromy_default_word_is_checked(tmp_path, capsys):

@@ -1,7 +1,10 @@
 """Property-based invariants of the paper's force (hypothesis): the (h, W)
 and (a, b) presentations give the same force, a monotone
 reparametrization of W (a gauge transformation) leaves it unchanged, and
-the compiled force of a euclidean metric is its reference function's."""
+the compiled force of a euclidean metric is its reference function's, as
+the compiled continuation rate is `pfaff._stage_rate`'s."""
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,11 +22,12 @@ from normalshift.fields import (
     DerivedAB,
     ForceField,
     HWPair,
+    continuation_rate,
     force_ab,
     force_hw,
 )
 from normalshift.geometry import MetricSpec, coordinate_names, state_names
-from normalshift.pfaff import gauge_transform
+from normalshift.pfaff import _stage_rate, gauge_transform
 
 EUC2 = MetricSpec(2)
 _const = st.floats(min_value=0.1, max_value=2.0).map(
@@ -217,3 +221,41 @@ def test_structurally_zero_entry_keeps_its_sign():
     f = ForceField(source, EUC2)(x, xdot)
     assert f.tobytes() == force_hw(source, EUC2, x, xdot).tobytes()
     assert f[1] == 0.0 and np.signbit(f[1])
+
+
+# --- the compiled continuation rate against its reference -----------------------
+
+# (x's batch, V's batch): one lane, and 25 lanes that V shares with x,
+# adds to x (as `extract_h` batches its targets), or takes from x
+_RATE_LANES = [((), ()), ((25,), (25,)), ((5,), (5, 5)), ((25,), ())]
+
+
+def _rate_outcome(rate, *args):
+    """Each output's type, shape and bytes, or the type and message the
+    rate raised."""
+    try:
+        with np.errstate(all="ignore"):
+            out = rate(*args)
+    except Exception as err:  # noqa: BLE001 - compared, not handled
+        return type(err), str(err)
+    return [(type(r), r.shape, r.tobytes()) for r in out]
+
+
+@pytest.mark.parametrize("want_vw", [False, True])
+@pytest.mark.parametrize("n", [2, 3])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_compiled_rate_is_the_reference_bitwise(n, want_vw, data):
+    source = data.draw(st.one_of(_valid(n), _failing(n)))
+    if isinstance(source, HWPair):
+        source = DerivedAB(source)
+    lanes = data.draw(st.sampled_from(_RATE_LANES))
+    rng = np.random.default_rng(data.draw(_seed))
+    x, d = rng.uniform(-1.5, 1.5, (2,) + lanes[0] + (n,))
+    V = rng.uniform(0.2, 2.0, lanes[1])
+    if not lanes[1] and data.draw(st.booleans()):
+        V = V[()]  # one lane's V is a 0-d array first, then a float64
+    compiled = continuation_rate(source, want_vw)
+    assert compiled is not None
+    assert (_rate_outcome(compiled, x, V, d)
+            == _rate_outcome(partial(_stage_rate, source, want_vw), x, V, d))

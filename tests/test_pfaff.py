@@ -1,12 +1,13 @@
 """Continuation, inversion, f-norms, monodromy, gauge maps, h extraction."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from normalshift import pfaff
+from normalshift import fields, pfaff
 from normalshift.errors import (
     CompatibilityError,
     ContinuationError,
@@ -201,6 +202,111 @@ def test_field_failure_names_the_stage_that_failed():
                    PathSpec.polyline([(0.0, 0.0), (0.0, 1.0)]), 1.0, dt=1e-2)
     assert exc.value.t == pytest.approx(0.505, abs=1e-12)
     assert exc.value.point == pytest.approx([0.0, 0.505], abs=1e-12)
+
+
+@pytest.mark.parametrize("V", [np.float64(math.nan), np.array(math.inf),
+                               np.float64(0.0), np.array([1.0, 2.0, -1.0])])
+def test_stage_guard_names_the_lane_off_the_positive_axis(V):
+    x = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+    with pytest.raises(ContinuationError,
+                       match="positive axis( in lane \\(2,\\))? at") as exc:
+        pfaff._guard_positive(V, 0.25, x[-1] if V.ndim == 0 else x)
+    assert ("in lane (2,)" in str(exc.value)) == (V.ndim == 1)
+    assert exc.value.point == pytest.approx([0.5, 0.6])
+    pfaff._guard_positive(np.float64(1e-300), 0.25, x[0])
+    pfaff._guard_positive(np.array([1e-300, 1e300]), 0.25, x[:2])
+
+
+# --- the compiled rate ---------------------------------------------------------------
+
+PLANE = PathSpec.polyline([(0.0, 0.0), (0.4, -0.3), (0.9, 0.5)])
+DERIVED = DerivedAB(hw("v*exp(0.3*x1+0.2*x2)"))
+
+
+def _runs(data):
+    """The bytes of a run with V_w, and the outcome of one without."""
+    with_vw = continue_V(data, PLANE, 1.3, dt=1e-2)
+    without = path_independence_defect(
+        data, with_vw, PathSpec.polyline([(0.0, 0.0), (0.9, 0.5)]), dt=1e-2)
+    return with_vw.V.tobytes() + with_vw.Vw.tobytes(), without
+
+
+@pytest.mark.parametrize("fresh", [
+    lambda: ab("1", ("-0.5*v", "0")),
+    lambda: DerivedAB(hw("v*exp(0.3*x1+0.2*x2)"))], ids=["ab", "derived"])
+def test_rate_compiles_once_per_source_and_want_vw(monkeypatch, fresh):
+    data = fresh()
+    defined, define = [], fields._Compiler.define
+
+    def counted(self, signature, result):
+        defined.append(signature)
+        return define(self, signature, result)
+    monkeypatch.setattr(fields._Compiler, "define", counted)
+    for _ in range(3):
+        _runs(data)
+        invert_V(data, (0.0, 0.0), (0.9, 0.5), np.array([0.8, 1.6]),
+                 dt=1e-2)
+    assert defined == ["rate(x, V, d)"] * 2
+
+
+@pytest.mark.parametrize("data", [DECAY, DERIVED], ids=["ab", "derived"])
+def test_sources_pickle_after_a_continuation(data):
+    before = _runs(data)
+    assert _runs(pickle.loads(pickle.dumps(data))) == before
+
+
+class _Delegate:
+    """A duck-typed source: b and its jet from another source."""
+
+    def __init__(self, src):
+        self.src, self.dimension = src, src.dimension
+
+    def b_values(self, x, v):
+        return self.src.b_values(x, v)
+
+    def b_jet(self, x, v):
+        return self.src.b_jet(x, v)
+
+
+def test_other_sources_take_the_reference_rate(monkeypatch):
+    want = {data: _runs(data) for data in (DECAY, DERIVED)}
+
+    def refuse(src, exprs, want_vw):
+        raise AssertionError("compiled a rate")
+    monkeypatch.setattr(fields, "_compile_rate", refuse)
+    # rho = 2w scales W's jet by 2 exactly: the same b, to the bit
+    gauged = DerivedAB(gauge_transform(DERIVED.hw, parse("2*w")))
+    end = _continue(gauged, PLANE, 1.3, 1e-2, want_vw=False, store=True)
+    assert end.V.tobytes() == _continue(
+        DERIVED, PLANE, 1.3, 1e-2, want_vw=False, store=True).V.tobytes()
+    for data in (DECAY, DERIVED):
+        assert _runs(_Delegate(data)) == want[data]
+
+
+def _recorded_tangents(monkeypatch, module):
+    """Every path tangent that `module`'s `_rk4_run` receives."""
+    seen, run = [], pfaff._rk4_run
+
+    def recording(ab, steps, V, want_vw):
+        def looked_at():
+            for step in steps:
+                seen.extend(step[4])
+                yield step
+        return run(ab, looked_at(), V, want_vw)
+    monkeypatch.setattr(module, "_rk4_run", recording)
+    return seen
+
+
+@pytest.mark.parametrize("path, w0", [
+    (PLANE, 1.0), (np.stack([PLANE.sample(), PLANE.sample()[::-1]]),
+                   np.ones((3, 2))),
+    (PathSpec.parametric([parse("cos(t)"), parse("sin(t)")], 0.0, 1.0), 1.0)],
+    ids=["polyline", "polyline_batch", "parametric"])
+def test_path_tangents_have_a_unit_stride_last_axis(monkeypatch, path, w0):
+    # the compiled rate sums b.d in einsum's order for that layout
+    seen = _recorded_tangents(monkeypatch, pfaff)
+    _continue(DECAY, path, w0, 1e-2, want_vw=True, store=False)
+    assert seen and all(d.strides[-1] == d.itemsize for d in seen)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])

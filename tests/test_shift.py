@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_pfaff import _recorded_tangents
 
 from normalshift import fields, shift
 from normalshift.errors import (
@@ -323,6 +324,32 @@ def test_coarse_closed_axis_takes_the_three_point_stencil():
     want = (np.roll(layer, -1, axis=0) - np.roll(layer, 1, axis=0)) / (2 * h)
     assert shift._axis_tangents(layer, 0, True, h) == pytest.approx(
         want, abs=1e-15)
+
+
+@pytest.mark.parametrize("metric", [
+    EUC3, MetricSpec(3, kind="conformal", conformal=parse("0.1*x1"))])
+def test_defect_does_not_depend_on_the_tangents_layout(metric):
+    # einsum sums n = 3 products in another order when the last axis is
+    # strided; the defect's dot products sum in one order for any layout
+    nu = solve_nu(sphere((16, 9)), ab("1", ("-0.5*v", "0", "0")), 1.0,
+                  du=1e-2)
+    fam = normal_shift(nu, ForceField(HWPair(parse("v*exp(0.3*x1)"),
+                                             parse("1"), 3), metric),
+                       0.05, 1e-2, store_every=5)
+    want = orthogonality_defect(fam).tobytes(), fam.node_defects.tobytes()
+    tau = fam.tangents0
+    wide = np.zeros(tau.shape[:-1] + (2 * tau.shape[-1],))
+    wide[..., ::2] = tau
+    fam.tangents0 = wide[..., ::2]  # the same values, strided
+    assert (orthogonality_defect(fam).tobytes(),
+            fam.node_defects.tobytes()) == want
+
+
+def test_nu_sweep_tangents_have_a_unit_stride_last_axis(monkeypatch):
+    # the compiled rate sums b.d in einsum's order for that layout
+    seen = _recorded_tangents(monkeypatch, shift)
+    solve_nu(sphere((8, 5)), ab("1", ("-0.5*v", "0", "0")), 1.0, du=5e-2)
+    assert seen and all(d.strides[-1] == d.itemsize for d in seen)
 
 
 def test_collapsed_layer_is_a_frame_error():
