@@ -20,8 +20,6 @@ from .fields import (
     HWPair,
     closedness_residual,
     collinearity_defect,
-    force_ab,
-    force_hw,
     normalizing_residual,
 )
 from .dynamics import integrate_batch
@@ -54,7 +52,6 @@ __all__ = [
     "MetricSpec", "CoveringManifold", "Hypersurface",
     "metric_at", "christoffel", "surface_frame", "deck_apply",
     "HWPair", "ABFields", "DerivedAB", "ForceField",
-    "force_hw", "force_ab",
     "closedness_residual", "normalizing_residual", "collinearity_defect",
     "integrate_batch",
     "PathSpec", "AdmissibleF", "MonodromyMap",

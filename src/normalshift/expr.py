@@ -354,11 +354,13 @@ class _Compiler:
     numbers, variable names and messages are globals of the function.
     A variable that `loaded` maps to a generated name reads that name in
     place of `env`, so callers can emit a function of their own around
-    the jets (`fields` does, for the force)."""
+    the jets (`fields` does, for the force); a name in `scalars` may hold
+    a float64 scalar where `env` holds a 0-d array."""
 
     def __init__(self, wrt, order):
         self.wrt, self.order = wrt, order
         self.lines, self.keys, self.loaded = [], {}, {}  # by variable name
+        self.scalars = set()
         self.globals = {"np": np, "asarray": np.asarray}
 
     def const(self, obj):
@@ -517,6 +519,10 @@ class _Compiler:
         if n == 0:
             return self.let(f"np.ones_like(asarray({u}, float))"), {}, {}
         n0, n1, n2, n12 = map(self.const, (n, n - 1, n - 2, n * (n - 1)))
+        # numpy's ** gives a float64 scalar other bits than the 0-d array
+        # that `env` binds, so a scalar is powered as that array
+        if u in self.scalars:
+            u = f"asarray({u}, float)"
         return self.chain(arg, self.let(f"({u}**{n0})"), f"({n0}*{u}**{n1})",
                           None if n == 1 else f"({n12}*{u}**{n2})")
 

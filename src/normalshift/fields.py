@@ -21,10 +21,11 @@ pointwise residuals of that jet so that sweeps can audit declared data.
 Everything evaluates on batches: position arrays (..., n) and speed or
 velocity arrays broadcast along the leading axes.
 
-`force_hw` and `force_ab` are the readable reference.  A `ForceField` of
-an `HWPair` or `ABFields` source on a euclidean metric runs their formula
-compiled with its jet into one straight-line function, bitwise equal to
-them: both sum with `_dot`, and a zero jet entry still enters as 0.0.
+A `ForceField` of (h, W) or (a, b) data on any metric runs that formula
+compiled with the data's jet into one straight-line function, written by
+`_compile_force` alone.  It sums with `_dot`, a zero jet entry still
+enters as 0.0, and the tests hold it bitwise to the formula written out
+as array math.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .geometry import MetricSpec, coordinate_names, metric_at, state_names
 
 __all__ = [
     "HWPair", "ABFields", "DerivedAB", "ForceField",
-    "force_hw", "force_ab", "derived_jet",
+    "derived_jet",
     "closedness_residual", "normalizing_residual", "collinearity_defect",
 ]
 
@@ -240,59 +241,6 @@ def _guard_speed(v, x):
             f"velocity modulus <= {SPEED_EPS} at x={point_str(pt)}")
 
 
-def _velocity_frame(m: MetricSpec, x, xdot):
-    """g-speed, unit direction (contravariant and covariant), and the
-    metric matrix (None for a euclidean metric, which lowers nothing)."""
-    x = np.asarray(x, dtype=float)
-    xdot = np.asarray(xdot, dtype=float)
-    if m.is_euclidean:
-        g, xdot_low = None, xdot
-    else:
-        g = metric_at(m, x)
-        xdot_low = np.einsum("...ij,...j->...i", g, xdot)
-    v = np.sqrt(_dot(_columns(xdot), _columns(xdot_low)))
-    _guard_speed(v, x)
-    n_up = xdot / v[..., None]
-    n_low = n_up if g is None else xdot_low / v[..., None]
-    return v, n_up, n_low, g
-
-
-def _raise_force(f_low, g):
-    if g is None:  # a euclidean metric
-        return f_low
-    return np.einsum("...ij,...j->...i", np.linalg.inv(g), f_low)
-
-
-def force_hw(hw, m: MetricSpec, x, xdot) -> np.ndarray:
-    """Contravariant force from an (h, W) pair:
-
-        F_k = h(W) N_k / W_v - v * sum_i (W_i / W_v) (2 N^i N_k - d^i_k)
-
-    raised with the inverse metric.  `hw` may be any object exposing
-    w_jet1 and h_val (e.g. a gauge-transformed pair)."""
-    v, n_up, n_low, g = _velocity_frame(m, x, xdot)
-    W, wx, wv = hw.w_jet1(x, v)
-    h, wv = hw.h_val(W)[..., None], wv[..., None]
-    quot = wx / wv
-    # sum_i quot_i * (2 N^i N_k - delta^i_k)
-    corr = (2.0 * _dot(_columns(quot), _columns(n_up))[..., None] * n_low
-            - quot)
-    f_low = h * n_low / wv - v[..., None] * corr
-    return _raise_force(f_low, g)
-
-
-def force_ab(ab, m: MetricSpec, x, xdot) -> np.ndarray:
-    """Contravariant force from (a, b) data:
-
-        F_k = a N_k + v * sum_i b_i (2 N^i N_k - d^i_k)
-    """
-    v, n_up, n_low, g = _velocity_frame(m, x, xdot)
-    a, b = ab.ab_values(x, v)
-    corr = 2.0 * _dot(_columns(b), _columns(n_up))[..., None] * n_low - b
-    f_low = a[..., None] * n_low + v[..., None] * corr
-    return _raise_force(f_low, g)
-
-
 def custom_force(exprs, m: MetricSpec, x, xdot) -> np.ndarray:
     """Contravariant force components given directly as expressions of
     x1..xn, xdot1..xdotn and the g-speed v (zero speed allowed unless an
@@ -310,7 +258,9 @@ def custom_force(exprs, m: MetricSpec, x, xdot) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ForceField:
-    """A force source bound to a metric; callable on (x, xdot) batches."""
+    """A force source bound to a metric; callable on (x, xdot) batches.
+    Its first call picks the evaluator: `custom_force` for custom
+    components, else the force compiled for its source and metric."""
 
     source: object  # HWPair-like | ABFields-like | tuple of FieldExprs
     metric: MetricSpec
@@ -336,49 +286,69 @@ class ForceField:
 
     @cached_property
     def _evaluate(self):
-        """The compiled force of an `HWPair` or `ABFields` source on a
-        euclidean metric, else the reference function of its kind."""
-        if (self.metric.is_euclidean
-                and type(self.source) in (HWPair, ABFields)):
-            return _compile_force(self.source)
-        reference = {"hw": force_hw, "ab": force_ab, "custom": custom_force}
-        return partial(reference[self.kind], self.source, self.metric)
+        """`custom_force` of custom components, else the compiled force."""
+        if self.kind == "custom":
+            return partial(custom_force, self.source, self.metric)
+        return _compile_force(self.source, self.metric)
 
     def __call__(self, x, xdot):
         return self._evaluate(x, xdot)
 
 
-def _compile_force(src):
-    """`force_hw` or `force_ab` of `src` on a euclidean metric as one
-    function force(x, xdot), column by column: the same operations on the
-    same values, so the same bits and the same errors in the same order."""
-    n, hw = src.dimension, isinstance(src, HWPair)
-    c = _Compiler(state_names(n), 1 if hw else 0)
+def _compile_force(src, m):
+    """The force of an "hw" or "ab" source `src` on the metric `m` as one
+    function force(x, xdot), column by column.  An `HWPair` and an
+    `ABFields` inline their jets; any other source is called through
+    `w_jet1` and `h_val`, or `ab_values`.  A metric that is not euclidean
+    lowers the velocity with `metric_at` and `einsum`, and raises the
+    force with `np.linalg.inv` and `einsum`."""
+    n, pair = src.dimension, hasattr(src, "w_jet1")
+    c = _Compiler(state_names(n), 1 if type(src) is HWPair else 0)
     x, xdot = c.let("asarray(x, float)"), c.let("asarray(xdot, float)")
     xs, xdots = ([c.let(f"{a}[..., {i}]") for i in range(n)]
                  for a in (x, xdot))
     join, dot = ", ".join, c.const(_dot)
-    v = c.let(f"np.sqrt({dot}([{join(xdots)}], [{join(xdots)}]))")
+    lows = xdots  # the covariant velocity
+    if not m.is_euclidean:
+        contract = c.const(partial(np.einsum, "...ij,...j->...i"))
+        g = c.let(f"{c.const(metric_at)}({c.const(m)}, {x})")
+        low = c.let(f"{contract}({g}, {xdot})")
+        lows = [c.let(f"{low}[..., {i}]") for i in range(n)]
+    v = c.let(f"np.sqrt({dot}([{join(xdots)}], [{join(lows)}]))")
     c.lines.append(f"{c.const(_guard_speed)}({v}, {x})")
     unit = [c.let(f"({d}/{v})") for d in xdots]
+    lows = unit if m.is_euclidean else [c.let(f"({d}/{v})") for d in lows]
     c.loaded.update(zip(state_names(n), xs + [v]))
+    c.scalars.update(xs + [v])  # float64 scalars on one lane
     c.batch(f"[{join(xs + [v])}]")
-    if hw:  # F_k = h N_k / W_v - v (2 (q.N) N_k - q_k), q = W_x / W_v
+    if type(src) is HWPair:  # W's jet, the |W_v| guard, then h(W)
         W, grad, _ = c.eval(src.W.ast)
         wv = c.let(f"{c.const(_guard_wv)}({grad.get(n, '0.0')}, {x}, {v})")
         c.loaded["w"] = W
-        h = c.eval(src.h.ast)[0]
+        c.scalars.add(W)
+        h, wx = c.eval(src.h.ast)[0], [grad.get(i, "0.0") for i in range(n)]
+    elif pair:
+        k = c.const(src)
+        c.lines.append(f"W, Wx, wv = {k}.w_jet1({x}, {v})")
+        h, wv = c.let(f"{k}.h_val(W)"), "wv"
+        wx = [c.let(f"Wx[..., {i}]") for i in range(n)]
+    elif type(src) is ABFields:
+        a, *b = [c.eval(e.ast)[0] for e in (src.a,) + src.b]
+    else:
+        c.lines.append(f"a, B = {c.const(src)}.ab_values({x}, {v})")
+        a, b = "a", [c.let(f"B[..., {i}]") for i in range(n)]
+    if pair:  # F_k = h N_k / W_v - v (2 (q.N) N_k - q_k), q = W_x / W_v
         # equal entries, such as the structural zeros, share one quotient
         over = cache(lambda e: c.let(f"({e}/{wv})"))
-        b = [over(grad.get(i, "0.0")) for i in range(n)]
-        lead = f"(({h}*{{}})/{wv})-"
+        b, lead = [over(e) for e in wx], f"(({h}*{{}})/{wv})-"
     else:  # F_k = a N_k + v (2 (b.N) N_k - b_k)
-        a, *b = [c.eval(e.ast)[0] for e in (src.a,) + src.b]
         lead = f"({a}*{{}})+"
     twice = c.let(f"(2.0*{dot}([{join(b)}], [{join(unit)}]))")
     c.lines += [f"F = np.empty(batch + ({n},))"] + [
         f"F[..., {k}] = ({lead.format(u)}({v}*(({twice}*{u})-{q})))"
-        for k, (u, q) in enumerate(zip(unit, b))]
+        for k, (u, q) in enumerate(zip(lows, b))]
+    if not m.is_euclidean:
+        c.lines.append(f"F = {contract}(np.linalg.inv({g}), F)")
     return c.define("force(x, xdot)", "F")
 
 

@@ -1,0 +1,88 @@
+"""The paper's force written out as array math: the oracle that the compiled
+`ForceField` kernels are held to, bit for bit and error for error.
+
+    F_k = a N_k + v * sum_i b_i (2 N^i N_k - delta^i_k)
+
+with N the g-unit vector along the velocity and v the g-speed, lowered
+and raised with the metric.  `force_hw` reads an (h, W) pair through
+`w_jet1` and `h_val`, `force_ab` reads (a, b) data through `ab_values`;
+both sum with `fields._dot`, as the kernels do.
+"""
+
+import numpy as np
+
+from normalshift.fields import _columns, _dot, _guard_speed
+from normalshift.geometry import MetricSpec, metric_at
+
+
+def _velocity_frame(m: MetricSpec, x, xdot):
+    """g-speed, unit direction (contravariant and covariant), and the
+    metric matrix (None for a euclidean metric, which lowers nothing)."""
+    x = np.asarray(x, dtype=float)
+    xdot = np.asarray(xdot, dtype=float)
+    if m.is_euclidean:
+        g, xdot_low = None, xdot
+    else:
+        g = metric_at(m, x)
+        xdot_low = np.einsum("...ij,...j->...i", g, xdot)
+    v = np.sqrt(_dot(_columns(xdot), _columns(xdot_low)))
+    _guard_speed(v, x)
+    n_up = xdot / v[..., None]
+    n_low = n_up if g is None else xdot_low / v[..., None]
+    return v, n_up, n_low, g
+
+
+def _raise_force(f_low, g):
+    if g is None:  # a euclidean metric
+        return f_low
+    return np.einsum("...ij,...j->...i", np.linalg.inv(g), f_low)
+
+
+def force_hw(hw, m: MetricSpec, x, xdot) -> np.ndarray:
+    """Contravariant force from an (h, W) pair:
+
+        F_k = h(W) N_k / W_v - v * sum_i (W_i / W_v) (2 N^i N_k - d^i_k)
+
+    raised with the inverse metric.  `hw` may be any object exposing
+    w_jet1 and h_val (e.g. a gauge-transformed pair)."""
+    v, n_up, n_low, g = _velocity_frame(m, x, xdot)
+    W, wx, wv = hw.w_jet1(x, v)
+    h, wv = hw.h_val(W)[..., None], wv[..., None]
+    quot = wx / wv
+    # sum_i quot_i * (2 N^i N_k - delta^i_k)
+    corr = (2.0 * _dot(_columns(quot), _columns(n_up))[..., None] * n_low
+            - quot)
+    f_low = h * n_low / wv - v[..., None] * corr
+    return _raise_force(f_low, g)
+
+
+def force_ab(ab, m: MetricSpec, x, xdot) -> np.ndarray:
+    """Contravariant force from (a, b) data:
+
+        F_k = a N_k + v * sum_i b_i (2 N^i N_k - d^i_k)
+    """
+    v, n_up, n_low, g = _velocity_frame(m, x, xdot)
+    a, b = ab.ab_values(x, v)
+    corr = 2.0 * _dot(_columns(b), _columns(n_up))[..., None] * n_low - b
+    f_low = a[..., None] * n_low + v[..., None] * corr
+    return _raise_force(f_low, g)
+
+
+def reference_force(source, m: MetricSpec, x, xdot) -> np.ndarray:
+    """`force_hw` of a source with `w_jet1`, else `force_ab`."""
+    force = force_hw if hasattr(source, "w_jet1") else force_ab
+    return force(source, m, x, xdot)
+
+
+class ABOnly:
+    """A source seen only through `ab_values` and `b_values`: no type the
+    force compiler inlines."""
+
+    def __init__(self, src):
+        self.src, self.dimension = src, src.dimension
+
+    def ab_values(self, x, v):
+        return self.src.ab_values(x, v)
+
+    def b_values(self, x, v):
+        return self.src.b_values(x, v)

@@ -18,8 +18,6 @@ from normalshift.fields import (
     ForceField,
     HWPair,
     closedness_residual,
-    force_ab,
-    force_hw,
     normalizing_residual,
 )
 from normalshift.geometry import (
@@ -45,6 +43,7 @@ from normalshift.shift import (
     orthogonality_defect,
     solve_nu,
 )
+from reference_force import force_ab, force_hw
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 EUC2 = MetricSpec(2)

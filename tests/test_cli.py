@@ -665,7 +665,7 @@ def test_cli_start_up_does_not_import_scipy():
         "import numpy as np\n"
         "import normalshift.cli\n"
         "from normalshift.expr import parse\n"
-        "from normalshift.fields import HWPair, force_hw\n"
+        "from normalshift.fields import ForceField, HWPair\n"
         "from normalshift.geometry import MetricSpec\n"
         "from normalshift.pfaff import MonodromyMap, gauge_transform\n"
         "rho = MonodromyMap('g1', np.array([1.0, 2.0, 4.0]),\n"
@@ -673,7 +673,7 @@ def test_cli_start_up_does_not_import_scipy():
         "pair = HWPair(parse('v*exp(0.3*x1)'), parse('w'), 2)\n"
         "moved = gauge_transform(pair, parse('2*w'))\n"
         "out = [rho(1.5), rho.derivative(1.5), rho.inverse(5.0),\n"
-        "       *force_hw(moved, MetricSpec(2), [0.1, 0.2], [1.0, 0.5])]\n"
+        "       *ForceField(moved, MetricSpec(2))([0.1, 0.2], [1.0, 0.5])]\n"
         "print(all(np.isfinite(out)))\n")
     src = str(Path(normalshift.__file__).resolve().parents[1])
     path = [src, os.environ.get("PYTHONPATH", "")]

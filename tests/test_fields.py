@@ -21,18 +21,26 @@ from normalshift.fields import (
     ForceField,
     HWPair,
     _guard_wv,
-    _raise_force,
     _state_eval,
-    _velocity_frame,
     closedness_residual,
     collinearity_defect,
-    force_ab,
-    force_hw,
     normalizing_residual,
 )
 from normalshift.geometry import MetricSpec
+from normalshift.pfaff import gauge_transform
+from reference_force import (
+    ABOnly,
+    _raise_force,
+    _velocity_frame,
+    force_ab,
+    force_hw,
+    reference_force,
+)
 
 EUC2 = MetricSpec(2)
+CONFORMAL = MetricSpec(2, kind="conformal", conformal=parse("0.2*x2"))
+EXPLICIT = MetricSpec(2, kind="explicit", entries=(
+    (parse("1+x1^2"), parse("0.1*x2")), (parse("0.1*x2"), parse("2"))))
 
 
 def hw(W, h="1", n=2):
@@ -170,8 +178,8 @@ def test_force_equivalence_between_presentations():
     pair = hw("v*exp(0.5*x1)")
     derived = DerivedAB(pair)
     x, xdot = rand_states(rng, 2, 20)
-    f1 = force_hw(pair, EUC2, x, xdot)
-    f2 = force_ab(derived, EUC2, x, xdot)
+    f1 = ForceField(pair, EUC2)(x, xdot)
+    f2 = ForceField(derived, EUC2)(x, xdot)
     assert np.max(np.abs(f1 - f2)) < 1e-12
 
 
@@ -180,8 +188,8 @@ def test_force_equivalence_conformal_metric():
     rng = np.random.default_rng(7)
     pair = hw("v+0.3*x2", h="w^2")
     x, xdot = rand_states(rng, 2, 20)
-    f1 = force_hw(pair, m, x, xdot)
-    f2 = force_ab(DerivedAB(pair), m, x, xdot)
+    f1 = ForceField(pair, m)(x, xdot)
+    f2 = ForceField(DerivedAB(pair), m)(x, xdot)
     assert np.max(np.abs(f1 - f2)) < 1e-12
 
 
@@ -196,7 +204,7 @@ def test_derived_force_evaluates_one_jet_of_W(monkeypatch):
         return evaluate(exprs, env, wrt, order)
 
     monkeypatch.setattr(fields, "eval_tuple", counted)
-    force_ab(DerivedAB(pair), EUC2, [0.1, 0.2], [1.0, 0.5])
+    ForceField(DerivedAB(pair), EUC2)([0.1, 0.2], [1.0, 0.5])
     assert seen == [("W", 1), ("h", 0)]
 
 
@@ -240,19 +248,16 @@ def test_ab_values_raise_the_error_of_a_first():
 @pytest.mark.parametrize("m", [
     EUC2, MetricSpec(2, kind="conformal", conformal=parse("0.2*x2"))])
 def test_derived_force_matches_separate_a_and_b_bitwise(m):
-    class Separate:
+    class Separate(ABOnly):
         """a and b from their own calls, one jet of W each."""
-
-        def __init__(self, src):
-            self.src = src
 
         def ab_values(self, x, v):
             return self.src.ab_values(x, v)[0], self.src.b_values(x, v)
 
     derived = DerivedAB(hw("v*exp(0.5*x1+0.2*x2)", h="w^2"))
     x, xdot = rand_states(np.random.default_rng(17), 2, 40)
-    assert force_ab(derived, m, x, xdot).tobytes() \
-        == force_ab(Separate(derived), m, x, xdot).tobytes()
+    assert ForceField(derived, m)(x, xdot).tobytes() \
+        == ForceField(Separate(derived), m)(x, xdot).tobytes()
 
 
 def test_unit_h_one_form_route_agrees():
@@ -346,25 +351,44 @@ def test_force_compiles_once(monkeypatch):
 
 
 def test_called_force_pickles():
-    ff = ForceField(hw("v*exp(0.3*x1)", h="w"), EUC2)
-    f = ff(*STATES)
-    assert pickle.loads(pickle.dumps(ff))(*STATES).tobytes() == f.tobytes()
+    for ff in (ForceField(hw("v*exp(0.3*x1)", h="w"), EUC2),
+               ForceField(gauge_transform(hw("v*exp(0.3*x1)", h="w"),
+                                          parse("2*w")), CONFORMAL)):
+        f = ff(*STATES)
+        assert pickle.loads(pickle.dumps(ff))(*STATES).tobytes() \
+            == f.tobytes()
 
 
-@pytest.mark.parametrize("source, metric, reference", [
-    (hw("v*exp(0.3*x1)", h="w"),
-     MetricSpec(2, kind="conformal", conformal=parse("0.2*x2")), force_hw),
-    (ab("1+v", ("0.1*x2", "-v")),
-     MetricSpec(2, kind="conformal", conformal=parse("0.2*x2")), force_ab),
-    (DerivedAB(hw("v*exp(0.3*x1)")), EUC2, force_ab),
-    ((parse("x1*v"), parse("xdot1")), EUC2, fields.custom_force)])
-def test_other_forces_take_the_reference_path(monkeypatch, source, metric,
-                                              reference):
-    def refuse(src):
+@pytest.mark.parametrize("metric", [EUC2, CONFORMAL, EXPLICIT],
+                         ids=["euclidean", "conformal", "explicit"])
+@pytest.mark.parametrize("source", [
+    hw("v*exp(0.3*x1)", h="w"),
+    ab("1+v", ("0.1*x2", "-v")),
+    DerivedAB(hw("v*exp(0.3*x1)", h="w^2")),
+    gauge_transform(hw("v*exp(0.3*x1)", h="w"), parse("2*w+w^3")),
+    DerivedAB(gauge_transform(hw("v*exp(0.3*x1)"), parse("2*w"))),
+    ABOnly(ab("1+v", ("0.1*x2", "-v")))],
+    ids=["hw", "ab", "derived", "gauged", "derived-gauged", "ab-only"])
+def test_every_source_compiles_one_force(monkeypatch, source, metric):
+    defined, define = [], fields._Compiler.define
+
+    def counted(self, signature, result):
+        defined.append(signature)
+        return define(self, signature, result)
+    monkeypatch.setattr(fields._Compiler, "define", counted)
+    ff = ForceField(source, metric)
+    f = [ff(*STATES) for _ in range(3)][-1]
+    assert defined.count("force(x, xdot)") == 1
+    assert f.tobytes() == reference_force(source, metric, *STATES).tobytes()
+
+
+def test_custom_force_compiles_no_force(monkeypatch):
+    def refuse(src, m):
         raise AssertionError("compiled a force kernel")
     monkeypatch.setattr(fields, "_compile_force", refuse)
-    f = ForceField(source, metric)(*STATES)
-    assert f.tobytes() == reference(source, metric, *STATES).tobytes()
+    source = (parse("x1*v"), parse("xdot1"))
+    f = ForceField(source, EUC2)(*STATES)
+    assert f.tobytes() == fields.custom_force(source, EUC2, *STATES).tobytes()
 
 
 # --- residuals ----------------------------------------------------------------------

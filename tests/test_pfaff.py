@@ -17,7 +17,7 @@ from normalshift.errors import (
     TableError,
 )
 from normalshift.expr import parse
-from normalshift.fields import ABFields, DerivedAB, HWPair, force_hw
+from normalshift.fields import ABFields, DerivedAB, HWPair
 from normalshift.geometry import CoveringManifold, MetricSpec
 from normalshift.pfaff import (
     AdmissibleF,
@@ -38,6 +38,7 @@ from normalshift.pfaff import (
     monodromy,
     path_independence_defect,
 )
+from reference_force import force_hw
 
 EUC2 = MetricSpec(2)
 
