@@ -46,7 +46,7 @@ from .pfaff import (
     path_independence_defect,
     require_shared_ends,
 )
-from .scenario import Scenario, load_scenario, validate_run
+from .scenario import Scenario, _checked, load_scenario, validate_run
 from .shift import (
     NuField,
     loop_closure_defect,
@@ -130,15 +130,6 @@ def _w_grid(run):
         raise ScenarioError("the w grid must be strictly increasing",
                             f"run.{keys[1]}")
     return w
-
-
-def _checked(key, check, *args):
-    """check(*args), a library check of scenario values, whose error
-    becomes a configuration error naming `key`."""
-    try:
-        return check(*args)
-    except NormalShiftError as err:
-        raise ScenarioError(str(err), key) from None
 
 
 def _path_from(run, key):
@@ -372,7 +363,7 @@ def main(argv=None) -> int:
         overrides = {"dt": args.dt, "du": args.du, **dict.fromkeys(
             TOL_TARGET.get(args.command, ()), args.tol)}
         sc.run.update((k, v) for k, v in overrides.items() if v is not None)
-        validate_run(sc.run, sc.dimension)
+        validate_run(sc.run, sc.manifold)
     except (ConfigError, ScenarioError, OSError) as err:
         print(f"normalshift: {err}", file=sys.stderr)
         return 2

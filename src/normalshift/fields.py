@@ -359,20 +359,28 @@ _DOT_ORDER = {1: "({z}+{0})", 2: "({z}+({0}+{1}))",
 
 def continuation_rate(src, want_vw):
     """The continuation's rate(x, V, d) -> (b.d,), or (b.d, (db/dv).d)
-    with want_vw, of an `ABFields` or a `DerivedAB` over an `HWPair`, by
-    exact type: compiled once, and kept with the compiled functions of b
-    or W.  None for any other source, whose rate is `pfaff._stage_rate`."""
+    with want_vw.  For an `ABFields` or a `DerivedAB` over an `HWPair`,
+    by exact type, it is compiled once and kept with the compiled
+    functions of b or W; any other source runs `_stage_rate`."""
     derived = type(src) is DerivedAB and type(src.hw) is HWPair
-    if derived or type(src) is ABFields:
-        exprs = (src.hw.W,) if derived else src.b
-        key = (tuple(map(id, exprs[1:])), derived, src.dimension, want_vw)
-        if key not in exprs[0].compiled:
-            exprs[0].compiled[key] = _compile_rate(src, exprs, want_vw)
-        return exprs[0].compiled[key]
+    if not (derived or type(src) is ABFields):
+        return partial(_stage_rate, src, want_vw)
+    exprs = (src.hw.W,) if derived else src.b
+    key = (tuple(map(id, exprs[1:])), derived, src.dimension, want_vw)
+    if key not in exprs[0].compiled:
+        exprs[0].compiled[key] = _compile_rate(src, exprs, want_vw)
+    return exprs[0].compiled[key]
+
+
+def _stage_rate(ab, want_vw, x, V, d):
+    """dV/dt, and d(log V_w)/dt when want_vw, at one RK4 stage: the rate
+    of other sources, and the reference of the compiled rates."""
+    bs = ab.b_jet(x, V) if want_vw else (ab.b_values(x, V),)
+    return tuple(np.einsum("...i,...i->...", b, d) for b in bs)
 
 
 def _compile_rate(src, exprs, want_vw):
-    """`pfaff._stage_rate` of `src` as one function: the reference's
+    """`_stage_rate` of `src` as one function: the reference's
     operations on its values, so its bits and errors in its order (W's
     domain, |W_v|, then b), and its sums, `_dot`'s for a unit-stride d."""
     n, derived = src.dimension, isinstance(src, DerivedAB)

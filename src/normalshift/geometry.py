@@ -211,7 +211,9 @@ class CoveringManifold:
             if t.shape != (n,):
                 raise DeckInvarianceError(
                     f"deck generator {t} does not have dimension {n}")
-        if not self.metric.is_euclidean:
+        if gens and not self.metric.is_euclidean:
+            # sampled only to compare it with its translates; where the
+            # metric is used, `_metric_jet` checks it
             pts = _sample_grid(n)
             g0 = metric_at(self.metric, pts)
             for gi, t in enumerate(gens):

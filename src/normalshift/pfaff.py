@@ -9,10 +9,11 @@ The central object is the first-order system
     dV/dt = sum_i b_i(x(t), V) dx^i/dt,        V(t0) = w > 0,
 
 integrated along chart paths by fixed-step RK4 (`dynamics.rk4`, given
-a rate that guards its own stage inputs).  The rate of an `ABFields`,
-or of a `DerivedAB` over an `HWPair`, is compiled into one function
-(`fields.continuation_rate`).  Any other source runs `_stage_rate`,
-the reference that the tests hold the compiled rates to, bit for bit.
+a rate that guards its own stage inputs).  `fields.continuation_rate`
+picks the rate of each source: compiled into one function for an
+`ABFields` or a `DerivedAB` over an `HWPair`, and otherwise
+`fields._stage_rate`, the reference that the tests hold the compiled
+rates to, bit for bit.
 The system's derivative with respect to the initial datum,
 
     V_w(t) = exp( integral of sum_i (db_i/dv)(x, V) dx^i/dt ),
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -182,13 +183,6 @@ class ContinuationTrace:
         return None if self.Vw is None else self.Vw[-1]
 
 
-def _stage_rate(ab, want_vw, x, V, d):
-    """dV/dt, and d(log V_w)/dt when want_vw, at one RK4 stage: the rate
-    of other sources, and the reference of `fields.continuation_rate`."""
-    bs = ab.b_jet(x, V) if want_vw else (ab.b_values(x, V),)
-    return tuple(np.einsum("...i,...i->...", b, d) for b in bs)
-
-
 def require_positive(x, what):
     """x as floats; PositivityError names its first entry off (0, inf)."""
     x = np.asarray(x, dtype=float)
@@ -226,8 +220,7 @@ def _rk4_run(ab, steps, V, want_vw):
     cross a square-root zero of V, where the stages go negative, and land
     back on the positive axis.  The rate guards its own input at stages
     1 and 2; stage 0 is the previous step's end, guarded here."""
-    evaluate = (continuation_rate(ab, want_vw)
-                or partial(_stage_rate, ab, want_vw))
+    evaluate = continuation_rate(ab, want_vw)
     y = (V, np.zeros_like(V)) if want_vw else (V,)
     for h, t0, t1, xs, ds in steps:
         ts = (t0, 0.5 * (t0 + t1), t1)
@@ -670,8 +663,10 @@ class ClosedFormRho:
 @dataclass(eq=False)
 class TransformedHW:
     """Gauge-transformed pair: W' = rho(W), h'(w) = h(rho^-1(w)) *
-    rho'(rho^-1(w)).  Exposes the same evaluation surface as `HWPair`,
-    so forces evaluate through it unchanged."""
+    rho'(rho^-1(w)).  Exposes `w_jet1` and `h_val`, what a force and the
+    values of `DerivedAB` read, so forces evaluate through it unchanged.
+    It has no second-order jet of W': that needs rho'', which neither a
+    `MonodromyMap` nor a `ClosedFormRho` provides, so `w_jet2` raises."""
 
     base: object  # HWPair-like
     rho: object   # MonodromyMap | ClosedFormRho
@@ -685,6 +680,10 @@ class TransformedHW:
         r = np.asarray(self.rho(W))
         rp = np.asarray(self.rho.derivative(W))
         return r, rp[..., None] * wx, rp * wv
+
+    def w_jet2(self, x, v):
+        raise TableError("a gauge-transformed pair has no second-order jet "
+                         "of W' = rho(W): rho'' is not provided")
 
     def h_val(self, w):
         """h'(w) = h(y) rho'(y) at y = rho^-1(w).  Forces call it at w =

@@ -138,15 +138,31 @@ _RUN_RULES = {
 }
 
 
-def validate_run(run: dict, n: int) -> None:
-    """Check every [run] value a command reads, in n dimensions, but `f`,
-    `rho` and `word`, which `load_scenario` checks; a failure names
-    run.<key>.  The CLI runs this again after its overrides."""
+def validate_run(run: dict, manifold: CoveringManifold) -> None:
+    """Check every [run] value a command reads, on the manifold; a failure
+    names run.<key>.  The CLI runs this again after its overrides."""
+    n = manifold.metric.dimension
     for key, value in run.items():
         test, what = _RUN_RULES.get(
             key, _POSITIVE if key.endswith("_tol") else (None, None))
         if test and not test(value, n):
             raise ScenarioError("expected " + what.format(n=n), f"run.{key}")
+    for key, var in (("f", "v"), ("rho", "w")):
+        if key in run:
+            _expr(run[key], f"run.{key}", [var])
+    if "word" in run:
+        if not isinstance(run["word"], str):
+            raise ScenarioError("expected a deck word string", "run.word")
+        _checked("run.word", manifold.word, run["word"])
+
+
+def _checked(key, check, *args):
+    """check(*args), a library check of scenario values, whose error
+    becomes a configuration error naming `key`."""
+    try:
+        return check(*args)
+    except NormalShiftError as err:
+        raise ScenarioError(str(err), key) from None
 
 
 @dataclass(eq=False)
@@ -215,10 +231,8 @@ def _build_metric(man: dict, n: int) -> MetricSpec:
             raise ScenarioError(f"expected {n} rows", "manifold.explicit")
         entries = tuple(_exprs(row, f"manifold.explicit[{i}]", n, coords)
                         for i, row in enumerate(rows))
-        try:
-            return MetricSpec(n, kind="explicit", entries=entries)
-        except NormalShiftError as err:
-            raise ScenarioError(str(err), "manifold.explicit") from None
+        return _checked("manifold.explicit", MetricSpec, n, "explicit", None,
+                        entries)
     raise ScenarioError(f"unknown metric kind '{kind}'", "manifold.metric")
 
 
@@ -228,10 +242,7 @@ def _build_field(sec: dict, n: int, metric: MetricSpec) -> ForceField:
     if kind == "hw":
         W = _expr(sec.get("W"), "field.W", state)
         h = _expr(sec.get("h", "1"), "field.h", ["w"])
-        try:
-            return ForceField(HWPair(W, h, n), metric)
-        except NormalShiftError as err:
-            raise ScenarioError(str(err), "field") from None
+        return ForceField(HWPair(W, h, n), metric)
     if kind == "ab":
         a = _expr(sec.get("a"), "field.a", state)
         b = _exprs(sec.get("b"), "field.b", n, state)
@@ -265,15 +276,9 @@ def _build_surface(sec: dict, n: int) -> Hypersurface:
     if orientation not in (1, -1):
         raise ScenarioError("orientation must be 1 or -1",
                             "surface.orientation")
-    try:
-        surface = Hypersurface(n, parametrization, ranges, tuple(grid),
-                               tuple(base), tuple(closed), orientation)
-    except NormalShiftError as err:
-        raise ScenarioError(str(err), "surface") from None
-    try:
-        base_node_index(surface)
-    except NormalShiftError as err:
-        raise ScenarioError(str(err), "surface.base") from None
+    surface = Hypersurface(n, parametrization, ranges, tuple(grid),
+                           tuple(base), tuple(closed), orientation)
+    _checked("surface.base", base_node_index, surface)
     return surface
 
 
@@ -318,17 +323,5 @@ def load_scenario(path) -> Scenario:
     run.update(sections.get("run", {}))
     if "nu0" in sections.get("surface", {}):
         run["nu0"] = sections["surface"]["nu0"]
-    validate_run(run, n)
-    # not in validate_run: the word needs the manifold's periods, and no
-    # override sets these keys
-    for key, var in (("f", "v"), ("rho", "w")):
-        if key in run:
-            _expr(run[key], f"run.{key}", [var])
-    if "word" in run:
-        if not isinstance(run["word"], str):
-            raise ScenarioError("expected a deck word string", "run.word")
-        try:
-            manifold.word(run["word"])
-        except NormalShiftError as err:
-            raise ScenarioError(str(err), "run.word") from None
+    validate_run(run, manifold)
     return Scenario(manifold, force, surface, run)

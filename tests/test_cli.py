@@ -201,14 +201,17 @@ _METRIC_2D = ('[manifold]\ndimension = 2\n{manifold}\n'
                  "manifold.explicit[0]", id="long-rows"),
     pytest.param('metric = "explicit"\nexplicit = [["1", "0"], ["x1", "1"]]',
                  "manifold.explicit", id="asymmetric"),
-    pytest.param('metric = "explicit"\nexplicit = [["1", "0"], ["0", "-1"]]',
+    pytest.param('metric = "explicit"\nexplicit = [["1", "0"], ["0", "-1"]]'
+                 '\nperiods = [[1.0, 0.0]]',
                  "manifold.explicit", id="indefinite"),
-    pytest.param('metric = "conformal"\nconformal = "log(x1)"',
+    pytest.param('metric = "conformal"\nconformal = "log(x1)"'
+                 '\nperiods = [[1.0, 0.0]]',
                  "manifold.conformal", id="conformal-off-domain"),
 ])
 def test_metric_errors_name_the_metric_key(tmp_path, capsys, manifold, key):
     # every metric table is read like the other expression tables, and a
-    # metric that cannot be evaluated is named by its own key
+    # metric that cannot be evaluated where its periods are checked is
+    # named by its own key
     cfg = tmp_path / "metric.toml"
     cfg.write_text(_METRIC_2D.format(manifold=manifold))
     assert run_cli("trajectory", cfg, tmp_path / "out") == 2
@@ -216,6 +219,28 @@ def test_metric_errors_name_the_metric_key(tmp_path, capsys, manifold, key):
     assert err.startswith(f"normalshift: {key}: ")
     assert "Traceback" not in err and "manifold.periods" not in err
     assert not (tmp_path / "out" / "report.txt").exists()
+
+
+@pytest.mark.parametrize("manifold,code", [
+    pytest.param('metric = "conformal"\nconformal = "log(x1)"', 0,
+                 id="conformal-in-domain"),
+    pytest.param('metric = "explicit"\nexplicit = [["1", "0"], ["0", "-1"]]',
+                 1, id="indefinite"),
+])
+def test_metric_without_periods_is_evaluated_where_it_is_used(
+        tmp_path, capsys, manifold, code):
+    # with no periods to compare it to, the metric is not sampled at load:
+    # log(x1) serves a run that stays in x1 > 0, and an indefinite metric
+    # fails the run that uses it
+    cfg = tmp_path / "metric.toml"
+    cfg.write_text(_METRIC_2D.format(manifold=manifold) + "x0 = [0.5, 0.0]\n")
+    assert run_cli("trajectory", cfg, tmp_path / "out") == code
+    errors = [line for line in read_report(tmp_path / "out").splitlines()
+              if line.startswith("INFO ERROR ")]
+    assert len(errors) == code
+    if code:
+        assert "metric not positive-definite" in errors[0]
+        assert "metric not positive-definite" in capsys.readouterr().err
 
 
 def test_scenario_holds_each_value_once():

@@ -1,8 +1,9 @@
 """Property-based invariants of the paper's force (hypothesis): the (h, W)
 and (a, b) presentations give the same force, a monotone
-reparametrization of W (a gauge transformation) leaves it unchanged, and
-the compiled force of every source on every metric kind is the reference
-force's, as the compiled continuation rate is `pfaff._stage_rate`'s."""
+reparametrization of W (a gauge transformation) leaves it unchanged,
+(a, b) derived from any (h, W) is closed and normalized, and the
+compiled force of every source on every metric kind is the reference
+force's, as the compiled continuation rate is `fields._stage_rate`'s."""
 
 from functools import partial
 
@@ -22,10 +23,13 @@ from normalshift.fields import (
     DerivedAB,
     ForceField,
     HWPair,
+    _stage_rate,
+    closedness_residual,
     continuation_rate,
+    normalizing_residual,
 )
 from normalshift.geometry import MetricSpec, coordinate_names, state_names
-from normalshift.pfaff import _stage_rate, gauge_transform
+from normalshift.pfaff import gauge_transform
 from reference_force import ABOnly, force_ab, force_hw, reference_force
 
 EUC2 = MetricSpec(2)
@@ -103,6 +107,22 @@ def test_force_is_gauge_invariant(W, h, rho, seed):
     f1 = force_hw(gauge_transform(pair, parse(rho)), EUC2, x, xdot)
     err = np.linalg.norm(f1 - f0, axis=-1)
     assert err.max() <= 1e-9 * _term_scale(pair, x, xdot).max()
+
+
+@given(_W, _trees(("w",)), _seed)
+@settings(max_examples=25, deadline=None)
+def test_derived_data_is_closed_and_normalized(W, h, seed):
+    # each residual entry vanishes to rounding: bounded by 1e-12 times
+    # the sum of the absolute values of the terms it sums
+    x, xdot = _states(seed)
+    jet = DerivedAB(HWPair(parse(W), parse(h), 2)).jet(
+        x, np.linalg.norm(xdot, axis=-1))
+    (a, ax, av), (b, bx, bv) = jet
+    half = np.abs(bx) + np.abs(b[..., None, :] * bv[..., :, None])
+    closed = half + np.swapaxes(half, -1, -2)
+    normal = np.abs(ax) + np.abs(b * av[..., None]) + np.abs(bv * a[..., None])
+    assert np.all(np.abs(closedness_residual(jet)) <= 1e-12 * closed)
+    assert np.all(np.abs(normalizing_residual(jet)) <= 1e-12 * normal)
 
 
 # --- the compiled force against its reference ------------------------------------
@@ -301,6 +321,6 @@ def test_compiled_rate_is_the_reference_bitwise(n, want_vw, data):
     if not lanes[1] and data.draw(st.booleans()):
         V = V[()]  # one lane's V is a 0-d array first, then a float64
     compiled = continuation_rate(source, want_vw)
-    assert compiled is not None
+    assert not isinstance(compiled, partial)  # not the reference itself
     assert (_rate_outcome(compiled, x, V, d)
             == _rate_outcome(partial(_stage_rate, source, want_vw), x, V, d))

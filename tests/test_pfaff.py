@@ -725,6 +725,18 @@ def test_gauge_with_sampled_monodromy_map():
     assert np.max(np.abs(f1 - f0)) < 1e-7
 
 
+def test_derived_data_of_a_gauged_pair_has_no_second_order_jet():
+    # V_w and the residuals read W's second-order jet, which needs rho'';
+    # V alone reads the first-order jet, which a gauged pair gives
+    gauged = DerivedAB(gauge_transform(hw("v*exp(0.3*x1)", "w"),
+                                       parse("2*w")))
+    with pytest.raises(ContinuationError, match="no second-order jet"):
+        continue_V(gauged, UNIT_SEG, 1.0)
+    with pytest.raises(TableError, match="no second-order jet"):
+        extract_h(gauged, (0.0, 0.0), [1.0, 2.0])
+    assert invert_V(gauged, (0.0, 0.0), (1.0, 0.0), 1.0, dt=1e-2) > 0.0
+
+
 def test_closed_form_rho_inverse():
     rho = ClosedFormRho(parse("w^2"))
     assert rho.inverse(9.0) == pytest.approx(3.0, rel=1e-12)
