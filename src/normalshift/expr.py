@@ -42,7 +42,7 @@ from .errors import (
     UnknownFunctionError,
 )
 
-__all__ = ["FieldExpr", "parse", "bind", "eval_tuple", "taylor_eval"]
+__all__ = ["FieldExpr", "parse", "bind", "eval_tuple"]
 
 
 # --- AST -------------------------------------------------------------------
@@ -593,11 +593,3 @@ def eval_tuple(exprs: Sequence[FieldExpr], env: Mapping[str, object],
     if fn is None:
         fn = exprs[0].compiled[key] = _Compiler(*key[1:]).function(exprs)
     return fn(env)
-
-
-def taylor_eval(e: FieldExpr, env: Mapping[str, object],
-                wrt: Sequence[str] = (), order: int = 2):
-    """`eval_tuple` of the one expression `e`, without the expression axis:
-    (value, gradient, hessian) of shapes batch, batch + (k,), batch + (k, k)."""
-    return tuple(None if part is None else part[..., 0]
-                 for part in eval_tuple((e,), env, wrt, order))

@@ -150,12 +150,6 @@ class ABFields:
         f = _state_eval((self.a,) + self.b, self.dimension, x, v, 0)[0]
         return f[..., 0], f[..., 1:]
 
-    def b_jet(self, x, v):
-        """(b (..., n), db/dv (..., n)): what a continuation reads."""
-        env = bind(coordinate_names(self.dimension), x, v=v)
-        vals, grad, _ = eval_tuple(self.b, env, ("v",), 1)
-        return vals, grad[..., 0, :]
-
     def jet(self, x, v):
         """((a, da/dx, da/dv), (b, db/dx, db/dv)) from one evaluation, b's
         first; db/dx[..., i, j] = d b_i / d x^j."""
@@ -182,10 +176,6 @@ class DerivedAB:
         W, wx, wv = self.hw.w_jet1(x, v)
         return self.hw.h_val(W) / wv, -wx / wv[..., None]
 
-    def b_jet(self, x, v):
-        _, wx, wv, _, wxv, wvv = self.hw.w_jet2(x, v)
-        return _quotient_b(wx, wv, wxv, wvv)
-
     def jet(self, x, v):
         """The (a, b) jet of `ABFields.jet` from one order-2 jet of W."""
         return derived_jet(self.hw, self.hw.w_jet2(x, v))
@@ -199,17 +189,11 @@ def derived_jet(hw, w_jet2):
     ax = (hp[..., None] * wx * wv[..., None] - h[..., None] * wxv) \
         / wv[..., None] ** 2
     av = hp - h * wvv / wv ** 2
-    b, bv = _quotient_b(wx, wv, wxv, wvv)
+    b = -wx / wv[..., None]
     bx = -(wxx * wv[..., None, None]
            - wx[..., :, None] * wxv[..., None, :]) / wv[..., None, None] ** 2
+    bv = -(wxv * wv[..., None] - wx * wvv[..., None]) / wv[..., None] ** 2
     return (a, ax, av), (b, bx, bv)
-
-
-def _quotient_b(wx, wv, wxv, wvv):
-    """b = -W_x / W_v and db/dv from W's order-2 jet, by the quotient rule."""
-    b = -wx / wv[..., None]
-    dv = -(wxv * wv[..., None] - wx * wvv[..., None]) / wv[..., None] ** 2
-    return b, dv
 
 
 # --- velocity frame and forces ----------------------------------------------------
@@ -361,7 +345,8 @@ def continuation_rate(src, want_vw):
     """The continuation's rate(x, V, d) -> (b.d,), or (b.d, (db/dv).d)
     with want_vw.  For an `ABFields` or a `DerivedAB` over an `HWPair`,
     by exact type, it is compiled once and kept with the compiled
-    functions of b or W; any other source runs `_stage_rate`."""
+    functions of b or W; any other source, such as a `DerivedAB` over a
+    gauge-transformed pair, runs `_stage_rate`."""
     derived = type(src) is DerivedAB and type(src.hw) is HWPair
     if not (derived or type(src) is ABFields):
         return partial(_stage_rate, src, want_vw)
@@ -373,16 +358,22 @@ def continuation_rate(src, want_vw):
 
 
 def _stage_rate(ab, want_vw, x, V, d):
-    """dV/dt, and d(log V_w)/dt when want_vw, at one RK4 stage: the rate
-    of other sources, and the reference of the compiled rates."""
-    bs = ab.b_jet(x, V) if want_vw else (ab.b_values(x, V),)
+    """dV/dt, and d(log V_w)/dt when want_vw, at one RK4 stage of a source
+    that `continuation_rate` does not compile: b from `b_values`, or b and
+    db/dv from `jet`."""
+    if want_vw:
+        b, _, bv = ab.jet(x, V)[1]
+        bs = (b, bv)
+    else:
+        bs = (ab.b_values(x, V),)
     return tuple(np.einsum("...i,...i->...", b, d) for b in bs)
 
 
 def _compile_rate(src, exprs, want_vw):
-    """`_stage_rate` of `src` as one function: the reference's
-    operations on its values, so its bits and errors in its order (W's
-    domain, |W_v|, then b), and its sums, `_dot`'s for a unit-stride d."""
+    """The rate of `src` as one function: the operations of the array-math
+    reference in the tests on its values, so its bits and errors in its
+    order (W's domain, |W_v|, then b), and its sums, `_dot`'s for a
+    unit-stride d."""
     n, derived = src.dimension, isinstance(src, DerivedAB)
     # W's jet is one order above b's; b's own jet is in v alone
     order = want_vw + derived
@@ -392,7 +383,7 @@ def _compile_rate(src, exprs, want_vw):
     c.loaded.update((name, c.let(f"asarray(x[..., {i}], float)")) for i, name
                     in enumerate(coordinate_names(n)) if name in used)
     jets = [c.eval(e.ast) for e in exprs]
-    if derived:  # b = -W_x / W_v, and db/dv by `_quotient_b`'s arithmetic
+    if derived:  # b = -W_x / W_v, and db/dv by `derived_jet`'s arithmetic
         _, grad, hess = jets[0]
         wv = c.let(f"{c.const(_guard_wv)}({grad.get(n, '0.0')}, x, {V})")
         wx = [grad.get(i, "0.0") for i in range(n)]

@@ -281,7 +281,8 @@ class Hypersurface:
         for counts in self.grid:
             if counts < 2:
                 raise FrameError("need at least 2 nodes per parameter axis")
-        if self.orientation not in (-1, 1):
+        if (type(self.orientation) is not int
+                or self.orientation not in (-1, 1)):
             raise FrameError("orientation must be +1 or -1")
 
     @property

@@ -11,9 +11,9 @@ The central object is the first-order system
 integrated along chart paths by fixed-step RK4 (`dynamics.rk4`, given
 a rate that guards its own stage inputs).  `fields.continuation_rate`
 picks the rate of each source: compiled into one function for an
-`ABFields` or a `DerivedAB` over an `HWPair`, and otherwise
-`fields._stage_rate`, the reference that the tests hold the compiled
-rates to, bit for bit.
+`ABFields` or a `DerivedAB` over an `HWPair`, which the tests hold bit
+for bit to the rate written out as array math, and otherwise
+`fields._stage_rate` through the source's `b_values` or `jet`.
 The system's derivative with respect to the initial datum,
 
     V_w(t) = exp( integral of sum_i (db_i/dv)(x, V) dx^i/dt ),

@@ -273,7 +273,7 @@ def _build_surface(sec: dict, n: int) -> Hypersurface:
     if "nu0" in sec and not test(sec["nu0"], n):
         raise ScenarioError("expected " + what, "surface.nu0")
     orientation = sec.get("orientation", 1)
-    if orientation not in (1, -1):
+    if type(orientation) is not int or orientation not in (1, -1):
         raise ScenarioError("orientation must be 1 or -1",
                             "surface.orientation")
     surface = Hypersurface(n, parametrization, ranges, tuple(grid),

@@ -1,18 +1,21 @@
-"""The paper's force written out as array math: the oracle that the compiled
-`ForceField` kernels are held to, bit for bit and error for error.
+"""The paper's force and the continuation's rate written out as array
+math: the oracles that the compiled `ForceField` kernels and continuation
+rates are held to, bit for bit and error for error.
 
     F_k = a N_k + v * sum_i b_i (2 N^i N_k - delta^i_k)
 
 with N the g-unit vector along the velocity and v the g-speed, lowered
 and raised with the metric.  `force_hw` reads an (h, W) pair through
 `w_jet1` and `h_val`, `force_ab` reads (a, b) data through `ab_values`;
-both sum with `fields._dot`, as the kernels do.
+both sum with `fields._dot`, as the kernels do.  `reference_rate` gives
+b.d, and (db/dv).d for V_w, from b alone: it never evaluates a or h.
 """
 
 import numpy as np
 
-from normalshift.fields import _columns, _dot, _guard_speed
-from normalshift.geometry import MetricSpec, metric_at
+from normalshift.expr import bind, eval_tuple
+from normalshift.fields import DerivedAB, _columns, _dot, _guard_speed
+from normalshift.geometry import MetricSpec, coordinate_names, metric_at
 
 
 def _velocity_frame(m: MetricSpec, x, xdot):
@@ -72,6 +75,27 @@ def reference_force(source, m: MetricSpec, x, xdot) -> np.ndarray:
     """`force_hw` of a source with `w_jet1`, else `force_ab`."""
     force = force_hw if hasattr(source, "w_jet1") else force_ab
     return force(source, m, x, xdot)
+
+
+def reference_rate(ab, want_vw, x, V, d):
+    """dV/dt = b(x, V).d, and d(log V_w)/dt = (db/dv)(x, V).d when
+    want_vw, at one continuation stage.  For a `DerivedAB`, b = -W_x / W_v
+    from W's first-order jet, and db/dv by the quotient rule from its
+    second-order jet; for `ABFields`, b's values, or its jet in v alone."""
+    if isinstance(ab, DerivedAB):
+        if not want_vw:
+            _, wx, wv = ab.hw.w_jet1(x, V)
+            bs = (-wx / wv[..., None],)
+        else:
+            _, wx, wv, _, wxv, wvv = ab.hw.w_jet2(x, V)
+            bs = (-wx / wv[..., None],
+                  -(wxv * wv[..., None] - wx * wvv[..., None])
+                  / wv[..., None] ** 2)
+    else:
+        env = bind(coordinate_names(ab.dimension), x, v=V)
+        vals, grad, _ = eval_tuple(ab.b, env, ("v",), int(want_vw))
+        bs = (vals, grad[..., 0, :]) if want_vw else (vals,)
+    return tuple(np.einsum("...i,...i->...", b, d) for b in bs)
 
 
 class ABOnly:

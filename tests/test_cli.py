@@ -158,6 +158,16 @@ def test_bad_surface_nu0_is_named(tmp_path, capsys, value):
     assert "run.nu0" not in err
 
 
+@pytest.mark.parametrize("value", ["true", "1.0", "-1.0"])
+def test_bad_surface_orientation_is_named(tmp_path, capsys, value):
+    cfg = tmp_path / "circle.toml"
+    cfg.write_text((SCENARIOS / "circle_shift.toml").read_text()
+                   .replace("orientation = 1", f"orientation = {value}"))
+    assert run_cli("shift", cfg, tmp_path) == 2
+    assert "surface.orientation: orientation must be 1 or -1" \
+        in capsys.readouterr().err
+
+
 def test_surface_base_off_the_grid_is_named(tmp_path, capsys):
     # a configuration error found when the surface is loaded, not a
     # computation error of the shift
@@ -622,7 +632,7 @@ def test_monodromy_command(tmp_path):
 
 def test_monodromy_inversion_skips_the_datum_derivative(tmp_path,
                                                          monkeypatch):
-    # invert_V reads only W, so its run evaluates b alone, never b's jet,
+    # invert_V reads only W, so its run evaluates b alone, never the jet,
     # and compiles only the rate without V_w
     calls, compiled, compile_rate = [], [], fields._compile_rate
 
@@ -638,13 +648,13 @@ def test_monodromy_inversion_skips_the_datum_derivative(tmp_path,
             return method(src, x, v)
         return call
 
-    for name in ("b_values", "b_jet"):
+    for name in ("b_values", "jet"):
         monkeypatch.setattr(fields.ABFields, name, counted(name))
     monkeypatch.setattr(fields, "_compile_rate", recorded)
     assert run_cli("monodromy", SCENARIOS / "cylinder_monodromy.toml",
                    tmp_path) == 0
     assert "b_values" in calls
-    assert "b_jet" not in calls
+    assert "jet" not in calls
     assert compiled == [False]
 
 
@@ -719,9 +729,12 @@ def test_every_public_name_resolves():
 
 
 # names perfbench/tracer.py still lists but no module binds any more
-STALE_TRACER_TARGETS = {("fields", "taylor_eval"),
+STALE_TRACER_TARGETS = {("expr", "taylor_eval"),
+                        ("fields", "taylor_eval"),
                         ("geometry", "taylor_eval"),
-                        ("pfaff", "taylor_eval")}
+                        ("pfaff", "taylor_eval"),
+                        ("fields", "ABFields.b_jet"),
+                        ("fields", "DerivedAB.b_jet")}
 
 
 def test_tracer_targets_resolve():

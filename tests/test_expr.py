@@ -27,7 +27,6 @@ from normalshift.expr import (
     Var,
     eval_tuple,
     parse,
-    taylor_eval,
 )
 
 
@@ -77,11 +76,11 @@ def test_precedence_and_associativity():
                                        BinOp("*", Num(2.0), Num(3.0)))
     assert parse("2^3^2").ast == BinOp("^", BinOp("^", Num(2.0), Num(3.0)),
                                        Num(2.0))
-    assert taylor_eval(parse("2^3^2"), {}, (), 0)[0] == 64.0
+    assert jet(parse("2^3^2"), {}, (), 0)[0] == 64.0
     # unary minus binds tighter than ^
-    assert taylor_eval(parse("-2^2"), {}, (), 0)[0] == 4.0
-    assert taylor_eval(parse("2^-2"), {}, (), 0)[0] == 0.25
-    assert taylor_eval(parse("1-2-3"), {}, (), 0)[0] == -4.0
+    assert jet(parse("-2^2"), {}, (), 0)[0] == 4.0
+    assert jet(parse("2^-2"), {}, (), 0)[0] == 0.25
+    assert jet(parse("1-2-3"), {}, (), 0)[0] == -4.0
 
 
 def _random_tree(rng, depth, vars_):
@@ -118,10 +117,12 @@ def test_roundtrip_edge_spellings():
 
 # --- jets vs hand-derived oracle ---------------------------------------------
 
-def jet(e, env, wrt):
-    """(value, gradient (k,), Hessian (k, k)) of one expression at a point."""
-    val, grad, hess = eval_tuple((e,), env, wrt, 2)
-    return val[0], grad[:, 0], hess[:, :, 0]
+def jet(e, env, wrt=(), order=2):
+    """`eval_tuple` of the one expression `e` without the expression axis:
+    (value, gradient, Hessian) of shapes batch, batch + (k,), batch + (k, k),
+    None above `order`."""
+    return tuple(None if part is None else part[..., 0]
+                 for part in eval_tuple((e,), env, wrt, order))
 
 
 def test_eval_jet_hand_symbolic():
@@ -144,8 +145,7 @@ def test_eval_jet_identity():
 def _fd_grad(e, env, name, h=1e-5):
     up = dict(env); up[name] = env[name] + h
     dn = dict(env); dn[name] = env[name] - h
-    return (taylor_eval(e, up, (), 0)[0]
-            - taylor_eval(e, dn, (), 0)[0]) / (2 * h)
+    return (jet(e, up, (), 0)[0] - jet(e, dn, (), 0)[0]) / (2 * h)
 
 
 def _fd_hess(e, env, p, q, h=1e-5):
@@ -213,8 +213,8 @@ def test_rule_cases_cover_every_function():
 def test_every_rule_matches_central_differences(src):
     e = parse(src)
     wrt = ("x1", "x2")
-    _, grad1, hess1 = taylor_eval(e, RULE_POINT, wrt, order=1)
-    _, grad, hess = taylor_eval(e, RULE_POINT, wrt, order=2)
+    _, grad1, hess1 = jet(e, RULE_POINT, wrt, order=1)
+    _, grad, hess = jet(e, RULE_POINT, wrt, order=2)
     assert hess1 is None
     assert np.array_equal(grad1, grad)  # order 1 is order 2's gradient
     for i, p in enumerate(wrt):
@@ -256,7 +256,7 @@ def test_hessian_symmetry_is_exact():
 
 def test_eval_tuple_broadcasts_and_stacks():
     # constants broadcast to the batch of the binding; components stack on
-    # a trailing axis, bit for bit as `taylor_eval` computes each one
+    # a trailing axis, bit for bit as `eval_tuple` computes each one alone
     env = {"x1": np.array([0.0, 1.0, 2.0]), "v": np.array([[1.0], [2.0]])}
     exprs = (parse("v*exp(0.5*x1)"), parse("2"), parse("x1/v"))
     val, grad, hess = eval_tuple(exprs, env, ("x1", "v"), 1)
@@ -264,7 +264,7 @@ def test_eval_tuple_broadcasts_and_stacks():
     assert grad.shape == (2, 3, 2, 3)
     assert hess is None
     for i, e in enumerate(exprs):
-        v, g, _ = taylor_eval(e, env, ("x1", "v"), order=1)
+        v, g, _ = jet(e, env, ("x1", "v"), order=1)
         assert np.array_equal(val[..., i], np.broadcast_to(v, (2, 3)))
         assert np.array_equal(grad[..., i], np.broadcast_to(g, (2, 3, 2)))
     val0, grad0, hess0 = eval_tuple(exprs, env, ("x1", "v"), 0)
@@ -284,41 +284,41 @@ def test_eval_tuple_broadcasts_and_stacks():
 # --- domains and errors -------------------------------------------------------
 
 def test_integer_exponent_allows_negative_base():
-    assert taylor_eval(parse("(-2.0)^3"), {}, (), 0)[0] == -8.0
-    assert taylor_eval(parse("x1^2"), {"x1": -3.0}, (), 0)[0] == 9.0
+    assert jet(parse("(-2.0)^3"), {}, (), 0)[0] == -8.0
+    assert jet(parse("x1^2"), {"x1": -3.0}, (), 0)[0] == 9.0
     _, grad, hess = jet(parse("x1^3"), {"x1": -2.0}, ["x1"])
     assert grad[0] == 12.0
     assert hess[0, 0] == -12.0
 
 
 def test_non_integer_exponent_needs_positive_base():
-    assert taylor_eval(parse("4^0.5"), {}, (), 0)[0] == pytest.approx(2.0)
+    assert jet(parse("4^0.5"), {}, (), 0)[0] == pytest.approx(2.0)
     with pytest.raises(DomainEvalError):
-        taylor_eval(parse("(-4.0)^0.5"), {}, (), 0)[0]
+        jet(parse("(-4.0)^0.5"), {}, (), 0)[0]
     with pytest.raises(DomainEvalError):
-        taylor_eval(parse("pow(x1, 0.5)"), {"x1": -1.0}, (), 0)[0]
+        jet(parse("pow(x1, 0.5)"), {"x1": -1.0}, (), 0)[0]
 
 
 def test_domain_errors_report_subexpression():
     with pytest.raises(DomainEvalError) as exc:
-        taylor_eval(parse("1+log(x1-2)"), {"x1": 1.0}, (), 0)[0]
+        jet(parse("1+log(x1-2)"), {"x1": 1.0}, (), 0)[0]
     assert "log" in str(exc.value)
     with pytest.raises(DomainEvalError):
-        taylor_eval(parse("sqrt(-x1)"), {"x1": 1.0}, (), 0)[0]
+        jet(parse("sqrt(-x1)"), {"x1": 1.0}, (), 0)[0]
     with pytest.raises(DomainEvalError):
-        taylor_eval(parse("1/x1"), {"x1": 0.0}, (), 0)[0]
+        jet(parse("1/x1"), {"x1": 0.0}, (), 0)[0]
 
 
 def test_unbound_variable():
     with pytest.raises(UnboundVariableError):
-        taylor_eval(parse("x1+x2"), {"x1": 1.0}, (), 0)[0]
+        jet(parse("x1+x2"), {"x1": 1.0}, (), 0)[0]
 
 
 def test_vectorized_environment():
     e = parse("v*exp(0.5*x1)")
     x1 = np.array([0.0, 1.0, 2.0])
     v = np.array([2.0, 1.0, 1.0])
-    val, grad, _ = taylor_eval(e, {"x1": x1, "v": v}, ["x1", "v"], order=1)
+    val, grad, _ = jet(e, {"x1": x1, "v": v}, ["x1", "v"], order=1)
     assert val == pytest.approx(v * np.exp(0.5 * x1))
     assert grad[:, 1] == pytest.approx(np.exp(0.5 * x1))
     assert grad[:, 0] == pytest.approx(0.5 * v * np.exp(0.5 * x1))
@@ -337,14 +337,14 @@ def test_variable_names_are_only_keys():
     # a hand-built name need not be an identifier: it is read through env
     names = ("a b", "x'); import os; ('")
     e = FieldExpr(BinOp("*", Var(names[0]), Var(names[1])))
-    val, grad, _ = taylor_eval(e, {names[0]: 2.0, names[1]: 3.0}, names, 1)
+    val, grad, _ = jet(e, {names[0]: 2.0, names[1]: 3.0}, names, 1)
     assert val == 6.0
     assert grad.tolist() == [3.0, 2.0]
 
 
 def test_infinite_literal_evaluates():
-    val, grad, _ = taylor_eval(parse("1e999*x1"),
-                               {"x1": np.array([1.0, 2.0])}, ("x1",), 1)
+    val, grad, _ = jet(parse("1e999*x1"),
+                       {"x1": np.array([1.0, 2.0])}, ("x1",), 1)
     assert val.tolist() == [math.inf, math.inf]
     assert grad[:, 0].tolist() == [math.inf, math.inf]
 
@@ -352,10 +352,10 @@ def test_infinite_literal_evaluates():
 def test_unknown_call_raises_after_its_argument():
     bad = FieldExpr(Call("foo", (Call("log", (Var("x1"),)),), 3))
     with pytest.raises(DomainEvalError, match="log of non-positive value"):
-        taylor_eval(bad, {"x1": 0.0}, ("x1",), 1)
+        jet(bad, {"x1": 0.0}, ("x1",), 1)
     with pytest.raises(UnknownFunctionError,
                        match="unknown function 'foo'") as exc:
-        taylor_eval(bad, {"x1": 1.0}, ("x1",), 1)
+        jet(bad, {"x1": 1.0}, ("x1",), 1)
     assert exc.value.offset == 3
 
 
@@ -367,19 +367,19 @@ def test_malformed_call_raises_in_walk_order(call, error):
     # the log guard to the left runs first, as in a walk of the tree
     bad = FieldExpr(BinOp("+", Call("log", (Var("x1"),)), call))
     with pytest.raises(DomainEvalError, match="log of non-positive value"):
-        taylor_eval(bad, {"x1": 0.0}, ("x1",), 1)
+        jet(bad, {"x1": 0.0}, ("x1",), 1)
     with pytest.raises(error):
-        taylor_eval(bad, {"x1": 1.0}, ("x1",), 1)
+        jet(bad, {"x1": 1.0}, ("x1",), 1)
 
 
 def test_compiled_cache_is_not_an_input():
     e = parse("v*exp(0.3*x1)")
-    taylor_eval(e, {"x1": 0.2, "v": 1.5}, ("x1", "v"), 1)
+    jet(e, {"x1": 0.2, "v": 1.5}, ("x1", "v"), 1)
     with pytest.raises(TypeError):
         FieldExpr(e.ast, e.free_vars, e.compiled)
     other = dataclasses.replace(e, ast=parse("x1").ast, free_vars=("x1",))
     assert other.compiled == {}
-    assert taylor_eval(other, {"x1": 0.2}, ("x1",), 1)[0] == 0.2
+    assert jet(other, {"x1": 0.2}, ("x1",), 1)[0] == 0.2
 
 
 def test_structural_zeros_are_positive_zero():
@@ -387,7 +387,7 @@ def test_structural_zeros_are_positive_zero():
     # negation of zero columns gave -0.0 here
     env = {"x1": np.array([-1.0, 2.0]), "x2": np.array([3.0, -0.5]),
            "v": 1.0}
-    _, grad, hess = taylor_eval(parse("-(x1*x2)"), env, ("x1", "x2", "v"), 2)
+    _, grad, hess = jet(parse("-(x1*x2)"), env, ("x1", "x2", "v"), 2)
     for zero in (grad[:, 2], hess[:, 0, 0], hess[:, 1, 1], hess[:, 2, :],
                  hess[:, :, 2]):
         assert zero.tobytes() == np.zeros(zero.shape).tobytes()
@@ -405,13 +405,13 @@ def test_compiles_once_per_wrt_and_order(monkeypatch):
     monkeypatch.setattr(expr, "_Compiler", Counted)
     e = parse("v*exp(0.3*x1)")
     env = {"x1": 0.2, "v": 1.5}
-    first = taylor_eval(e, env, ("x1", "v"), 1)
-    again = taylor_eval(e, env, ["x1", "v"], 1)
+    first = jet(e, env, ("x1", "v"), 1)
+    again = jet(e, env, ["x1", "v"], 1)
     assert made == [(("x1", "v"), 1)]
     assert all(a.tobytes() == b.tobytes() for a, b in zip(first[:2], again))
-    taylor_eval(e, env, ("x1", "v"), 2)
-    taylor_eval(e, env, ("v",), 0)
-    taylor_eval(e, env, (), 0)  # order 0 does not read wrt
+    jet(e, env, ("x1", "v"), 2)
+    jet(e, env, ("v",), 0)
+    jet(e, env, (), 0)  # order 0 does not read wrt
     assert made == [(("x1", "v"), 1), (("x1", "v"), 2), ((), 0)]
 
 
@@ -444,11 +444,11 @@ def test_orders_agree_bitwise_on_random_trees():
         while checked < 400:
             e = parse(_rich_tree(rng, 4))
             try:
-                v0, _, _ = taylor_eval(e, env, wrt, 0)
+                v0, _, _ = jet(e, env, wrt, 0)
             except DomainEvalError:
                 continue
-            v1, g1, _ = taylor_eval(e, env, wrt, 1)
-            v2, g2, h2 = taylor_eval(e, env, wrt, 2)
+            v1, g1, _ = jet(e, env, wrt, 1)
+            v2, g2, h2 = jet(e, env, wrt, 2)
             assert v0.tobytes() == v1.tobytes() == v2.tobytes()
             assert g1.tobytes() == g2.tobytes()
             assert h2.tobytes() == np.swapaxes(h2, -1, -2).copy().tobytes()
@@ -458,8 +458,8 @@ def test_orders_agree_bitwise_on_random_trees():
 def test_evaluated_expression_pickles():
     e = parse("v*exp(0.3*x1)")
     env = {"x1": 0.2, "v": 1.5}
-    want = taylor_eval(e, env, ("x1", "v"), 2)
+    want = jet(e, env, ("x1", "v"), 2)
     again = pickle.loads(pickle.dumps(e))
     assert again == e and again.free_vars == e.free_vars
-    for a, b in zip(taylor_eval(again, env, ("x1", "v"), 2), want):
+    for a, b in zip(jet(again, env, ("x1", "v"), 2), want):
         assert a.tobytes() == b.tobytes()

@@ -3,7 +3,7 @@ and (a, b) presentations give the same force, a monotone
 reparametrization of W (a gauge transformation) leaves it unchanged,
 (a, b) derived from any (h, W) is closed and normalized, and the
 compiled force of every source on every metric kind is the reference
-force's, as the compiled continuation rate is `fields._stage_rate`'s."""
+force's, as the compiled continuation rate is the reference rate's."""
 
 from functools import partial
 
@@ -23,14 +23,19 @@ from normalshift.fields import (
     DerivedAB,
     ForceField,
     HWPair,
-    _stage_rate,
     closedness_residual,
     continuation_rate,
     normalizing_residual,
 )
 from normalshift.geometry import MetricSpec, coordinate_names, state_names
 from normalshift.pfaff import gauge_transform
-from reference_force import ABOnly, force_ab, force_hw, reference_force
+from reference_force import (
+    ABOnly,
+    force_ab,
+    force_hw,
+    reference_force,
+    reference_rate,
+)
 
 EUC2 = MetricSpec(2)
 _const = st.floats(min_value=0.1, max_value=2.0).map(
@@ -321,6 +326,7 @@ def test_compiled_rate_is_the_reference_bitwise(n, want_vw, data):
     if not lanes[1] and data.draw(st.booleans()):
         V = V[()]  # one lane's V is a 0-d array first, then a float64
     compiled = continuation_rate(source, want_vw)
-    assert not isinstance(compiled, partial)  # not the reference itself
+    assert not isinstance(compiled, partial)  # not `fields._stage_rate`
+    reference = partial(reference_rate, source, want_vw)
     assert (_rate_outcome(compiled, x, V, d)
-            == _rate_outcome(partial(_stage_rate, source, want_vw), x, V, d))
+            == _rate_outcome(reference, x, V, d))

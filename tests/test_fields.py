@@ -27,7 +27,7 @@ from normalshift.fields import (
     normalizing_residual,
 )
 from normalshift.geometry import MetricSpec
-from normalshift.pfaff import gauge_transform
+from normalshift.pfaff import PathSpec, continue_V, gauge_transform
 from reference_force import (
     ABOnly,
     _raise_force,
@@ -393,31 +393,17 @@ def test_custom_force_compiles_no_force(monkeypatch):
 
 # --- residuals ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("src", [
-    ab("exp(-0.4*x1)*v", ("-0.4*v", "0.1*x1*v^2")),
-    DerivedAB(hw("v*exp(0.5*x1+0.2*x2)", h="w^2")),
-])
-def test_jet_b_is_b_jet_bitwise(src):
-    # the checks read b and db/dv from jet, the continuation from b_jet:
-    # the same bits
-    rng = np.random.default_rng(29)
-    x = rng.uniform(-1, 1, size=(12, 1, 2))
-    v = rng.uniform(0.5, 2.0, size=(1, 7))
-    b, _, bv = src.jet(x, v)[1]
-    for got, want in zip((b, bv), src.b_jet(x, v)):
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-
-
-def test_derived_b_jet_does_not_evaluate_h(monkeypatch):
+def test_continuation_of_derived_data_does_not_evaluate_h(monkeypatch):
     def refuse(self, w):
         raise AssertionError("h evaluated")
 
     monkeypatch.setattr(HWPair, "h_jet1", refuse)
     monkeypatch.setattr(HWPair, "h_val", refuse)
-    b, dv = DerivedAB(hw("v*exp(0.5*x1)", h="w^2")).b_jet([0.0, 0.0], 1.0)
-    assert b == pytest.approx([-0.5, 0.0], abs=1e-15)
-    assert dv == pytest.approx([-0.5, 0.0], abs=1e-15)
+    # b = -W_x / W_v = (-v/2, 0), so V = w exp(-x1/2) and V_w = exp(-x1/2)
+    trace = continue_V(DerivedAB(hw("v*exp(0.5*x1)", h="w^2")),
+                       PathSpec.polyline([(0.0, 0.0), (1.0, 0.0)]), 1.0)
+    assert trace.end_V == pytest.approx(math.exp(-0.5), rel=1e-10)
+    assert trace.end_Vw == pytest.approx(math.exp(-0.5), rel=1e-10)
 
 
 def test_closedness_zero_for_derived_b():

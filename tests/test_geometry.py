@@ -218,6 +218,11 @@ def test_circle_frame_outward():
     assert n == pytest.approx([1.0, 0.0])
 
 
+def test_orientation_is_an_int_not_a_bool():
+    with pytest.raises(FrameError, match="orientation must be"):
+        circle(orientation=True)
+
+
 def test_circle_frame_inward_orientation():
     _, _, n = surface_frame(circle(orientation=-1), EUC2, (0.0,))
     assert n == pytest.approx([-1.0, 0.0])

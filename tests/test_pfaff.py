@@ -257,7 +257,7 @@ def test_sources_pickle_after_a_continuation(data):
 
 
 class _Delegate:
-    """A duck-typed source: b and its jet from another source."""
+    """A duck-typed source: b and the (a, b) jet from another source."""
 
     def __init__(self, src):
         self.src, self.dimension = src, src.dimension
@@ -265,8 +265,8 @@ class _Delegate:
     def b_values(self, x, v):
         return self.src.b_values(x, v)
 
-    def b_jet(self, x, v):
-        return self.src.b_jet(x, v)
+    def jet(self, x, v):
+        return self.src.jet(x, v)
 
 
 def test_other_sources_take_the_reference_rate(monkeypatch):
