@@ -262,7 +262,7 @@ def cmd_fnorm(sc: Scenario, out_dir, report: Report):
     f_expr = sc.run.get("f")
     if f_expr is None:
         raise ScenarioError("weight expression is required", "run.f")
-    weight = AdmissibleF(parse_expr(f_expr))
+    weight = _checked("run.f", AdmissibleF, parse_expr(f_expr))
     est = f_norm_estimate(ab, weight, sc.force.metric, _state_grid(sc),
                           _v_grid(sc.run, 20))
     report.info(f"fnorm_estimate {_fmt(est.value)} (lower bound for the "

@@ -343,13 +343,12 @@ _DOT_ORDER = {1: "({z}+{0})", 2: "({z}+({0}+{1}))",
 
 def continuation_rate(src, want_vw):
     """The continuation's rate(x, V, d) -> (b.d,), or (b.d, (db/dv).d)
-    with want_vw.  For an `ABFields` or a `DerivedAB` over an `HWPair`,
-    by exact type, it is compiled once and kept with the compiled
-    functions of b or W; any other source, such as a `DerivedAB` over a
-    gauge-transformed pair, runs `_stage_rate`."""
+    with want_vw, from `_compile_rate`: for an `ABFields` or a `DerivedAB`
+    over an `HWPair`, by exact type, compiled once and kept with the
+    compiled functions of b or W, and for any other source, per call."""
     derived = type(src) is DerivedAB and type(src.hw) is HWPair
     if not (derived or type(src) is ABFields):
-        return partial(_stage_rate, src, want_vw)
+        return _compile_rate(src, (), want_vw)
     exprs = (src.hw.W,) if derived else src.b
     key = (tuple(map(id, exprs[1:])), derived, src.dimension, want_vw)
     if key not in exprs[0].compiled:
@@ -357,24 +356,13 @@ def continuation_rate(src, want_vw):
     return exprs[0].compiled[key]
 
 
-def _stage_rate(ab, want_vw, x, V, d):
-    """dV/dt, and d(log V_w)/dt when want_vw, at one RK4 stage of a source
-    that `continuation_rate` does not compile: b from `b_values`, or b and
-    db/dv from `jet`."""
-    if want_vw:
-        b, _, bv = ab.jet(x, V)[1]
-        bs = (b, bv)
-    else:
-        bs = (ab.b_values(x, V),)
-    return tuple(np.einsum("...i,...i->...", b, d) for b in bs)
-
-
 def _compile_rate(src, exprs, want_vw):
     """The rate of `src` as one function: the operations of the array-math
     reference in the tests on its values, so its bits and errors in its
     order (W's domain, |W_v|, then b), and its sums, `_dot`'s for a
-    unit-stride d."""
-    n, derived = src.dimension, isinstance(src, DerivedAB)
+    unit-stride d.  It inlines the jets of `exprs`, W's or b's, and
+    without them calls `src.b_values`, or `src.jet` with want_vw."""
+    n, derived = src.dimension, isinstance(src, DerivedAB) and bool(exprs)
     # W's jet is one order above b's; b's own jet is in v alone
     order = want_vw + derived
     c = _Compiler(state_names(n) if derived else ("v",) * want_vw, order)
@@ -391,9 +379,14 @@ def _compile_rate(src, exprs, want_vw):
         wvv = hess.get((n, n), "0.0")
         bv = [f"((-(({hess.get((i, n), '0.0')}*{wv})-({e}*{wvv})))"
               f"/({wv}*{wv}))" for i, e in enumerate(wx)]
-    else:
+    elif exprs:
         b = [val for val, _, _ in jets]
         bv = [grad.get(0, "0.0") for _, grad, _ in jets]
+    else:  # a called source, on the stage's own x and V
+        k = c.const(src)
+        c.lines.append(f"B, _, Bv = {k}.jet(x, V)[1]" if want_vw
+                       else f"B = {k}.b_values(x, V)")
+        b, bv = ([f"{q}[..., {i}]" for i in range(n)] for q in ("B", "Bv"))
     d = [c.let(f"d[..., {i}]") for i in range(n)]
     # sums from 0.0 * V, +0.0 on V's lanes (the stage inputs are guarded
     # positive), since the reference's b has them even where b reads no V

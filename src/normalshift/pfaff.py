@@ -10,10 +10,10 @@ The central object is the first-order system
 
 integrated along chart paths by fixed-step RK4 (`dynamics.rk4`, given
 a rate that guards its own stage inputs).  `fields.continuation_rate`
-picks the rate of each source: compiled into one function for an
-`ABFields` or a `DerivedAB` over an `HWPair`, which the tests hold bit
-for bit to the rate written out as array math, and otherwise
-`fields._stage_rate` through the source's `b_values` or `jet`.
+gives each source's rate as one compiled function, which the tests hold
+bit for bit to the rate written out as array math.  A parametric path,
+like `shift`'s nu sweep, is stepped by `_curve_steps`, which evaluates
+the curve on the stages of a block of steps at once.
 The system's derivative with respect to the initial datum,
 
     V_w(t) = exp( integral of sum_i (db_i/dv)(x, V) dx^i/dt ),
@@ -45,6 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import fields
 from .errors import (
     CompatibilityError,
     ContinuationError,
@@ -267,23 +268,26 @@ def _polyline_steps(pts, dt):
             t += dl
 
 
-def _parametric_steps(path, dt):
-    """Steps in the curve parameter from path.t0 to path.t1, in either
-    direction (the step is signed)."""
-    span = path.t1 - path.t0
-    nsteps = max(1, int(round(abs(span) / dt)))
-    h = span / nsteps
-    for j in range(nsteps):
-        t = path.t0 + j * h
-        x, xd = path._parametric_eval(np.array([t, t + 0.5 * h, t + h]))
-        yield h, t, t + h, x, xd
+def _curve_steps(curve, s0, s1, ds, block):
+    """Steps in a curve parameter from s0 to s1, in either direction (the
+    step is signed); `curve` maps the stage parameters (steps, 3) of
+    `block` steps at a time to their points and tangents."""
+    nsub = max(1, int(round(abs(s1 - s0) / ds)))
+    h = (s1 - s0) / nsub
+    for lo in range(0, nsub, block):
+        a = s0 + np.arange(lo, min(lo + block, nsub)) * h
+        stages = np.stack([a, a + 0.5 * h, a + h], axis=-1)  # (steps, 3)
+        x, tangent = curve(stages)
+        yield from zip([h] * len(a), a, stages[:, 2], x, tangent)
 
 
 def _continue(ab, path, w0, dt, want_vw, store):
+    require_positive(dt, "step size dt")
     V = np.array(require_positive(w0, "initial datum"))
     if isinstance(path, PathSpec) and path.kind == "parametric":
         start = (path.t0, path.start())
-        steps = _parametric_steps(path, dt)
+        steps = _curve_steps(path._parametric_eval, path.t0, path.t1, dt,
+                             fields.BATCH_POINTS // 3)
     else:
         pts = np.asarray(path.points if isinstance(path, PathSpec) else path,
                          dtype=float)
@@ -369,11 +373,12 @@ class AdmissibleF:
             raise PositivityError(
                 f"f must be a function of v only, found {sorted(extra)}")
         v = np.logspace(-6, 6, 25)
-        vals = self.values(v)
-        if np.any(~np.isfinite(vals)) or np.any(vals <= 0.0):
-            bad = int(np.argmax(~((vals > 0.0) & np.isfinite(vals))))
-            raise PositivityError(
-                f"f is not positive at v={v[bad]:.3e}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = self.values(v)
+        bad = ~((vals > 0.0) & np.isfinite(vals))
+        if bad.any():
+            raise PositivityError(f"f is not finite and positive at "
+                                  f"v={v[np.argmax(bad)]:.3e}")
 
     def values(self, v):
         return eval_tuple((self.f,), {"v": v}, (), 0)[0][..., 0]

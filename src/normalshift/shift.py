@@ -55,7 +55,8 @@ from .geometry import (
     relative_deviation,
     surface_grid,
 )
-from .pfaff import PathSpec, _continue, _rk4_run, fd_matrix, require_positive
+from .pfaff import (PathSpec, _continue, _curve_steps, _rk4_run, fd_matrix,
+                    require_positive)
 
 __all__ = ["NuField", "ShiftFamily", "solve_nu", "normal_shift",
            "orthogonality_defect", "loop_closure_defect",
@@ -99,22 +100,16 @@ def _nu_sweep_axis(ab, s: Hypersurface, u_fixed, axis, s_values, nu_start,
     lanes = int(np.prod(u_fixed.shape[:-1]))
     block = max(1, fields.BATCH_POINTS // (3 * lanes))  # RK4 steps per batch
 
-    def interval_steps(s0, s1):
-        nsub = max(1, int(round(abs(s1 - s0) / du)))
-        h = (s1 - s0) / nsub
-        for lo in range(0, nsub, block):
-            a = s0 + np.arange(lo, min(lo + block, nsub)) * h
-            stages = np.stack([a, a + 0.5 * h, a + h], axis=-1)  # (steps, 3)
-            u = np.broadcast_to(u_fixed, stages.shape + u_fixed.shape).copy()
-            u[..., axis] = stages.reshape(stages.shape + lane_axes)
-            x, tau = embed_with_tangents(s, u)
-            yield from zip([h] * len(a), a, stages[:, 2], x,
-                           tau[..., axis, :])
+    def curve(stages):  # the embedding at the lanes, at (steps, 3) stages
+        u = np.broadcast_to(u_fixed, stages.shape + u_fixed.shape).copy()
+        u[..., axis] = stages.reshape(stages.shape + lane_axes)
+        x, tau = embed_with_tangents(s, u)
+        return x, tau[..., axis, :]
 
     nu = np.array(nu_start, dtype=float)
     out = []
     for s0, s1 in zip(s_values[:-1], s_values[1:]):
-        run = _rk4_run(ab, interval_steps(s0, s1), nu, False)
+        run = _rk4_run(ab, _curve_steps(curve, s0, s1, du, block), nu, False)
         try:
             (_, _, nu, _), = deque(run, maxlen=1)
         except ContinuationError as err:
@@ -184,6 +179,7 @@ def solve_nu(s: Hypersurface, ab, nu0, du=1e-2, compat_tol=1e-6) -> NuField:
         raise FrameError(f"(a, b) data of dimension {ab.dimension} on a "
                          f"surface in dimension {s.dimension}")
     require_positive(nu0, "nu0")
+    require_positive(du, "step size du")
     k = s.n_params
     nu = _solve_nu_grid(s, ab, nu0, du, list(range(k))[::-1])
     defect = 0.0

@@ -8,13 +8,22 @@ with N the g-unit vector along the velocity and v the g-speed, lowered
 and raised with the metric.  `force_hw` reads an (h, W) pair through
 `w_jet1` and `h_val`, `force_ab` reads (a, b) data through `ab_values`;
 both sum with `fields._dot`, as the kernels do.  `reference_rate` gives
-b.d, and (db/dv).d for V_w, from b alone: it never evaluates a or h.
+b.d, and (db/dv).d for V_w: from b alone for `ABFields` data and a
+`DerivedAB` over an `HWPair`, where it never evaluates a or h, and from
+the source's own `b_values` or `jet` for any other source.
 """
 
 import numpy as np
 
 from normalshift.expr import bind, eval_tuple
-from normalshift.fields import DerivedAB, _columns, _dot, _guard_speed
+from normalshift.fields import (
+    ABFields,
+    DerivedAB,
+    HWPair,
+    _columns,
+    _dot,
+    _guard_speed,
+)
 from normalshift.geometry import MetricSpec, coordinate_names, metric_at
 
 
@@ -79,10 +88,12 @@ def reference_force(source, m: MetricSpec, x, xdot) -> np.ndarray:
 
 def reference_rate(ab, want_vw, x, V, d):
     """dV/dt = b(x, V).d, and d(log V_w)/dt = (db/dv)(x, V).d when
-    want_vw, at one continuation stage.  For a `DerivedAB`, b = -W_x / W_v
-    from W's first-order jet, and db/dv by the quotient rule from its
-    second-order jet; for `ABFields`, b's values, or its jet in v alone."""
-    if isinstance(ab, DerivedAB):
+    want_vw, at one continuation stage.  For a `DerivedAB` over an
+    `HWPair`, b = -W_x / W_v from W's first-order jet, and db/dv by the
+    quotient rule from its second-order jet; for `ABFields`, b's values,
+    or its jet in v alone; for any other source, its `b_values`, or b and
+    db/dv from its `jet`."""
+    if isinstance(ab, DerivedAB) and isinstance(ab.hw, HWPair):
         if not want_vw:
             _, wx, wv = ab.hw.w_jet1(x, V)
             bs = (-wx / wv[..., None],)
@@ -91,10 +102,15 @@ def reference_rate(ab, want_vw, x, V, d):
             bs = (-wx / wv[..., None],
                   -(wxv * wv[..., None] - wx * wvv[..., None])
                   / wv[..., None] ** 2)
-    else:
+    elif isinstance(ab, ABFields):
         env = bind(coordinate_names(ab.dimension), x, v=V)
         vals, grad, _ = eval_tuple(ab.b, env, ("v",), int(want_vw))
         bs = (vals, grad[..., 0, :]) if want_vw else (vals,)
+    elif want_vw:
+        b, _, bv = ab.jet(x, V)[1]
+        bs = (b, bv)
+    else:
+        bs = (ab.b_values(x, V),)
     return tuple(np.einsum("...i,...i->...", b, d) for b in bs)
 
 
@@ -110,3 +126,17 @@ class ABOnly:
 
     def b_values(self, x, v):
         return self.src.b_values(x, v)
+
+
+class JetOnly:
+    """A source seen only through `b_values` and `jet`: no type the rate
+    compiler inlines."""
+
+    def __init__(self, src):
+        self.src, self.dimension = src, src.dimension
+
+    def b_values(self, x, v):
+        return self.src.b_values(x, v)
+
+    def jet(self, x, v):
+        return self.src.jet(x, v)

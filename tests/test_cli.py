@@ -547,6 +547,18 @@ def test_monodromy_grid_errors_are_configuration_errors(
     assert list((tmp_path / "out").iterdir()) == []
 
 
+@pytest.mark.parametrize("f", ["0*v", "sqrt(v-1)", "log(v)"])
+def test_non_positive_weight_is_a_configuration_error(tmp_path, capsys, f):
+    # AdmissibleF's spot check reads the scenario value alone
+    cfg = tmp_path / "fnorm.toml"
+    text = (SCENARIOS / "fnorm_decay.toml").read_text()
+    assert 'f = "v"' in text
+    cfg.write_text(text.replace('f = "v"', f'f = "{f}"'))
+    assert run_cli("fnorm", cfg, tmp_path / "out") == 2
+    assert "run.f: " in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []  # nothing is written
+
+
 def test_monodromy_empty_word_and_given_grid(tmp_path):
     # the empty word maps every w to itself, which the identity_defect
     # gate checks, on the nodes of run.w_grid

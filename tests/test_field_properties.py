@@ -31,6 +31,7 @@ from normalshift.geometry import MetricSpec, coordinate_names, state_names
 from normalshift.pfaff import gauge_transform
 from reference_force import (
     ABOnly,
+    JetOnly,
     force_ab,
     force_hw,
     reference_force,
@@ -317,8 +318,12 @@ def _rate_outcome(rate, *args):
 @settings(max_examples=25, deadline=None)
 def test_compiled_rate_is_the_reference_bitwise(n, want_vw, data):
     source = data.draw(st.one_of(_valid(n), _failing(n)))
-    if isinstance(source, HWPair):
-        source = DerivedAB(source)
+    wrapper = data.draw(st.sampled_from(["none", "gauge", "jet-only"]))
+    if isinstance(source, HWPair):  # rho = 2w: a pair that is not inlined
+        source = DerivedAB(gauge_transform(source, parse("2*w"))
+                           if wrapper == "gauge" else source)
+    if wrapper == "jet-only":
+        source = JetOnly(source)
     lanes = data.draw(st.sampled_from(_RATE_LANES))
     rng = np.random.default_rng(data.draw(_seed))
     x, d = rng.uniform(-1.5, 1.5, (2,) + lanes[0] + (n,))
@@ -326,7 +331,7 @@ def test_compiled_rate_is_the_reference_bitwise(n, want_vw, data):
     if not lanes[1] and data.draw(st.booleans()):
         V = V[()]  # one lane's V is a 0-d array first, then a float64
     compiled = continuation_rate(source, want_vw)
-    assert not isinstance(compiled, partial)  # not `fields._stage_rate`
+    assert compiled.__name__ == "rate"  # `_compile_rate`'s, for every source
     reference = partial(reference_rate, source, want_vw)
     assert (_rate_outcome(compiled, x, V, d)
             == _rate_outcome(reference, x, V, d))

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from normalshift.pfaff import (
     monodromy,
     path_independence_defect,
 )
-from reference_force import force_hw
+from reference_force import JetOnly, force_hw
 
 EUC2 = MetricSpec(2)
 
@@ -256,32 +257,32 @@ def test_sources_pickle_after_a_continuation(data):
     assert _runs(pickle.loads(pickle.dumps(data))) == before
 
 
-class _Delegate:
-    """A duck-typed source: b and the (a, b) jet from another source."""
-
-    def __init__(self, src):
-        self.src, self.dimension = src, src.dimension
-
-    def b_values(self, x, v):
-        return self.src.b_values(x, v)
-
-    def jet(self, x, v):
-        return self.src.jet(x, v)
-
-
-def test_other_sources_take_the_reference_rate(monkeypatch):
-    want = {data: _runs(data) for data in (DECAY, DERIVED)}
-
-    def refuse(src, exprs, want_vw):
-        raise AssertionError("compiled a rate")
-    monkeypatch.setattr(fields, "_compile_rate", refuse)
+def test_every_source_compiles_one_rate(monkeypatch):
+    # a fresh source of each kind defines one rate per want_vw: inlined
+    # for ABFields and DerivedAB data, calling `b_values` or `jet` for a
+    # duck type, and `b_values` for a DerivedAB of a gauged pair, where
     # rho = 2w scales W's jet by 2 exactly: the same b, to the bit
+    want = {data: _runs(data) for data in (DECAY, DERIVED)}
+    plain = _continue(DERIVED, PLANE, 1.3, 1e-2, want_vw=False, store=True)
+    defined, define = [], fields._Compiler.define
+
+    def counted(self, signature, result):
+        if signature.startswith("rate"):
+            defined.append(signature)
+        return define(self, signature, result)
+    monkeypatch.setattr(fields._Compiler, "define", counted)
+    fresh = {DECAY: ab("1", ("-0.5*v", "0")),
+             DERIVED: DerivedAB(hw("v*exp(0.3*x1+0.2*x2)"))}
+    for data in (DECAY, DERIVED):
+        for source in (fresh[data], JetOnly(data)):
+            defined.clear()
+            assert _runs(source) == want[data]
+            assert defined == ["rate(x, V, d)"] * 2
+    defined.clear()
     gauged = DerivedAB(gauge_transform(DERIVED.hw, parse("2*w")))
     end = _continue(gauged, PLANE, 1.3, 1e-2, want_vw=False, store=True)
-    assert end.V.tobytes() == _continue(
-        DERIVED, PLANE, 1.3, 1e-2, want_vw=False, store=True).V.tobytes()
-    for data in (DECAY, DERIVED):
-        assert _runs(_Delegate(data)) == want[data]
+    assert end.V.tobytes() == plain.V.tobytes()
+    assert defined == ["rate(x, V, d)"]
 
 
 def _recorded_tangents(monkeypatch, module):
@@ -326,6 +327,26 @@ def test_positive_axis_inputs_are_checked_before_integrating(call, bad):
             call(bad)
 
 
+@pytest.mark.parametrize("dt", [0.0, math.nan, -1e-3, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda dt: continue_V(DECAY, UNIT_SEG, 1.0, dt=dt),
+    lambda dt: path_independence_defect(
+        DECAY, continue_V(DECAY, UNIT_SEG, 1.0), UNIT_SEG, dt=dt),
+    lambda dt: invert_V(DECAY, (0.0, 0.0), (1.0, 0.0), 1.0, dt=dt),
+    lambda dt: monodromy(ab("1", ("0", "0")), CYL, "g1", (0.0, 0.0),
+                         [0.5, 1.0, 2.0], dt=dt),
+    lambda dt: extract_h(DerivedAB(hw("v*exp(0.3*x1)", "w")), (0.0, 0.0),
+                         [1.0, 2.0], dt=dt),
+], ids=["continue", "second_path", "invert", "monodromy", "extract_h"])
+def test_step_sizes_are_checked_before_integrating(call, dt):
+    # unchecked, 0 and NaN fail in the step count, and a negative or
+    # infinite dt silently takes one RK4 step per segment
+    with np.errstate(all="raise"):
+        with pytest.raises(PositivityError, match=re.escape(
+                f"step size dt must be finite and positive, got {dt}")):
+            call(dt)
+
+
 def test_degenerate_point_path():
     tr = continue_V(DECAY, straight(np.zeros(2)), 1.7, dt=1e-3)
     assert tr.end_V == 1.7
@@ -339,6 +360,25 @@ def test_path_validation():
         PathSpec.parametric([parse("exp(1000*t)"), parse("0")], 0.0, 1.0)
     with pytest.raises(PathError):
         PathSpec.parametric([parse("t"), parse("0")], 1.0, 0.0)
+
+
+def test_parametric_path_evaluates_its_curve_in_blocks(monkeypatch):
+    # after the start point, one call per fields.BATCH_POINTS // 3 steps,
+    # not one per step
+    path = PathSpec.parametric([parse("cos(t)"), parse("sin(t)")],
+                               0.0, math.pi / 2)
+    shapes, evaluate = [], PathSpec._parametric_eval
+
+    def recorded(self, ts):
+        shapes.append(np.shape(ts))
+        return evaluate(self, ts)
+    monkeypatch.setattr(PathSpec, "_parametric_eval", recorded)
+    block, steps = fields.BATCH_POINTS // 3, round(math.pi / 2 / 1e-3)
+    assert steps > block
+    tr = continue_V(DECAY, path, 1.0, dt=1e-3)
+    assert shapes == [()] + [(min(block, steps - lo), 3)
+                             for lo in range(0, steps, block)]
+    assert tr.end_V == pytest.approx(math.exp(0.5), rel=1e-8)
 
 
 def test_parametric_path_needs_a_component():
@@ -527,6 +567,13 @@ def test_fnorm_boundary_suspicion():
 def test_admissible_f_requires_positive():
     with pytest.raises(PositivityError):
         AdmissibleF(parse("v-1"))
+
+
+def test_admissible_f_overflow_is_not_positive_and_silent():
+    # the suite turns numpy warnings into errors: the spot check must
+    # reject exp's overflow to inf without one
+    with pytest.raises(PositivityError, match="not finite and positive"):
+        AdmissibleF(parse("exp(1000*v)"))
 
 
 # --- monodromy ---------------------------------------------------------------------------
@@ -730,8 +777,9 @@ def test_derived_data_of_a_gauged_pair_has_no_second_order_jet():
     # V alone reads the first-order jet, which a gauged pair gives
     gauged = DerivedAB(gauge_transform(hw("v*exp(0.3*x1)", "w"),
                                        parse("2*w")))
-    with pytest.raises(ContinuationError, match="no second-order jet"):
+    with pytest.raises(ContinuationError, match="no second-order jet") as exc:
         continue_V(gauged, UNIT_SEG, 1.0)
+    assert type(exc.value.__cause__) is TableError
     with pytest.raises(TableError, match="no second-order jet"):
         extract_h(gauged, (0.0, 0.0), [1.0, 2.0])
     assert invert_V(gauged, (0.0, 0.0), (1.0, 0.0), 1.0, dt=1e-2) > 0.0

@@ -1,6 +1,7 @@
 """Normal-shift construction: nu solve, shift families, orthogonality."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -127,6 +128,16 @@ def test_nu_inputs_reject_nan_and_inf(bad):
         NuField(circle(8), np.full(8, bad), 0.0)
     with pytest.raises(PositivityError, match=f"got {bad}$"):
         solve_nu(circle(16), ab("1", ("0", "0")), bad)
+
+
+@pytest.mark.parametrize("du", [0.0, math.nan, -0.01, math.inf])
+def test_nu_step_size_is_checked_before_integrating(du):
+    # unchecked, 0 overflows the step count, NaN fails in it, and a
+    # negative or infinite du silently takes one RK4 step per interval
+    with np.errstate(all="raise"):
+        with pytest.raises(PositivityError, match=re.escape(
+                f"step size du must be finite and positive, got {du}")):
+            solve_nu(circle(16), ab("1", ("-0.5*v", "0")), 1.0, du=du)
 
 
 def test_nu_solve_rejects_data_of_another_dimension():
@@ -429,6 +440,13 @@ def test_loop_closure_cylinder_closed_form():
     d = loop_closure_defect(x1_loop(), ab("1", ("-0.5*v", "0")), 1.0,
                             dt=1e-3, manifold=CYL)
     assert d == pytest.approx(abs(math.exp(-math.pi) - 1.0), rel=1e-9)
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-3])
+def test_loop_closure_step_size_is_checked(dt):
+    with pytest.raises(PositivityError, match="step size dt must be"):
+        loop_closure_defect(x1_loop(), ab("1", ("-0.5*v", "0")), 1.0,
+                            dt=dt, manifold=CYL)
 
 
 def test_loop_closure_contractible_loop():
