@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import fields
 from .errors import (
     IntegrationAborted,
     NormalShiftError,
@@ -32,8 +33,6 @@ from .fields import SPEED_EPS, ForceField, _columns, _dot
 from .geometry import christoffel, metric_at
 
 __all__ = ["integrate_batch", "write_csv", "write_trajectory_csv"]
-
-CSV_BLOCK_ROWS = 4096
 
 
 def _acceleration(force: ForceField, x, xdot):
@@ -74,10 +73,14 @@ def integrate_batch(force: ForceField, x0, xdot0, T, dt, store_every=1):
     carrying the partial layers, if the force becomes unevaluable or a
     step leaves any lane's state non-finite.
     """
-    if dt <= 0.0:
-        raise NormalShiftError(f"step must be positive, got dt={dt}")
-    if T < 0.0:
-        raise NormalShiftError(f"duration must be >= 0, got T={T}")
+    # each test fails for NaN too
+    if not 0.0 < dt < np.inf:
+        raise NormalShiftError(f"step must be positive and finite, got "
+                               f"dt={dt}")
+    if not 0.0 <= T < np.inf:
+        raise NormalShiftError(f"duration must be >= 0 and finite, got T={T}")
+    if not store_every >= 1:
+        raise NormalShiftError(f"store_every must be >= 1, got {store_every}")
     x = np.array(x0, dtype=float)
     xdot = np.array(xdot0, dtype=float)
     nsteps = int(round(T / dt))
@@ -137,16 +140,17 @@ def write_csv(path, header, blocks, int_cols=0):
     Every other value is written with '%.17g', which gives the same bytes
     as format(x, '.17g'), -0, nan and inf included, so tables round-trip
     every double and reruns are byte-identical.  Rows are formatted
-    CSV_BLOCK_ROWS at a time with one %-template and written as they are
-    formatted, so no table is held in memory as one string."""
+    fields.BATCH_POINTS at a time with one %-template and written as they
+    are formatted, so no table is held in memory as one string."""
     row = ",".join(["%d"] * int_cols
                    + ["%.17g"] * (len(header) - int_cols)) + "\n"
+    chunk = fields.BATCH_POINTS
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for block in blocks:
             block = np.asarray(block, dtype=float)
-            for lo in range(0, len(block), CSV_BLOCK_ROWS):
-                part = block[lo:lo + CSV_BLOCK_ROWS]
+            for lo in range(0, len(block), chunk):
+                part = block[lo:lo + chunk]
                 fh.write(row * len(part) % tuple(part.ravel().tolist()))
 
 

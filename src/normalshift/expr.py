@@ -4,14 +4,20 @@ Every user-supplied scalar function (force data, metric conformal factor,
 surface parametrization component, speed reparametrization) is a `FieldExpr`
 parsed from a small closed grammar:
 
-    expr    = term    { ("+" | "-") term } ;
-    term    = factor  { ("*" | "/") factor } ;
-    factor  = unary   { "^" unary } ;            (* left-associative *)
-    unary   = "-" unary | primary ;
-    primary = NUMBER | VARIABLE | FUNCTION "(" expr { "," expr } ")"
-            | "(" expr ")" ;
+    expr     = operand { ("+" | "-" | "*" | "/" | "^") operand } ;
+    operand  = "-" operand | primary ;
+    primary  = NUMBER | VARIABLE | FUNCTION "(" expr { "," expr } ")"
+             | "(" expr ")" ;
+    NUMBER   = (DIGIT | "." DIGIT) { DIGIT | "." }
+               [ ("e" | "E") [ "+" | "-" ] DIGIT { DIGIT } ] ;
+    VARIABLE = (LETTER | "_") { LETTER | NUMERAL | "_" } ;
 
-Unary minus binds tighter than "^", so "-x^2" is "(-x)^2" and "2^-3" is
+A DIGIT is a decimal digit, a LETTER and a NUMERAL what `str.isalpha` and
+`str.isnumeric` accept; a NUMBER must read as a float, a VARIABLE is no
+FUNCTION name, and whitespace between tokens is skipped.  `_PREC` is the
+one table of binary operator levels ("^" above "*" and "/" above "+" and
+"-", all left-associative), read by the parser and the unparser.  Unary
+minus binds tighter than "^", so "-x^2" is "(-x)^2" and "2^-3" is
 "2^(-3)".  `UNARY_RULES` holds the one-argument functions (exp, log, sin,
 cos, tan, tanh, sqrt, abs) with their first and second derivatives; pow
 is "^" with two arguments.  A literal integer exponent is valid for any
@@ -29,6 +35,7 @@ evaluation is pure, so concurrent use is safe.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
@@ -122,194 +129,142 @@ class FieldExpr:
 
 # --- tokenizer -------------------------------------------------------------
 
-_OPS = set("+-*/^(),")
+# after whitespace, the first of: a number, a name, an operator, any other
+_TOKEN = re.compile(r"""\s*(?:
+    (?P<num> \.?\d[\d.]* (?:[eE][+-]?\d+)? )
+  | (?P<ident> \w+ )
+  | (?P<op> [-+*/^(),] )
+  | (?P<other> \S ))""", re.VERBOSE)
 
 
 def _tokenize(source):
+    """(kind, value, offset) of each token, then ("end", "", len(source)),
+    where kind is "num", "ident" or the operator character itself."""
     tokens = []
-    i, n = 0, len(source)
-    while i < n:
-        c = source[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _OPS:
-            tokens.append((c, c, i))
-            i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
-            j = i
-            while j < n and (source[j].isdigit() or source[j] == "."):
-                j += 1
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k].isdigit():
-                    j = k
-                    while j < n and source[j].isdigit():
-                        j += 1
-            text = source[i:j]
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        text, at = m[kind], m.start(kind)
+        if kind == "num":
             try:
-                value = float(text)
+                tokens.append((kind, float(text), at))
             except ValueError:
-                raise ExprSyntaxError(f"malformed number '{text}'", i) from None
-            tokens.append(("num", value, i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(("ident", source[i:j], i))
-            i = j
-            continue
-        raise ExprSyntaxError(f"unexpected character '{c}'", i)
-    tokens.append(("end", "", n))
+                raise ExprSyntaxError(f"malformed number '{text}'", at) \
+                    from None
+        elif kind == "op":
+            tokens.append((text, text, at))
+        elif text[0].isalpha() or text[0] == "_":  # \w also has numerals
+            tokens.append((kind, text, at))
+        else:
+            raise ExprSyntaxError(f"unexpected character '{text[0]}'", at)
+    tokens.append(("end", "", len(source)))
     return tokens
 
 
-# --- recursive-descent parser ----------------------------------------------
+# --- precedence-climbing parser ---------------------------------------------
 
+# binary operator levels, all left-associative: a right operand binds one
+# level above its operator, in the parser and the unparser alike
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
+_NEG_PREC = 4  # unary minus binds tighter than any binary operator
 _ATOM_EXPECTED = ("a number", "a variable", "'('", "'-'", "a function call")
 
 
+def _describe(tok):
+    kind, value, _ = tok
+    return ("end of input" if kind == "end"
+            else f"number '{value}'" if kind == "num" else f"'{value}'")
+
+
 class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
+    def __init__(self, source):
+        self.tokens, self.pos = _tokenize(source), 0
         self.free_vars = {}  # names in order of first use
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
+    def take(self, kinds, expected=()):
+        """The next token, consumed, if its kind is one of `kinds`; else
+        None, or given `expected`, the syntax error naming the token."""
         tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind, what):
-        tok = self.peek()
-        if tok[0] != kind:
+        if tok[0] in kinds:
+            self.pos += 1
+            return tok
+        if expected:
             raise ExprSyntaxError(
-                f"syntax error: found {self._describe(tok)}", tok[2], (what,))
-        return self.advance()
+                f"syntax error: found {_describe(tok)}", tok[2], expected)
+        return None
 
-    @staticmethod
-    def _describe(tok):
-        if tok[0] == "end":
-            return "end of input"
-        if tok[0] == "num":
-            return f"number '{tok[1]}'"
-        return f"'{tok[1]}'"
-
-    def _left_assoc(self, ops, operand):
-        """operand { op operand } for op in ops, folded to the left."""
-        node = operand()
-        while self.peek()[0] in ops:
-            op = self.advance()
-            rhs = operand()
-            node = BinOp(op[0], node, rhs, op[2])
+    def expr(self, level=1):
+        """Operands joined by the operators of `_PREC` at `level` and up,
+        folded to the left; an operand is a unary minus or a primary."""
+        tok = self.take("-")
+        node = Neg(self.expr(_NEG_PREC), tok[2]) if tok else self.primary()
+        while _PREC.get(self.tokens[self.pos][0], 0) >= level:
+            op, _, at = self.take(_PREC)
+            node = BinOp(op, node, self.expr(_PREC[op] + 1), at)
         return node
 
-    def parse_expr(self):
-        return self._left_assoc(("+", "-"), self.parse_term)
-
-    def parse_term(self):
-        return self._left_assoc(("*", "/"), self.parse_power)
-
-    def parse_power(self):
-        return self._left_assoc(("^",), self.parse_unary)
-
-    def parse_unary(self):
-        tok = self.peek()
-        if tok[0] == "-":
-            self.advance()
-            return Neg(self.parse_unary(), tok[2])
-        return self.parse_primary()
-
-    def parse_primary(self):
-        tok = self.peek()
-        if tok[0] == "num":
-            self.advance()
-            return Num(tok[1], tok[2])
-        if tok[0] == "(":
-            self.advance()
-            node = self.parse_expr()
-            self.expect(")", "')'")
+    def primary(self):
+        kind, value, at = self.take(("num", "ident", "("), _ATOM_EXPECTED)
+        if kind == "num":
+            return Num(value, at)
+        if kind == "(":
+            node = self.expr()
+            self.take(")", ("')'",))
             return node
-        if tok[0] == "ident":
-            self.advance()
-            name = tok[1]
-            if self.peek()[0] == "(":
-                if name not in FUNCTION_ARITY:
-                    raise UnknownFunctionError(
-                        f"unknown function '{name}'", tok[2])
-                self.advance()
-                args = [self.parse_expr()]
-                while self.peek()[0] == ",":
-                    self.advance()
-                    args.append(self.parse_expr())
-                self.expect(")", "')'")
-                if len(args) != FUNCTION_ARITY[name]:
-                    raise ArityError(
-                        f"function '{name}' takes {FUNCTION_ARITY[name]} "
-                        f"argument(s), got {len(args)}", tok[2])
-                return Call(name, tuple(args), tok[2])
-            if name in FUNCTION_ARITY:
-                nxt = self.peek()
-                raise ExprSyntaxError(
-                    f"syntax error: function '{name}' requires parentheses,"
-                    f" found {self._describe(nxt)}", nxt[2], ("'('",))
-            self.free_vars.setdefault(name)
-            return Var(name, tok[2])
-        raise ExprSyntaxError(
-            f"syntax error: found {self._describe(tok)}", tok[2],
-            _ATOM_EXPECTED)
+        if self.take("("):
+            if value not in FUNCTION_ARITY:
+                raise UnknownFunctionError(f"unknown function '{value}'", at)
+            args = [self.expr()]
+            while self.take(","):
+                args.append(self.expr())
+            self.take(")", ("')'",))
+            if len(args) != FUNCTION_ARITY[value]:
+                raise ArityError(
+                    f"function '{value}' takes {FUNCTION_ARITY[value]} "
+                    f"argument(s), got {len(args)}", at)
+            return Call(value, tuple(args), at)
+        if value in FUNCTION_ARITY:
+            nxt = self.tokens[self.pos]
+            raise ExprSyntaxError(
+                f"syntax error: function '{value}' requires parentheses,"
+                f" found {_describe(nxt)}", nxt[2], ("'('",))
+        self.free_vars.setdefault(value)
+        return Var(value, at)
 
 
 def parse(source: str) -> FieldExpr:
     """Parse source text into an immutable `FieldExpr`."""
     if not isinstance(source, str) or not source.strip():
         raise ExprSyntaxError("empty expression", 0, _ATOM_EXPECTED)
-    parser = _Parser(_tokenize(source))
-    ast = parser.parse_expr()
-    end = parser.peek()
+    parser = _Parser(source)
+    ast = parser.expr()
+    end = parser.tokens[parser.pos]
     if end[0] != "end":
         raise ExprSyntaxError(
-            f"syntax error: trailing input {parser._describe(end)}", end[2])
+            f"syntax error: trailing input {_describe(end)}", end[2])
     return FieldExpr(ast, tuple(parser.free_vars))
 
 
 # --- unparser ---------------------------------------------------------------
 
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
-_NEG_PREC = 4
-
-
-def _unparse(node, parent_prec, right_side=False):
+def _unparse(node, level):
+    """Source text of `node` as an operand at `level`: parenthesized if
+    its own operator binds less tightly."""
     if isinstance(node, Num):
-        return repr(float(node.value))
+        value = float(node.value)  # inf as a literal that overflows to it
+        return "1e999" if value == np.inf else repr(value)
     if isinstance(node, Var):
         return node.name
-    if isinstance(node, Neg):
-        inner = _unparse(node.arg, _NEG_PREC)
-        text = "-" + inner
-        if parent_prec > _NEG_PREC or (right_side and parent_prec == _NEG_PREC):
-            return "(" + text + ")"
-        # unary minus as a right operand of any binary operator is fine
-        return text
-    if isinstance(node, BinOp):
-        p = _PREC[node.op]
-        lhs = _unparse(node.lhs, p)
-        rhs = _unparse(node.rhs, p, right_side=True)
-        text = f"{lhs}{node.op}{rhs}"
-        if parent_prec > p or (right_side and parent_prec == p):
-            return "(" + text + ")"
-        return text
     if isinstance(node, Call):
         return node.fn + "(" + ",".join(_unparse(a, 0) for a in node.args) + ")"
-    raise TypeError(f"not an AST node: {node!r}")
+    if isinstance(node, Neg):
+        own, text = _NEG_PREC, "-" + _unparse(node.arg, _NEG_PREC)
+    elif isinstance(node, BinOp):
+        own = _PREC[node.op]
+        text = (_unparse(node.lhs, own) + node.op
+                + _unparse(node.rhs, own + 1))
+    else:
+        raise TypeError(f"not an AST node: {node!r}")
+    return f"({text})" if level > own else text
 
 
 # --- compiled Taylor-mode evaluation ------------------------------------------

@@ -108,6 +108,8 @@ class PathSpec:
             if len(p) != len(pts[0]):
                 raise PathError(f"polyline point {i} {p} has {len(p)} "
                                 f"coordinates, point 0 has {len(pts[0])}")
+            if not np.isfinite(p).all():
+                raise PathError(f"polyline point {i} {p} is not finite")
         for a, b in zip(pts, pts[1:]):
             if max(abs(p - q) for p, q in zip(a, b)) == 0.0:
                 raise PathError(f"consecutive polyline points coincide: {a}")

@@ -38,6 +38,7 @@ from .errors import (
     ContinuationError,
     FrameError,
     IntegrationAborted,
+    NormalShiftError,
     PathError,
     PositivityError,
 )
@@ -180,6 +181,8 @@ def solve_nu(s: Hypersurface, ab, nu0, du=1e-2, compat_tol=1e-6) -> NuField:
                          f"surface in dimension {s.dimension}")
     require_positive(nu0, "nu0")
     require_positive(du, "step size du")
+    if not compat_tol >= 0.0:  # inf turns the audit off; NaN would as well
+        raise NormalShiftError(f"compat_tol must be >= 0, got {compat_tol}")
     k = s.n_params
     nu = _solve_nu_grid(s, ab, nu0, du, list(range(k))[::-1])
     defect = 0.0

@@ -11,7 +11,7 @@ from normalshift.errors import (
     ZeroSpeedError,
 )
 from normalshift.expr import parse
-from normalshift import dynamics
+from normalshift import fields
 from normalshift.dynamics import (
     _check_speed,
     integrate_batch,
@@ -44,11 +44,26 @@ def test_free_motion_is_straight_line():
     (1.0, 0.0, "step must be positive"),
     (1.0, -1e-2, "step must be positive"),
     (-1.0, 1e-2, "duration must be >= 0"),
+    # unchecked, NaN failed in the step count, an infinite T overflowed
+    # it and an infinite dt returned the initial layer alone
+    (1.0, math.nan, "step must be positive and finite, got dt=nan"),
+    (1.0, math.inf, "step must be positive and finite, got dt=inf"),
+    (math.nan, 1e-2, "duration must be >= 0 and finite, got T=nan"),
+    (math.inf, 1e-2, "duration must be >= 0 and finite, got T=inf"),
 ])
 def test_step_and_duration_are_checked(T, dt, match):
     ff = ForceField((parse("0"), parse("0")), EUC2)
     with pytest.raises(NormalShiftError, match=match):
         integrate_batch(ff, (0.0, 0.0), (1.0, 0.0), T, dt)
+
+
+def test_store_every_is_checked():
+    # unchecked, 0 raised ZeroDivisionError after the first step
+    ff = ForceField((parse("0"), parse("0")), EUC2)
+    with pytest.raises(NormalShiftError, match="store_every must be >= 1, "
+                                               "got 0$"):
+        integrate_batch(ff, (0.0, 0.0), (1.0, 0.0), 1.0, 1e-2,
+                        store_every=0)
 
 
 def test_unit_thrust_speed_growth():
@@ -191,7 +206,7 @@ def test_trajectory_csv_format(tmp_path):
 
 def test_csv_blocks_match_per_value_format(tmp_path, monkeypatch):
     # blocks longer than the formatting chunk are split across chunks
-    monkeypatch.setattr(dynamics, "CSV_BLOCK_ROWS", 3)
+    monkeypatch.setattr(fields, "BATCH_POINTS", 3)
     rng = np.random.default_rng(5)
     blocks = [np.column_stack([np.arange(7), rng.normal(size=(7, 2))]),
               np.empty((0, 3)),
@@ -203,3 +218,12 @@ def test_csv_blocks_match_per_value_format(tmp_path, monkeypatch):
         f"{int(r[0])},{format(r[1], '.17g')},{format(r[2], '.17g')}\n"
         for r in rows)
     assert out.read_text() == expected
+
+
+def test_csv_bytes_do_not_depend_on_the_chunk(tmp_path, monkeypatch):
+    table = np.random.default_rng(8).normal(size=(fields.BATCH_POINTS + 5, 2))
+    whole, chunked = tmp_path / "whole.csv", tmp_path / "chunked.csv"
+    write_csv(whole, ["a", "b"], [table])
+    monkeypatch.setattr(fields, "BATCH_POINTS", 3)
+    write_csv(chunked, ["a", "b"], [table])
+    assert chunked.read_bytes() == whole.read_bytes()

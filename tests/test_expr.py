@@ -70,6 +70,57 @@ def test_function_requires_parentheses():
         parse("exp x1")
 
 
+ATOM = ("a number", "a variable", "'('", "'-'", "a function call")
+
+
+@pytest.mark.parametrize("src,error,message,offset,expected", [
+    ("", ExprSyntaxError, "empty expression", 0, ATOM),
+    ("  \t", ExprSyntaxError, "empty expression", 0, ATOM),
+    ("x1 $ 2", ExprSyntaxError, "unexpected character '$'", 3, ()),
+    ("½", ExprSyntaxError, "unexpected character '½'", 0, ()),
+    ("1.2.3", ExprSyntaxError, "malformed number '1.2.3'", 0, ()),
+    ("x+1..", ExprSyntaxError, "malformed number '1..'", 2, ()),
+    ("1+*2", ExprSyntaxError, "syntax error: found '*'", 2, ATOM),
+    ("2*", ExprSyntaxError, "syntax error: found end of input", 2, ATOM),
+    ("-", ExprSyntaxError, "syntax error: found end of input", 1, ATOM),
+    ("(1+2", ExprSyntaxError, "syntax error: found end of input", 4,
+     ("')'",)),
+    ("exp(x1 2", ExprSyntaxError, "syntax error: found number '2.0'", 7,
+     ("')'",)),
+    ("exp x1", ExprSyntaxError,
+     "syntax error: function 'exp' requires parentheses, found 'x1'", 4,
+     ("'('",)),
+    ("sin", ExprSyntaxError, "syntax error: function 'sin' requires "
+     "parentheses, found end of input", 3, ("'('",)),
+    ("1+foo(x1)", UnknownFunctionError, "unknown function 'foo'", 2, ()),
+    ("x1 (2)", UnknownFunctionError, "unknown function 'x1'", 0, ()),
+    ("pow(x1)", ArityError, "function 'pow' takes 2 argument(s), got 1", 0,
+     ()),
+    ("exp(x1, x2)", ArityError, "function 'exp' takes 1 argument(s), got 2",
+     0, ()),
+    ("1 2", ExprSyntaxError, "syntax error: trailing input number '2.0'", 2,
+     ()),
+    ("x)", ExprSyntaxError, "syntax error: trailing input ')'", 1, ()),
+    ("a,b", ExprSyntaxError, "syntax error: trailing input ','", 1, ()),
+])
+def test_every_parse_error_path(src, error, message, offset, expected):
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse(src)
+    assert type(exc.value) is error
+    suffix = f" (expected {', '.join(expected)})" if expected else ""
+    assert str(exc.value) == f"{message} at offset {offset}{suffix}"
+    assert (exc.value.offset, exc.value.expected) == (offset, expected)
+
+
+def test_non_decimal_numeral_is_an_unexpected_character():
+    # "²" is a digit to str.isdigit but not a decimal digit, so it starts
+    # no number; inside an identifier it is a letter-like character
+    with pytest.raises(ExprSyntaxError,
+                       match=r"^unexpected character '²' at offset 2$"):
+        parse("1+²")
+    assert parse("x²").free_vars == ("x²",)
+
+
 def test_precedence_and_associativity():
     # ^ above */ above +-, all left-associative
     assert parse("1+2*3").ast == BinOp("+", Num(1.0),

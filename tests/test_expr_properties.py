@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from normalshift.errors import DomainEvalError, UnboundVariableError
-from normalshift.expr import eval_tuple, parse
+from normalshift.errors import (
+    DomainEvalError,
+    ExprSyntaxError,
+    UnboundVariableError,
+)
+from normalshift.expr import FUNCTION_ARITY, eval_tuple, parse
 
 VARS = ("x1", "x2", "v")
 
@@ -46,6 +50,27 @@ _env = st.fixed_dictionaries({
 @settings(max_examples=150, deadline=None)
 def test_roundtrip_is_identity(src):
     e = parse(src)
+    again = parse(e.unparse())
+    assert again.ast == e.ast
+    assert again.free_vars == e.free_vars
+
+
+# text over the DSL's ASCII alphabet, a character or a whole word at a time
+_ascii_text = st.lists(st.one_of(
+    st.sampled_from("0123456789.eE+-*/^(),_ \tx$"),
+    st.sampled_from(sorted(FUNCTION_ARITY) + ["x1", "v", "1e999"]),
+), max_size=14).map("".join)
+
+
+@given(_ascii_text)
+@example("1e999")  # an overflowing literal, whose value is inf
+@example("-1e400^x1")
+@settings(max_examples=300, deadline=None)
+def test_text_round_trips_or_is_a_syntax_error(src):
+    try:
+        e = parse(src)
+    except ExprSyntaxError:
+        return
     again = parse(e.unparse())
     assert again.ast == e.ast
     assert again.free_vars == e.free_vars

@@ -386,6 +386,14 @@ def test_parametric_path_needs_a_component():
         PathSpec.parametric([], 0.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_polyline_rejects_non_finite_points(bad):
+    # unchecked, the step count overflowed (inf) or failed (NaN) later
+    with pytest.raises(PathError, match=re.escape(
+            f"polyline point 1 (0.5, {bad}) is not finite")):
+        PathSpec.polyline([(0.0, 0.0), (0.5, bad), (1.0, 1.0)])
+
+
 def test_polyline_rejects_ragged_points():
     with pytest.raises(PathError, match=r"point 1 \(1\.0,\) has 1 "
                                         r"coordinates, point 0 has 2"):

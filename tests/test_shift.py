@@ -12,6 +12,7 @@ from normalshift import fields, shift
 from normalshift.errors import (
     CompatibilityError,
     FrameError,
+    NormalShiftError,
     PathError,
     PositivityError,
 )
@@ -138,6 +139,18 @@ def test_nu_step_size_is_checked_before_integrating(du):
         with pytest.raises(PositivityError, match=re.escape(
                 f"step size du must be finite and positive, got {du}")):
             solve_nu(circle(16), ab("1", ("-0.5*v", "0")), 1.0, du=du)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1e-6])
+def test_nu_compat_tol_is_checked_before_integrating(tol, monkeypatch):
+    # unchecked, NaN passed any defect (defect > nan is false) and a
+    # negative tolerance failed a closed field after both solves
+    def solve(*args):
+        raise AssertionError("integrated before checking compat_tol")
+    monkeypatch.setattr(shift, "_solve_nu_grid", solve)
+    with pytest.raises(NormalShiftError,
+                       match=f"compat_tol must be >= 0, got {tol}$"):
+        solve_nu(circle(16), ab("1", ("-0.5*v", "0")), 1.0, compat_tol=tol)
 
 
 def test_nu_solve_rejects_data_of_another_dimension():
