@@ -339,6 +339,7 @@ TOL_TARGET = {
     "gauge": ("gauge_tol",),
     "extract-h": ("h_tol",),
 }
+DT_TARGET = {"extract-h": "extract_dt"}  # --dt sets run.dt elsewhere
 
 
 def build_parser():
@@ -349,7 +350,8 @@ def build_parser():
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", required=True)
-    parser.add_argument("--dt", type=float, help="override run.dt")
+    parser.add_argument("--dt", type=float, help="override run.dt "
+                        "(run.extract_dt for extract-h)")
     parser.add_argument("--du", type=float, help="override run.du")
     parser.add_argument("--tol", type=float,
                         help="override the command's gate tolerance(s)")
@@ -360,7 +362,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         sc = load_scenario(args.config)
-        overrides = {"dt": args.dt, "du": args.du, **dict.fromkeys(
+        dt_key = DT_TARGET.get(args.command, "dt")
+        overrides = {dt_key: args.dt, "du": args.du, **dict.fromkeys(
             TOL_TARGET.get(args.command, ()), args.tol)}
         sc.run.update((k, v) for k, v in overrides.items() if v is not None)
         validate_run(sc.run, sc.manifold)

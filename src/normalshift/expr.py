@@ -21,7 +21,10 @@ minus binds tighter than "^", so "-x^2" is "(-x)^2" and "2^-3" is
 "2^(-3)".  `UNARY_RULES` holds the one-argument functions (exp, log, sin,
 cos, tan, tanh, sqrt, abs) with their first and second derivatives; pow
 is "^" with two arguments.  A literal integer exponent is valid for any
-base; any other exponent needs a positive base at evaluation time.
+base; any other exponent needs a positive base at evaluation time.  A
+tree nests at most MAX_DEPTH operations, and a token sits inside at most
+MAX_DEPTH unary minuses and parentheses; `require_vars` is the one check
+that an expression reads only the variables its owner binds.
 
 Evaluation propagates truncated Taylor data (value, gradient, Hessian), so
 derivatives are exact up to rounding.  Each (exprs, wrt, order) is compiled
@@ -120,6 +123,15 @@ class FieldExpr:
     def __reduce__(self):  # pickles without the compiled functions
         return FieldExpr, (self.ast, self.free_vars)
 
+    def require_vars(self, allowed, what, error):
+        """Self if it reads only variables in `allowed`, else `error` of a
+        message naming `what`, the unknown variables and `allowed`."""
+        unknown = set(self.free_vars) - set(allowed)
+        if unknown:
+            raise error(f"{what} uses unknown variables {sorted(unknown)} "
+                        f"(allowed: {list(allowed)})")
+        return self
+
     def unparse(self) -> str:
         return _unparse(self.ast, 0)
 
@@ -167,6 +179,11 @@ def _tokenize(source):
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
 _NEG_PREC = 4  # unary minus binds tighter than any binary operator
 _ATOM_EXPECTED = ("a number", "a variable", "'('", "'-'", "a function call")
+# operations on a path from the root of the tree to a leaf, and unary
+# minuses and parentheses open at once: the compiler takes up to five
+# frames per operation (pow(2, pow(2, ...))), which this keeps well
+# within the interpreter's recursion limit of 1000
+MAX_DEPTH = 150
 
 
 def _describe(tok):
@@ -179,6 +196,27 @@ class _Parser:
     def __init__(self, source):
         self.tokens, self.pos = _tokenize(source), 0
         self.free_vars = {}  # names in order of first use
+        self.depths = {}  # id(node) -> its tree's depth; a leaf's is 0
+        self.open = 0  # unary minuses and parentheses around the token
+
+    def within_bound(self, depth, at):
+        if depth > MAX_DEPTH:
+            raise ExprSyntaxError(
+                f"expression nested deeper than {MAX_DEPTH} levels", at)
+        return depth
+
+    def built(self, node, *children):
+        """`node`, one level deeper than its deepest child."""
+        self.depths[id(node)] = self.within_bound(1 + max(
+            self.depths.get(id(c), 0) for c in children), node.offset)
+        return node
+
+    def inner(self, tok, level=1):
+        """The operand after the unary minus or parenthesis `tok`."""
+        self.open = self.within_bound(self.open + 1, tok[2])
+        node = self.expr(level)
+        self.open -= 1
+        return node
 
     def take(self, kinds, expected=()):
         """The next token, consumed, if its kind is one of `kinds`; else
@@ -195,33 +233,38 @@ class _Parser:
     def expr(self, level=1):
         """Operands joined by the operators of `_PREC` at `level` and up,
         folded to the left; an operand is a unary minus or a primary."""
-        tok = self.take("-")
-        node = Neg(self.expr(_NEG_PREC), tok[2]) if tok else self.primary()
+        if tok := self.take("-"):
+            arg = self.inner(tok, _NEG_PREC)
+            node = self.built(Neg(arg, tok[2]), arg)
+        else:
+            node = self.primary()
         while _PREC.get(self.tokens[self.pos][0], 0) >= level:
             op, _, at = self.take(_PREC)
-            node = BinOp(op, node, self.expr(_PREC[op] + 1), at)
+            rhs = self.expr(_PREC[op] + 1)
+            node = self.built(BinOp(op, node, rhs, at), node, rhs)
         return node
 
     def primary(self):
-        kind, value, at = self.take(("num", "ident", "("), _ATOM_EXPECTED)
+        tok = kind, value, at = self.take(("num", "ident", "("),
+                                          _ATOM_EXPECTED)
         if kind == "num":
             return Num(value, at)
         if kind == "(":
-            node = self.expr()
+            node = self.inner(tok)
             self.take(")", ("')'",))
             return node
-        if self.take("("):
+        if paren := self.take("("):
             if value not in FUNCTION_ARITY:
                 raise UnknownFunctionError(f"unknown function '{value}'", at)
-            args = [self.expr()]
+            args = [self.inner(paren)]
             while self.take(","):
-                args.append(self.expr())
+                args.append(self.inner(paren))
             self.take(")", ("')'",))
             if len(args) != FUNCTION_ARITY[value]:
                 raise ArityError(
                     f"function '{value}' takes {FUNCTION_ARITY[value]} "
                     f"argument(s), got {len(args)}", at)
-            return Call(value, tuple(args), at)
+            return self.built(Call(value, tuple(args), at), *args)
         if value in FUNCTION_ARITY:
             nxt = self.tokens[self.pos]
             raise ExprSyntaxError(

@@ -57,6 +57,10 @@ CANCEL_ULPS = 8     # rounding left by a sum that cancels, in ulps of its terms
 BATCH_POINTS = 4096  # points per evaluation batch in a grid sweep
 
 
+def velocity_names(n):  # the velocity in custom force components
+    return tuple(f"xdot{i + 1}" for i in range(n))
+
+
 def _state_eval(exprs, n, x, v, order):
     """`eval_tuple` on the state (x, v), differentiated along x1..xn, v."""
     return eval_tuple(exprs, bind(coordinate_names(n), x, v=v),
@@ -74,13 +78,8 @@ class HWPair:
     dimension: int
 
     def __post_init__(self):
-        extra = set(self.W.free_vars) - set(state_names(self.dimension))
-        if extra:
-            raise FrameError(f"W uses unknown variables {sorted(extra)}")
-        extra = set(self.h.free_vars) - {"w"}
-        if extra:
-            raise FrameError(f"h must be a function of w only, found "
-                             f"{sorted(extra)}")
+        self.W.require_vars(state_names(self.dimension), "W", FrameError)
+        self.h.require_vars(("w",), "h", FrameError)
 
     def w_jet1(self, x, v):
         """(W, dW/dx (..., n), dW/dv), with the dW/dv != 0 guard."""
@@ -133,13 +132,9 @@ class ABFields:
     def __post_init__(self):
         if not self.b:
             raise FrameError("b needs at least one component")
-        allowed = set(state_names(self.dimension))
-        for label, e in [("a", self.a)] + [
-                (f"b{i + 1}", c) for i, c in enumerate(self.b)]:
-            extra = set(e.free_vars) - allowed
-            if extra:
-                raise FrameError(
-                    f"{label} uses unknown variables {sorted(extra)}")
+        for i, e in enumerate((self.a,) + self.b):
+            e.require_vars(state_names(self.dimension), f"b{i}" if i else "a",
+                           FrameError)
 
     def b_values(self, x, v):
         return _state_eval(self.b, self.dimension, x, v, 0)[0]
@@ -232,8 +227,7 @@ def custom_force(exprs, m: MetricSpec, x, xdot) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     xdot = np.asarray(xdot, dtype=float)
     n = x.shape[-1]
-    env = bind(coordinate_names(n), x,
-               **bind([f"xdot{i + 1}" for i in range(n)], xdot))
+    env = bind(coordinate_names(n), x, **bind(velocity_names(n), xdot))
     if any("v" in e.free_vars for e in exprs):
         g = metric_at(m, x)
         env["v"] = np.sqrt(np.einsum("...i,...ij,...j->...", xdot, g, xdot))
@@ -255,6 +249,9 @@ class ForceField:
         if n != self.metric.dimension:
             raise FrameError(f"force source of dimension {n} on a metric of "
                              f"dimension {self.metric.dimension}")
+        for k, e in enumerate(self.source if self.kind == "custom" else ()):
+            e.require_vars(state_names(n) + velocity_names(n), f"F{k + 1}",
+                           FrameError)
 
     @cached_property
     def kind(self):

@@ -67,30 +67,24 @@ class MetricSpec:
         n = self.dimension
         if n < 2:
             raise MetricError(f"dimension must be >= 2, got {n}")
-        allowed = set(coordinate_names(n))
+        allowed = coordinate_names(n)
         if self.kind == "euclidean":
             pass
         elif self.kind == "conformal":
             if self.conformal is None:
                 raise MetricError("conformal metric needs a factor expression")
-            extra = set(self.conformal.free_vars) - allowed
-            if extra:
-                raise MetricError(
-                    f"conformal factor uses unknown variables {sorted(extra)}")
+            self.conformal.require_vars(allowed, "conformal factor",
+                                        MetricError)
         elif self.kind == "explicit":
             if self.entries is None or len(self.entries) != n or any(
                     len(row) != n for row in self.entries):
                 raise MetricError(f"explicit metric must be {n}x{n}")
-            for i in range(n):
-                for j in range(n):
-                    if self.entries[i][j].ast != self.entries[j][i].ast:
-                        raise MetricError(
-                            f"explicit metric entry ({i + 1},{j + 1}) is not "
-                            f"symmetric with ({j + 1},{i + 1})")
-                    extra = set(self.entries[i][j].free_vars) - allowed
-                    if extra:
-                        raise MetricError(
-                            f"metric entry uses unknown variables {sorted(extra)}")
+            for i, j in np.ndindex(n, n):
+                what = f"explicit metric entry ({i + 1},{j + 1})"
+                if self.entries[i][j].ast != self.entries[j][i].ast:
+                    raise MetricError(
+                        f"{what} is not symmetric with ({j + 1},{i + 1})")
+                self.entries[i][j].require_vars(allowed, what, MetricError)
         else:
             raise MetricError(f"unknown metric kind '{self.kind}'")
 
@@ -272,12 +266,9 @@ class Hypersurface:
                 == len(self.base_point) == k):
             raise FrameError(f"surface of dimension {k} needs {k} parameter "
                              "axes in ranges/grid/closed/base_point")
-        allowed = set(parameter_names(k))
-        for comp in self.parametrization:
-            extra = set(comp.free_vars) - allowed
-            if extra:
-                raise FrameError(
-                    f"embedding uses unknown variables {sorted(extra)}")
+        for i, comp in enumerate(self.parametrization):
+            comp.require_vars(parameter_names(k),
+                              f"embedding component x{i + 1}", FrameError)
         for counts in self.grid:
             if counts < 2:
                 raise FrameError("need at least 2 nodes per parameter axis")

@@ -120,11 +120,8 @@ class PathSpec:
         exprs = tuple(exprs)
         if not exprs:
             raise PathError("parametric path needs at least one component")
-        for e in exprs:
-            extra = set(e.free_vars) - {"t"}
-            if extra:
-                raise PathError(
-                    f"parametric component uses unknown variables {sorted(extra)}")
+        for i, e in enumerate(exprs):
+            e.require_vars(("t",), f"parametric component x{i + 1}", PathError)
         if not t1 > t0:
             raise PathError(f"need t1 > t0, got [{t0}, {t1}]")
         path = PathSpec("parametric", exprs=exprs, t0=float(t0),
@@ -370,10 +367,7 @@ class AdmissibleF:
     f: FieldExpr
 
     def __post_init__(self):
-        extra = set(self.f.free_vars) - {"v"}
-        if extra:
-            raise PositivityError(
-                f"f must be a function of v only, found {sorted(extra)}")
+        self.f.require_vars(("v",), "f", PositivityError)
         v = np.logspace(-6, 6, 25)
         with np.errstate(over="ignore", invalid="ignore"):
             vals = self.values(v)
@@ -599,6 +593,9 @@ def monodromy(ab, manifold: CoveringManifold, word, p0, w_grid,
     to DECK_TOL relative)."""
     p0 = np.asarray(p0, dtype=float)
     w_grid = require_positive(w_grid, "w grid entry")
+    if w_grid.size < 2:
+        raise TableError(f"monodromy table '{word}': needs at least 2 "
+                         f"nodes, got {w_grid.size}")
     if np.any(np.diff(w_grid) <= 0.0):
         raise TableError("w grid must be increasing")
     target = deck_apply(manifold, word, p0)
@@ -629,11 +626,7 @@ class ClosedFormRho:
     on a bracket widened until it encloses the targets."""
 
     def __init__(self, expr: FieldExpr):
-        extra = set(expr.free_vars) - {"w"}
-        if extra:
-            raise TableError(
-                f"rho must be a function of w only, found {sorted(extra)}")
-        self.expr = expr
+        self.expr = expr.require_vars(("w",), "rho", TableError)
 
     def __call__(self, w):
         out = eval_tuple((self.expr,), {"w": w}, (), 0)[0][..., 0]

@@ -28,7 +28,7 @@ from .errors import (
     ScenarioError,
 )
 from .expr import parse as parse_expr
-from .fields import ABFields, ForceField, HWPair
+from .fields import ABFields, ForceField, HWPair, velocity_names
 from .geometry import (
     CoveringManifold,
     Hypersurface,
@@ -195,12 +195,8 @@ def _expr(value, path, allowed):
         e = parse_expr(value)
     except NormalShiftError as err:
         raise ScenarioError(f"bad expression: {err}", path) from None
-    extra = set(e.free_vars) - set(allowed)
-    if extra:
-        raise ScenarioError(
-            f"unknown variables {sorted(extra)} (allowed: {sorted(allowed)})",
-            path)
-    return e
+    return e.require_vars(allowed, "expression",
+                          lambda message: ScenarioError(message, path))
 
 
 def _exprs(value, path, length, allowed):
@@ -248,8 +244,8 @@ def _build_field(sec: dict, n: int, metric: MetricSpec) -> ForceField:
         b = _exprs(sec.get("b"), "field.b", n, state)
         return ForceField(ABFields(a, b), metric)
     if kind == "custom":
-        allowed = state + tuple(f"xdot{i + 1}" for i in range(n))
-        return ForceField(_exprs(sec.get("F"), "field.F", n, allowed), metric)
+        return ForceField(_exprs(sec.get("F"), "field.F", n,
+                                 state + velocity_names(n)), metric)
     raise ScenarioError("kind must be 'hw', 'ab' or 'custom'", "field.kind")
 
 

@@ -10,13 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from builders import ab, hw
 from normalshift.cli import main as cli_main
 from normalshift.expr import parse
 from normalshift.fields import (
-    ABFields,
     DerivedAB,
     ForceField,
-    HWPair,
     closedness_residual,
     normalizing_residual,
 )
@@ -53,14 +52,6 @@ CYLINDER = CoveringManifold(EUC2, ((2 * math.pi, 0.0),))
 
 def announce(num, label):
     print(f"ACCEPTANCE {num:02d} {label}: PASS")
-
-
-def hw(W, h="1", n=2):
-    return HWPair(parse(W), parse(h), n)
-
-
-def ab(a, b):
-    return ABFields(parse(a), tuple(parse(c) for c in b))
 
 
 FIVE_PAIRS = [

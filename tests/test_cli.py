@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import normalshift
-from normalshift import dynamics, fields, pfaff
+from normalshift import cli, dynamics, fields, pfaff
 from normalshift.cli import main
 from normalshift.errors import ConfigError, ScenarioError
 from normalshift.geometry import metric_at
@@ -618,6 +618,16 @@ def test_gauge_evaluates_both_forces_through_force_field(tmp_path,
     monkeypatch.setattr(fields.ForceField, "__call__", counted)
     assert run_cli("gauge", SCENARIOS / "gauge_scale.toml", tmp_path) == 0
     assert calls == ["hw", "hw"]
+
+
+def test_dt_override_reaches_extract_h(tmp_path, monkeypatch):
+    # extract-h steps by run.extract_dt, which --dt sets for it
+    seen, extract = [], cli.extract_h
+    monkeypatch.setattr(cli, "extract_h", lambda *a, dt: seen.append(dt)
+                        or extract(*a, dt=dt))
+    run_cli("extract-h", SCENARIOS / "extract_square.toml", tmp_path,
+            "--dt", "0.05")
+    assert seen == [0.05]
 
 
 def test_extract_h_command(tmp_path):

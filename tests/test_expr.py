@@ -13,6 +13,13 @@ from normalshift.errors import (
     ArityError,
     DomainEvalError,
     ExprSyntaxError,
+    FrameError,
+    MetricError,
+    NormalShiftError,
+    PathError,
+    PositivityError,
+    ScenarioError,
+    TableError,
     UnboundVariableError,
     UnknownFunctionError,
 )
@@ -28,6 +35,10 @@ from normalshift.expr import (
     eval_tuple,
     parse,
 )
+from normalshift.fields import ABFields, ForceField, HWPair
+from normalshift.geometry import CoveringManifold, Hypersurface, MetricSpec
+from normalshift.pfaff import AdmissibleF, ClosedFormRho, PathSpec
+from normalshift.scenario import validate_run
 
 
 # --- parsing ----------------------------------------------------------------
@@ -119,6 +130,39 @@ def test_non_decimal_numeral_is_an_unexpected_character():
                        match=r"^unexpected character '²' at offset 2$"):
         parse("1+²")
     assert parse("x²").free_vars == ("x²",)
+
+
+DEEP = expr.MAX_DEPTH
+TOO_DEEP = f"expression nested deeper than {DEEP} levels"
+
+
+@pytest.mark.parametrize("src", [
+    "pow(" * DEEP + "x" + ",1)" * DEEP,  # the most compiler frames a level
+    "+".join(["x"] * (DEEP + 1)),         # a sum leans left
+    "-" * DEEP + "x",
+], ids=["pow", "sum", "minus"])
+def test_tree_at_the_depth_bound_compiles_and_round_trips(src):
+    e = parse(src)
+    vals, _, hess = eval_tuple((e,), {"x": np.array([0.5, 2.0])}, ("x",), 2)
+    assert hess.shape == (2, 1, 1, 1) and np.isfinite(vals).all()
+    again = parse(e.unparse())
+    assert again == e and again.free_vars == e.free_vars
+
+
+@pytest.mark.parametrize("src,offset", [
+    ("+".join(["x"] * (DEEP + 2)), 2 * DEEP + 1),  # at the last "+"
+    ("+".join(["x"] * 400), 2 * DEEP + 1),
+    ("-" * 993 + "x", DEEP),
+    ("(" * 497 + "x" + ")" * 497, DEEP),
+    ("2^(" * 250 + "x" + ")" * 250, 3 * DEEP + 2),
+    ("exp(" * 330 + "x" + ")" * 330, 4 * DEEP + 3),
+], ids=["sum", "long-sum", "minus", "parens", "power", "exp"])
+def test_past_the_depth_bound_is_a_syntax_error(src, offset):
+    # the token that crosses the bound: an operator that makes the tree
+    # too deep, or a unary minus or parenthesis opened one too many
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse(src)
+    assert str(exc.value) == f"{TOO_DEEP} at offset {offset}"
 
 
 def test_precedence_and_associativity():
@@ -514,3 +558,46 @@ def test_evaluated_expression_pickles():
     assert again == e and again.free_vars == e.free_vars
     for a, b in zip(jet(again, env, ("x1", "v"), 2), want):
         assert a.tobytes() == b.tobytes()
+
+
+# --- scope ------------------------------------------------------------------
+
+@pytest.mark.parametrize("build,error,what,unknown,allowed", [
+    (lambda: HWPair(parse("v*y"), parse("1"), 2), FrameError, "W", ["y"],
+     ["x1", "x2", "v"]),
+    (lambda: HWPair(parse("v"), parse("x1*w"), 2), FrameError, "h", ["x1"],
+     ["w"]),
+    (lambda: ABFields(parse("z"), (parse("0"), parse("0"))), FrameError, "a",
+     ["z"], ["x1", "x2", "v"]),
+    (lambda: ABFields(parse("1"), (parse("0"), parse("w+t"))), FrameError,
+     "b2", ["t", "w"], ["x1", "x2", "v"]),
+    (lambda: MetricSpec(2, "conformal", parse("x3")), MetricError,
+     "conformal factor", ["x3"], ["x1", "x2"]),
+    (lambda: MetricSpec(2, "explicit", entries=(
+        (parse("1"), parse("v")), (parse("v"), parse("1")))), MetricError,
+     "explicit metric entry (1,2)", ["v"], ["x1", "x2"]),
+    (lambda: Hypersurface(2, (parse("cos(u1)"), parse("sin(u2)")),
+                          ((0.0, 1.0),), (8,), (0.0,), (False,)),
+     FrameError, "embedding component x2", ["u2"], ["u1"]),
+    (lambda: PathSpec.parametric((parse("t"), parse("s*t")), 0.0, 1.0),
+     PathError, "parametric component x2", ["s"], ["t"]),
+    (lambda: AdmissibleF(parse("v*w")), PositivityError, "f", ["w"], ["v"]),
+    (lambda: ClosedFormRho(parse("2*v")), TableError, "rho", ["v"], ["w"]),
+    (lambda: ForceField((parse("1"), parse("xdot3")), MetricSpec(2)),
+     FrameError, "F2", ["xdot3"],
+     ["x1", "x2", "v", "xdot1", "xdot2"]),
+    (lambda: validate_run({"rho": "v*w"}, CoveringManifold(MetricSpec(2))),
+     ScenarioError, "run.rho", ["v"], ["w"]),
+], ids=["W", "h", "a", "b2", "conformal", "explicit", "surface", "path",
+        "f", "rho", "custom", "scenario"])
+def test_every_owner_names_its_unknown_variables(build, error, what, unknown,
+                                                  allowed):
+    # each owner refuses at construction, in its own exception type, an
+    # expression reading a variable it does not bind
+    with pytest.raises(NormalShiftError) as exc:
+        build()
+    message = str(exc.value)
+    assert type(exc.value) is error
+    assert what in message
+    assert f"unknown variables {unknown}" in message
+    assert f"(allowed: {allowed})" in message

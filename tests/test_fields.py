@@ -6,6 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
+from builders import ab, hw
 from normalshift import fields
 from normalshift.errors import (
     DomainEvalError,
@@ -41,14 +42,6 @@ EUC2 = MetricSpec(2)
 CONFORMAL = MetricSpec(2, kind="conformal", conformal=parse("0.2*x2"))
 EXPLICIT = MetricSpec(2, kind="explicit", entries=(
     (parse("1+x1^2"), parse("0.1*x2")), (parse("0.1*x2"), parse("2"))))
-
-
-def hw(W, h="1", n=2):
-    return HWPair(parse(W), parse(h), n)
-
-
-def ab(a, b):
-    return ABFields(parse(a), tuple(parse(c) for c in b))
 
 
 def collinearity(src, w_expr, x, v):

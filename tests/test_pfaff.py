@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from builders import ab, hw
 from normalshift import fields, pfaff
 from normalshift.errors import (
     CompatibilityError,
@@ -18,7 +19,7 @@ from normalshift.errors import (
     TableError,
 )
 from normalshift.expr import parse
-from normalshift.fields import ABFields, DerivedAB, HWPair
+from normalshift.fields import DerivedAB
 from normalshift.geometry import CoveringManifold, MetricSpec
 from normalshift.pfaff import (
     AdmissibleF,
@@ -42,14 +43,6 @@ from normalshift.pfaff import (
 from reference_force import JetOnly, force_hw
 
 EUC2 = MetricSpec(2)
-
-
-def ab(a, b):
-    return ABFields(parse(a), tuple(parse(c) for c in b))
-
-
-def hw(W, h="1", n=2):
-    return HWPair(parse(W), parse(h), n)
 
 
 DECAY = ab("1", ("-0.5*v", "0"))            # db/dx closed, linear in v
@@ -667,6 +660,16 @@ def test_deck_invariance_check_does_not_depend_on_scale(scale):
                                "g1", p0)
 
 
+def test_monodromy_rejects_a_short_grid_before_inverting(monkeypatch):
+    runs, invert = [], pfaff._invert_on_path
+    monkeypatch.setattr(pfaff, "_invert_on_path",
+                        lambda *a, **k: runs.append(a) or invert(*a, **k))
+    with pytest.raises(TableError, match="^monodromy table 'g1': needs at "
+                       "least 2 nodes, got 1$"):
+        monodromy(DECAY, CYL, "g1", (0.0, 0.0), [1.0])
+    assert runs == []
+
+
 def test_monodromy_map_table_validation():
     with pytest.raises(TableError):
         MonodromyMap("g1", np.array([1.0, 2.0]), np.array([2.0, 1.0]))
@@ -814,6 +817,17 @@ def test_closed_form_rho_inverse_rejects_unreachable_targets():
         rho.inverse(1.5)
     with pytest.raises(TableError, match="rho does not reach 0.0"):
         rho.inverse(np.array([0.5, 0.0]))
+
+
+@pytest.mark.parametrize("source", ["w^3/(1+w^2)", "1/(1/w + 1/w^3)"])
+def test_closed_form_rho_inverse_stays_near_its_targets(source):
+    # the same increasing map of the positive axis, written two ways, is
+    # not finite at the far ends of the floats: w^3 and w^2 overflow to
+    # inf/inf near 1e308, and w^3 underflows to a zero divisor near 1e-308,
+    # so a bracket of [tiny, huge] would fail on targets near 1
+    rho = ClosedFormRho(parse(source))
+    w = np.array([1e-3, 0.5, 2.0, 1e3])
+    assert rho.inverse(rho(w)) == pytest.approx(w, rel=1e-12)
 
 
 def test_closed_form_inverse_evaluates_rho_once_per_bisection(monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from test_pfaff import _recorded_tangents
 
+from builders import ab
 from normalshift import fields, shift
 from normalshift.errors import (
     CompatibilityError,
@@ -17,7 +18,7 @@ from normalshift.errors import (
     PositivityError,
 )
 from normalshift.expr import parse
-from normalshift.fields import ABFields, DerivedAB, ForceField, HWPair
+from normalshift.fields import DerivedAB, ForceField, HWPair
 from normalshift.geometry import (
     CoveringManifold,
     Hypersurface,
@@ -38,10 +39,6 @@ from normalshift.shift import (
 
 EUC2 = MetricSpec(2)
 EUC3 = MetricSpec(3)
-
-
-def ab(a, b):
-    return ABFields(parse(a), tuple(parse(c) for c in b))
 
 
 def circle(nodes=256):
