@@ -277,11 +277,7 @@ def cmd_monodromy(sc: Scenario, out_dir, report: Report):
     ab = _require_ab(sc, "monodromy")
     run = sc.run
     word = run.get("word", "g1")
-    try:  # load_scenario checks a given word, but not this default
-        sc.manifold.word(word)
-    except NormalShiftError as err:
-        raise ScenarioError(f"default word 'g1': {err}", "run.word") \
-            from None
+    _checked("run.word", sc.manifold.word, word)
     p0 = [float(c) for c in run.get("p0", [0.0] * sc.dimension)]
     w = _w_grid(run)
     rho = monodromy(ab, sc.manifold, word, p0, w, dt=float(run["dt"]))

@@ -43,6 +43,14 @@ def _acceleration(force: ForceField, x, xdot):
     return acc
 
 
+def _step_count(span, step):
+    """round(span / step) steps; a NormalShiftError if it is not finite."""
+    count = float(span) / float(step)
+    if not np.isfinite(count):
+        raise NormalShiftError(f"span {span} / step {step} is not finite")
+    return round(count)
+
+
 def rk4(rate, y, h):
     """One classical RK4 step of size h for y' = rate(y), where y is a
     tuple of arrays and rate(stage, y) returns their derivatives.  The
@@ -83,7 +91,7 @@ def integrate_batch(force: ForceField, x0, xdot0, T, dt, store_every=1):
         raise NormalShiftError(f"store_every must be >= 1, got {store_every}")
     x = np.array(x0, dtype=float)
     xdot = np.array(xdot0, dtype=float)
-    nsteps = int(round(T / dt))
+    nsteps = _step_count(T, dt)
     # each step makes new arrays and nothing writes into them, so the
     # stored layers need no copies
     times, xs, xds = [0.0], [x], [xdot]

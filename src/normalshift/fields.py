@@ -21,11 +21,11 @@ pointwise residuals of that jet so that sweeps can audit declared data.
 Everything evaluates on batches: position arrays (..., n) and speed or
 velocity arrays broadcast along the leading axes.
 
-A `ForceField` of (h, W) or (a, b) data on any metric runs that formula
-compiled with the data's jet into one straight-line function, written by
-`_compile_force` alone.  It sums with `_dot`, a zero jet entry still
-enters as 0.0, and the tests hold it bitwise to the formula written out
-as array math.
+A `ForceField` on any metric is one straight-line function written by
+`_compile_force` alone: that formula compiled with the jet of (h, W) or
+(a, b) data, or custom components F^k(x, xdot, v) as given.  It sums with
+`_dot`, a zero jet entry still enters as 0.0, and the tests hold it
+bitwise to the formula, or the components, evaluated as array math.
 """
 
 from __future__ import annotations
@@ -220,25 +220,11 @@ def _guard_speed(v, x):
             f"velocity modulus <= {SPEED_EPS} at x={point_str(pt)}")
 
 
-def custom_force(exprs, m: MetricSpec, x, xdot) -> np.ndarray:
-    """Contravariant force components given directly as expressions of
-    x1..xn, xdot1..xdotn and the g-speed v (zero speed allowed unless an
-    expression references v)."""
-    x = np.asarray(x, dtype=float)
-    xdot = np.asarray(xdot, dtype=float)
-    n = x.shape[-1]
-    env = bind(coordinate_names(n), x, **bind(velocity_names(n), xdot))
-    if any("v" in e.free_vars for e in exprs):
-        g = metric_at(m, x)
-        env["v"] = np.sqrt(np.einsum("...i,...ij,...j->...", xdot, g, xdot))
-    return eval_tuple(exprs, env, (), 0)[0]
-
-
 @dataclass(frozen=True, eq=False)
 class ForceField:
     """A force source bound to a metric; callable on (x, xdot) batches.
-    Its first call picks the evaluator: `custom_force` for custom
-    components, else the force compiled for its source and metric."""
+    Its first call compiles the force of its source, of any kind, on its
+    metric."""
 
     source: object  # HWPair-like | ABFields-like | tuple of FieldExprs
     metric: MetricSpec
@@ -262,33 +248,44 @@ class ForceField:
             return "ab"
         return "custom"
 
-    def __reduce__(self):  # pickles without the chosen evaluator
+    def __reduce__(self):  # pickles without the compiled force
         return ForceField, (self.source, self.metric)
 
     @cached_property
     def _evaluate(self):
-        """`custom_force` of custom components, else the compiled force."""
-        if self.kind == "custom":
-            return partial(custom_force, self.source, self.metric)
-        return _compile_force(self.source, self.metric)
+        return _compile_force(self.source, self.metric, self.kind)
 
     def __call__(self, x, xdot):
         return self._evaluate(x, xdot)
 
 
-def _compile_force(src, m):
-    """The force of an "hw" or "ab" source `src` on the metric `m` as one
-    function force(x, xdot), column by column.  An `HWPair` and an
-    `ABFields` inline their jets; any other source is called through
-    `w_jet1` and `h_val`, or `ab_values`.  A metric that is not euclidean
-    lowers the velocity with `metric_at` and `einsum`, and raises the
-    force with `np.linalg.inv` and `einsum`."""
-    n, pair = src.dimension, hasattr(src, "w_jet1")
+def _compile_force(src, m, kind):
+    """The force of a `kind` of source `src` on the metric `m` as one
+    function force(x, xdot), column by column.  Custom components read x,
+    xdot and, if one reads it, v = sqrt(xdot.g.xdot) at any speed.  An
+    `HWPair` and an `ABFields` inline their jets; any other source is
+    called through `w_jet1` and `h_val`, or `ab_values`.  Off a euclidean
+    metric the paper's force lowers the velocity with `metric_at` and
+    `einsum`, and raises the force with `np.linalg.inv` and `einsum`."""
+    n, pair = m.dimension, kind == "hw"
     c = _Compiler(state_names(n), 1 if type(src) is HWPair else 0)
     x, xdot = c.let("asarray(x, float)"), c.let("asarray(xdot, float)")
     xs, xdots = ([c.let(f"{a}[..., {i}]") for i in range(n)]
                  for a in (x, xdot))
     join, dot = ", ".join, c.const(_dot)
+    if kind == "custom":
+        c.loaded.update(zip(coordinate_names(n) + velocity_names(n),
+                            xs + xdots))
+        if any("v" in e.free_vars for e in src):
+            g = c.let(f"{c.const(metric_at)}({c.const(m)}, {x})")
+            quad = c.const(partial(np.einsum, "...i,...ij,...j->..."))
+            c.loaded["v"] = c.let(
+                f"asarray(np.sqrt({quad}({xdot}, {g}, {xdot})), float)")
+        c.batch(f"[{join(c.loaded.values())}]")
+        F = [c.eval(e.ast)[0] for e in src]
+        c.lines += [f"F = np.empty(batch + ({n},))"] + [
+            f"F[..., {k}] = {f}" for k, f in enumerate(F)]
+        return c.define("force(x, xdot)", "F")
     lows = xdots  # the covariant velocity
     if not m.is_euclidean:
         contract = c.const(partial(np.einsum, "...ij,...j->...i"))

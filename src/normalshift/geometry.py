@@ -272,6 +272,9 @@ class Hypersurface:
         for counts in self.grid:
             if counts < 2:
                 raise FrameError("need at least 2 nodes per parameter axis")
+        for i, (lo, hi) in enumerate(self.ranges):
+            if not 0.0 < abs(hi - lo) < np.inf:
+                raise FrameError(f"axis u{i + 1} needs a nonzero finite width")
         if (type(self.orientation) is not int
                 or self.orientation not in (-1, 1)):
             raise FrameError("orientation must be +1 or -1")

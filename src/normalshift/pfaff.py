@@ -56,7 +56,7 @@ from .errors import (
     TableError,
     first_bad,
 )
-from .dynamics import rk4
+from .dynamics import _step_count, rk4
 from .expr import FieldExpr, eval_tuple
 from .fields import (closedness_residual, continuation_rate,
                      normalizing_residual)
@@ -256,7 +256,7 @@ def _polyline_steps(pts, dt):
         delta = pts[..., seg + 1, :] - p
         length = float(np.max(np.linalg.norm(
             np.atleast_2d(delta), axis=-1)))
-        nsub = max(1, int(round(length / dt)))
+        nsub = max(1, _step_count(length, dt))
         h = 1.0 / nsub
         dl = length / nsub
         s = np.arange(nsub) * h
@@ -271,7 +271,7 @@ def _curve_steps(curve, s0, s1, ds, block):
     """Steps in a curve parameter from s0 to s1, in either direction (the
     step is signed); `curve` maps the stage parameters (steps, 3) of
     `block` steps at a time to their points and tangents."""
-    nsub = max(1, int(round(abs(s1 - s0) / ds)))
+    nsub = max(1, _step_count(abs(s1 - s0), ds))
     h = (s1 - s0) / nsub
     for lo in range(0, nsub, block):
         a = s0 + np.arange(lo, min(lo + block, nsub)) * h

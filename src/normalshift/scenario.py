@@ -115,13 +115,16 @@ def _array(x, entry, length):
 # What each [run] value a command reads must be, in n dimensions; the
 # keys ending in _tol are _POSITIVE too.
 _POSITIVE = (lambda x, n: _real(x) and x > 0, "a finite positive number")
+_STEP = (lambda x, n: _real(x) and x > 0 and _real(1 / x),
+         "a finite positive number with a finite reciprocal")
 _RUN_RULES = {
     "seed": (lambda x, n: _real(x) and isinstance(x, int) and x >= 0,
              "a non-negative integer"),
     "t_max": (lambda x, n: _real(x) and x >= 0,
               "a finite non-negative number"),
-    **dict.fromkeys(("dt", "du", "w0", "nu0", "extract_dt", "v_min",
-                     "v_max", "w_min", "w_max"), _POSITIVE),
+    **dict.fromkeys(("dt", "du", "extract_dt"), _STEP),
+    **dict.fromkeys(("w0", "nu0", "v_min", "v_max", "w_min", "w_max"),
+                    _POSITIVE),
     **dict.fromkeys(("store_every", "n_states", "v_points", "w_points"),
                     (lambda x, n: _count(x), "a positive integer")),
     **dict.fromkeys(("x0", "xdot0", "p0", "grid_min", "grid_max"),
@@ -147,6 +150,8 @@ def validate_run(run: dict, manifold: CoveringManifold) -> None:
             key, _POSITIVE if key.endswith("_tol") else (None, None))
         if test and not test(value, n):
             raise ScenarioError("expected " + what.format(n=n), f"run.{key}")
+    if not _real(run.get("t_max", 0.0) / run.get("dt", 1.0)):
+        raise ScenarioError("expected a finite t_max / dt", "run.t_max")
     for key, var in (("f", "v"), ("rho", "w")):
         if key in run:
             _expr(run[key], f"run.{key}", [var])
@@ -272,8 +277,9 @@ def _build_surface(sec: dict, n: int) -> Hypersurface:
     if type(orientation) is not int or orientation not in (1, -1):
         raise ScenarioError("orientation must be 1 or -1",
                             "surface.orientation")
-    surface = Hypersurface(n, parametrization, ranges, tuple(grid),
-                           tuple(base), tuple(closed), orientation)
+    surface = _checked("surface.ranges", Hypersurface, n, parametrization,
+                       ranges, tuple(grid), tuple(base), tuple(closed),
+                       orientation)
     _checked("surface.base", base_node_index, surface)
     return surface
 

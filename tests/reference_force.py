@@ -7,7 +7,9 @@ rates are held to, bit for bit and error for error.
 with N the g-unit vector along the velocity and v the g-speed, lowered
 and raised with the metric.  `force_hw` reads an (h, W) pair through
 `w_jet1` and `h_val`, `force_ab` reads (a, b) data through `ab_values`;
-both sum with `fields._dot`, as the kernels do.  `reference_rate` gives
+both sum with `fields._dot`, as the kernels do.  `custom_force`
+evaluates custom components with `eval_tuple` on x, xdot and, where one
+reads it, the g-speed v, at any speed.  `reference_rate` gives
 b.d, and (db/dv).d for V_w: from b alone for `ABFields` data and a
 `DerivedAB` over an `HWPair`, where it never evaluates a or h, and from
 the source's own `b_values` or `jet` for any other source.
@@ -23,6 +25,7 @@ from normalshift.fields import (
     _columns,
     _dot,
     _guard_speed,
+    velocity_names,
 )
 from normalshift.geometry import MetricSpec, coordinate_names, metric_at
 
@@ -80,9 +83,25 @@ def force_ab(ab, m: MetricSpec, x, xdot) -> np.ndarray:
     return _raise_force(f_low, g)
 
 
+def custom_force(exprs, m: MetricSpec, x, xdot) -> np.ndarray:
+    """Contravariant force components given directly as expressions of
+    x1..xn, xdot1..xdotn and the g-speed v (zero speed allowed unless an
+    expression references v)."""
+    x = np.asarray(x, dtype=float)
+    xdot = np.asarray(xdot, dtype=float)
+    n = x.shape[-1]
+    env = bind(coordinate_names(n), x, **bind(velocity_names(n), xdot))
+    if any("v" in e.free_vars for e in exprs):
+        g = metric_at(m, x)
+        env["v"] = np.sqrt(np.einsum("...i,...ij,...j->...", xdot, g, xdot))
+    return eval_tuple(exprs, env, (), 0)[0]
+
+
 def reference_force(source, m: MetricSpec, x, xdot) -> np.ndarray:
-    """`force_hw` of a source with `w_jet1`, else `force_ab`."""
-    force = force_hw if hasattr(source, "w_jet1") else force_ab
+    """`force_hw` of a source with `w_jet1`, `force_ab` of one with
+    `b_values`, else `custom_force` of custom components."""
+    force = (force_hw if hasattr(source, "w_jet1")
+             else force_ab if hasattr(source, "b_values") else custom_force)
     return force(source, m, x, xdot)
 
 

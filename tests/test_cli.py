@@ -100,6 +100,12 @@ def test_validation_error_has_field_path(tmp_path):
     ("[run]\ndt = nan\n", "run.dt"),
     ("[run]\ndu = inf\n", "run.du"),
     ("[run]\nt_max = inf\n", "run.t_max"),
+    # finite and positive, but no finite step count: each overflowed the
+    # int() of a step count
+    ("[run]\ndt = 5e-324\n", "run.dt"),
+    ("[run]\ndu = 5e-324\n", "run.du"),
+    ("[run]\nextract_dt = 5e-324\n", "run.extract_dt"),
+    ("[run]\nt_max = 1e308\n", "run.t_max"),
     ("[run]\ndefect_tol = nan\n", "run.defect_tol"),
     ("[run]\nstore_every = 0\n", "run.store_every"),
     ('[run]\nstore_every = "x"\n', "run.store_every"),
@@ -138,6 +144,9 @@ def test_run_section_validation(tmp_path, extra, path):
     ("gauge", "gauge_scale", ["--tol", "0"], "run.gauge_tol"),
     ("shift", "circle_shift", ["--dt", "0"], "run.dt"),
     ("shift", "circle_shift", ["--du", "inf"], "run.du"),
+    ("pfaff", "pfaff_paths", ["--dt", "5e-324"], "run.dt"),
+    ("shift", "circle_shift", ["--du", "5e-324"], "run.du"),
+    ("extract-h", "extract_square", ["--dt", "5e-324"], "run.extract_dt"),
 ])
 def test_cli_overrides_are_validated(tmp_path, capsys, command, config,
                                      extra, key):
@@ -145,6 +154,19 @@ def test_cli_overrides_are_validated(tmp_path, capsys, command, config,
     assert run_cli(command, SCENARIOS / f"{config}.toml", tmp_path,
                    *extra) == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0.0, 0.0", "-1.0e308, 1.0e308"])
+def test_degenerate_surface_range_is_named(tmp_path, capsys, value):
+    # a zero width divided by zero in the frame check, with numpy's
+    # warning, and failed as a nan Gram determinant
+    cfg = tmp_path / "circle.toml"
+    cfg.write_text((SCENARIOS / "circle_shift.toml").read_text()
+                   .replace("0.0, 6.283185307179586", value))
+    with np.errstate(all="raise"):
+        assert run_cli("shift", cfg, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "surface.ranges: axis u1 needs a nonzero finite width" in err
 
 
 @pytest.mark.parametrize("value", ["nan", "0.0", "-1.0", '"1.0"'])

@@ -50,6 +50,9 @@ def test_free_motion_is_straight_line():
     (1.0, math.inf, "step must be positive and finite, got dt=inf"),
     (math.nan, 1e-2, "duration must be >= 0 and finite, got T=nan"),
     (math.inf, 1e-2, "duration must be >= 0 and finite, got T=inf"),
+    # each finite, but the step count overflowed int()
+    (1e308, 1e-3, r"span 1e\+308 / step 0\.001 is not finite"),
+    (1.0, 5e-324, r"span 1\.0 / step 5e-324 is not finite"),
 ])
 def test_step_and_duration_are_checked(T, dt, match):
     ff = ForceField((parse("0"), parse("0")), EUC2)

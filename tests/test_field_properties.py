@@ -26,6 +26,7 @@ from normalshift.fields import (
     closedness_residual,
     continuation_rate,
     normalizing_residual,
+    velocity_names,
 )
 from normalshift.geometry import MetricSpec, coordinate_names, state_names
 from normalshift.pfaff import gauge_transform
@@ -171,6 +172,16 @@ def _failing(n):
         _sources(_valid_W(n), h, _leaving, n))
 
 
+def _custom(n, failing=False):
+    """Custom components F1..Fn, with or without v; failing ones may leave
+    their domain as `_failing`'s components do, at rest by dividing by v."""
+    moving = coordinate_names(n) + velocity_names(n)
+    ok = st.one_of(_trees(moving + ("v",)), _trees(moving))
+    component = st.one_of(_leaving, _div_tree, ok) if failing else ok
+    return st.lists(component, min_size=n, max_size=n).map(
+        lambda c: tuple(map(parse, c)))
+
+
 def _outcome(force, *args):
     """The force's bytes and shape, or the type and message it raised."""
     try:
@@ -194,7 +205,10 @@ def _metric(n, kind):
 
 def _wrap(source, wrapper):
     """`source` as `DerivedAB` data, gauge-transformed, or seen only
-    through `ab_values`; an (a, b) source has no (h, W) wrapper."""
+    through `ab_values`; an (a, b) source has no (h, W) wrapper, and
+    custom components none."""
+    if type(source) is tuple:
+        return source
     pair = isinstance(source, HWPair)
     if wrapper == "derived" and pair:
         return DerivedAB(source)
@@ -208,7 +222,8 @@ def _wrap(source, wrapper):
 def _case(source, batches, seed, stop, metric="euclidean", wrapper="none"):
     """The outcomes of the compiled force and the reference force on
     random states; with `stop`, the last lane of xdot is at rest."""
-    source, n = _wrap(source, wrapper), source.dimension
+    n = len(source) if type(source) is tuple else source.dimension
+    source = _wrap(source, wrapper)
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.5, 1.5, batches[0] + (n,))
     xdot = rng.uniform(-1.5, 1.5, batches[1] + (n,))
@@ -225,20 +240,23 @@ _WRAPPERS = st.sampled_from(["none", "derived", "gauge", "ab-only"])
 
 @pytest.mark.parametrize("n", [2, 3])
 @given(data=st.data())
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 def test_compiled_force_is_the_reference_bitwise(n, data):
-    compiled, reference = _case(data.draw(_valid(n)),
-                                data.draw(st.sampled_from(_BATCHES)),
-                                data.draw(_seed), False,
+    source = data.draw(st.one_of(_valid(n), _custom(n)))
+    # custom components also at rest
+    stop = type(source) is tuple and data.draw(st.booleans())
+    compiled, reference = _case(source, data.draw(st.sampled_from(_BATCHES)),
+                                data.draw(_seed), stop,
                                 data.draw(_METRIC_KINDS), data.draw(_WRAPPERS))
     assert compiled == reference
 
 
 @pytest.mark.parametrize("n", [2, 3])
 @given(data=st.data())
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 def test_compiled_force_fails_as_the_reference(n, data):
-    compiled, reference = _case(data.draw(_failing(n)),
+    compiled, reference = _case(data.draw(st.one_of(_failing(n),
+                                                    _custom(n, True))),
                                 data.draw(st.sampled_from(_BATCHES)),
                                 data.draw(_seed), data.draw(st.booleans()),
                                 data.draw(_METRIC_KINDS), data.draw(_WRAPPERS))
@@ -258,7 +276,8 @@ def test_compiled_force_fails_as_the_reference(n, data):
      DomainEvalError),
     (ABFields(parse("1"), (parse("v"), parse("1/(v-v)"))), False,
      DomainEvalError),
-    (HWPair(parse("v*log(x1-x1-1)"), parse("1"), 2), True, ZeroSpeedError)])
+    (HWPair(parse("v*log(x1-x1-1)"), parse("1"), 2), True, ZeroSpeedError),
+    ((parse("xdot1"), parse("x1/v")), True, DomainEvalError)])
 @pytest.mark.parametrize("batches", [((), ()), ((7,), (7,)), ((1,), (7,))])
 def test_compiled_force_raises_the_reference_error(source, stop, error,
                                                   batches):
@@ -270,7 +289,9 @@ def test_compiled_force_raises_the_reference_error(source, stop, error,
 @pytest.mark.parametrize("source", [
     HWPair(parse("v+0.5*v^3"), parse("1"), 2),
     ABFields(parse("x1^3"), (parse("v^3"), parse("x2^2"))),
-    HWPair(parse("v"), parse("w^3+w"), 2)], ids=["W", "ab", "h"])
+    HWPair(parse("v"), parse("w^3+w"), 2),
+    (parse("x1^3*v^2"), parse("xdot1^3-xdot2^2"))],
+    ids=["W", "ab", "h", "custom"])
 def test_one_lane_integer_powers_are_the_reference_bitwise(source):
     # one lane's columns and speed are float64 scalars in the kernel and
     # 0-d arrays in `eval_tuple`, and numpy's ** differs on the two in

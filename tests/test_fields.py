@@ -360,8 +360,11 @@ def test_called_force_pickles():
     DerivedAB(hw("v*exp(0.3*x1)", h="w^2")),
     gauge_transform(hw("v*exp(0.3*x1)", h="w"), parse("2*w+w^3")),
     DerivedAB(gauge_transform(hw("v*exp(0.3*x1)"), parse("2*w"))),
-    ABOnly(ab("1+v", ("0.1*x2", "-v")))],
-    ids=["hw", "ab", "derived", "gauged", "derived-gauged", "ab-only"])
+    ABOnly(ab("1+v", ("0.1*x2", "-v"))),
+    (parse("x1*v"), parse("xdot1")),
+    (parse("xdot2^2"), parse("-x1*xdot1"))],
+    ids=["hw", "ab", "derived", "gauged", "derived-gauged", "ab-only",
+         "custom", "custom-without-v"])
 def test_every_source_compiles_one_force(monkeypatch, source, metric):
     defined, define = [], fields._Compiler.define
 
@@ -373,15 +376,6 @@ def test_every_source_compiles_one_force(monkeypatch, source, metric):
     f = [ff(*STATES) for _ in range(3)][-1]
     assert defined.count("force(x, xdot)") == 1
     assert f.tobytes() == reference_force(source, metric, *STATES).tobytes()
-
-
-def test_custom_force_compiles_no_force(monkeypatch):
-    def refuse(src, m):
-        raise AssertionError("compiled a force kernel")
-    monkeypatch.setattr(fields, "_compile_force", refuse)
-    source = (parse("x1*v"), parse("xdot1"))
-    f = ForceField(source, EUC2)(*STATES)
-    assert f.tobytes() == fields.custom_force(source, EUC2, *STATES).tobytes()
 
 
 # --- residuals ----------------------------------------------------------------------

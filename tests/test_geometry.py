@@ -223,6 +223,18 @@ def test_orientation_is_an_int_not_a_bool():
         circle(orientation=True)
 
 
+@pytest.mark.parametrize("ranges, axis", [
+    (((1.0, 1.0), (0.1, 3.0)), "u1"),
+    (((0.0, 6.0), (-1e308, 1e308)), "u2"),
+    (((0.0, 6.0), (0.0, math.nan)), "u2")])
+def test_degenerate_range_names_its_axis(ranges, axis):
+    # a zero width divided by zero in the grid spacing
+    with pytest.raises(FrameError,
+                       match=f"axis {axis} needs a nonzero finite width"):
+        Hypersurface(3, sphere().parametrization, ranges, (4, 4),
+                     (0.0, 0.1), (False, False))
+
+
 def test_circle_frame_inward_orientation():
     _, _, n = surface_frame(circle(orientation=-1), EUC2, (0.0,))
     assert n == pytest.approx([-1.0, 0.0])

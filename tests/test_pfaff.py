@@ -14,6 +14,7 @@ from normalshift.errors import (
     CompatibilityError,
     ContinuationError,
     DeckInvarianceError,
+    NormalShiftError,
     PathError,
     PositivityError,
     TableError,
@@ -338,6 +339,16 @@ def test_step_sizes_are_checked_before_integrating(call, dt):
         with pytest.raises(PositivityError, match=re.escape(
                 f"step size dt must be finite and positive, got {dt}")):
             call(dt)
+
+
+@pytest.mark.parametrize("path", [
+    UNIT_SEG, PathSpec.parametric([parse("t"), parse("0")], 0.0, 1.0)],
+    ids=["polyline", "parametric"])
+def test_step_count_overflow_is_named(path):
+    # a positive dt whose step count is infinite overflowed int()
+    with pytest.raises(NormalShiftError,
+                       match=r"span 1\.0 / step 5e-324 is not finite"):
+        continue_V(DECAY, path, 1.0, dt=5e-324)
 
 
 def test_degenerate_point_path():
