@@ -352,13 +352,14 @@ class _Compiler:
     numbers, variable names and messages are globals of the function.
     A variable that `loaded` maps to a generated name reads that name in
     place of `env`, so callers can emit a function of their own around
-    the jets (`fields` does, for the force); a name in `scalars` may hold
-    a float64 scalar where `env` holds a 0-d array."""
+    the jets (`fields` does, for the force).  On one lane every value is
+    a float64 scalar, not a 0-d array: numpy's scalar arithmetic costs a
+    fraction of a ufunc call on a 0-d array and gives the same bits, but
+    for `**`, which therefore powers its base as an array."""
 
     def __init__(self, wrt, order):
         self.wrt, self.order = wrt, order
         self.lines, self.keys, self.loaded = [], {}, {}  # by variable name
-        self.scalars = set()
         self.globals = {"np": np, "asarray": np.asarray}
 
     def const(self, obj):
@@ -446,12 +447,12 @@ class _Compiler:
 
     def jet(self, node):
         if isinstance(node, Num):
-            return self.const(np.asarray(node.value, dtype=float)), {}, {}
+            return self.const(np.float64(node.value)), {}, {}
         if isinstance(node, Var):
             name = node.name
             if name not in self.loaded:
                 self.loaded[name] = self.let(
-                    f"asarray(env[{self.bound(name)}], float)")
+                    f"asarray(env[{self.bound(name)}], float)[()]")
             grad = {self.wrt.index(name): _ONE} if name in self.wrt else {}
             return self.loaded[name], grad, {}
         if isinstance(node, Neg):
@@ -514,13 +515,12 @@ class _Compiler:
         if n < 0:
             self.guard(f"{u}==0.0", "zero base with negative integer exponent",
                        node)
+        # numpy's ** gives a float64 scalar other bits than an array, so
+        # one lane powers its base as an array, as each lane of a batch does
+        u = self.let(f"asarray({u}, float)")
         if n == 0:
-            return self.let(f"np.ones_like(asarray({u}, float))"), {}, {}
+            return self.let(f"np.ones_like({u})[()]"), {}, {}
         n0, n1, n2, n12 = map(self.const, (n, n - 1, n - 2, n * (n - 1)))
-        # numpy's ** gives a float64 scalar other bits than the 0-d array
-        # that `env` binds, so a scalar is powered as that array
-        if u in self.scalars:
-            u = f"asarray({u}, float)"
         return self.chain(arg, self.let(f"({u}**{n0})"), f"({n0}*{u}**{n1})",
                           None if n == 1 else f"({n12}*{u}**{n2})")
 
@@ -547,7 +547,7 @@ class _Compiler:
 
     def apply(self, name, arg):
         f, f1, f2 = UNARY_RULES[name]
-        val = self.let(f"asarray({self.const(f)}({arg[0]}), float)")
+        val = self.let(f"asarray({self.const(f)}({arg[0]}), float)[()]")
         # f(u) stands in for f'(u) or f''(u) where the table repeats f
         d1 = val if f1 is f else f"{self.const(f1)}({arg[0]})"
         d2 = (None if f2 is np.zeros_like

@@ -270,7 +270,7 @@ def _compile_force(src, m, kind):
     n, pair = m.dimension, kind == "hw"
     c = _Compiler(state_names(n), 1 if type(src) is HWPair else 0)
     x, xdot = c.let("asarray(x, float)"), c.let("asarray(xdot, float)")
-    xs, xdots = ([c.let(f"{a}[..., {i}]") for i in range(n)]
+    xs, xdots = ([c.let(f"{a}[..., {i}][()]") for i in range(n)]
                  for a in (x, xdot))
     join, dot = ", ".join, c.const(_dot)
     if kind == "custom":
@@ -280,7 +280,7 @@ def _compile_force(src, m, kind):
             g = c.let(f"{c.const(metric_at)}({c.const(m)}, {x})")
             quad = c.const(partial(np.einsum, "...i,...ij,...j->..."))
             c.loaded["v"] = c.let(
-                f"asarray(np.sqrt({quad}({xdot}, {g}, {xdot})), float)")
+                f"asarray(np.sqrt({quad}({xdot}, {g}, {xdot})), float)[()]")
         c.batch(f"[{join(c.loaded.values())}]")
         F = [c.eval(e.ast)[0] for e in src]
         c.lines += [f"F = np.empty(batch + ({n},))"] + [
@@ -291,19 +291,17 @@ def _compile_force(src, m, kind):
         contract = c.const(partial(np.einsum, "...ij,...j->...i"))
         g = c.let(f"{c.const(metric_at)}({c.const(m)}, {x})")
         low = c.let(f"{contract}({g}, {xdot})")
-        lows = [c.let(f"{low}[..., {i}]") for i in range(n)]
+        lows = [c.let(f"{low}[..., {i}][()]") for i in range(n)]
     v = c.let(f"np.sqrt({dot}([{join(xdots)}], [{join(lows)}]))")
     c.lines.append(f"{c.const(_guard_speed)}({v}, {x})")
     unit = [c.let(f"({d}/{v})") for d in xdots]
     lows = unit if m.is_euclidean else [c.let(f"({d}/{v})") for d in lows]
     c.loaded.update(zip(state_names(n), xs + [v]))
-    c.scalars.update(xs + [v])  # float64 scalars on one lane
     c.batch(f"[{join(xs + [v])}]")
     if type(src) is HWPair:  # W's jet, the |W_v| guard, then h(W)
         W, grad, _ = c.eval(src.W.ast)
         wv = c.let(f"{c.const(_guard_wv)}({grad.get(n, '0.0')}, {x}, {v})")
         c.loaded["w"] = W
-        c.scalars.add(W)
         h, wx = c.eval(src.h.ast)[0], [grad.get(i, "0.0") for i in range(n)]
     elif pair:
         k = c.const(src)
@@ -360,10 +358,11 @@ def _compile_rate(src, exprs, want_vw):
     # W's jet is one order above b's; b's own jet is in v alone
     order = want_vw + derived
     c = _Compiler(state_names(n) if derived else ("v",) * want_vw, order)
-    V = c.loaded["v"] = c.let("asarray(V, float)")
+    V = c.loaded["v"] = c.let("asarray(V, float)[()]")
     used = set().union(*(e.free_vars for e in exprs))
-    c.loaded.update((name, c.let(f"asarray(x[..., {i}], float)")) for i, name
-                    in enumerate(coordinate_names(n)) if name in used)
+    c.loaded.update((name, c.let(f"asarray(x[..., {i}], float)[()]"))
+                    for i, name in enumerate(coordinate_names(n))
+                    if name in used)
     jets = [c.eval(e.ast) for e in exprs]
     if derived:  # b = -W_x / W_v, and db/dv by `derived_jet`'s arithmetic
         _, grad, hess = jets[0]

@@ -258,8 +258,9 @@ def normal_shift(nu: NuField, force: ForceField, t_max, dt,
 _CENTRAL_7 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
 
 
-def _axis_tangents(layer_x, axis, closed, spacing):
-    if closed:
+def _axis_tangents(layer_x, axis, spacing, dmat):
+    """Tangents along a closed axis (`dmat` None), or an open one's."""
+    if dmat is None:
         if layer_x.shape[axis] >= 7:
             shifts, weights = range(-3, 4), _CENTRAL_7
         else:  # coarse closed axis: second-order periodic fallback
@@ -269,8 +270,6 @@ def _axis_tangents(layer_x, axis, closed, spacing):
             if wgt != 0.0:
                 total += wgt * np.roll(layer_x, -shift, axis=axis)
         return total / spacing
-    # seven-point stencils on the uniform open grid, skewed near the edges
-    dmat = fd_matrix(np.arange(layer_x.shape[axis], dtype=float), 7) / spacing
     moved = np.moveaxis(layer_x, axis, 0)
     return np.moveaxis(np.tensordot(dmat, moved, axes=(1, 0)), 0, axis)
 
@@ -287,12 +286,15 @@ def orthogonality_defect(fam: ShiftFamily) -> np.ndarray:
     spacings = grid_spacings(s)
     per_layer = np.zeros(len(fam.times))
     defects = np.zeros((len(fam.times),) + fam.grid_shape)
+    # seven-point stencils on each uniform open axis, skewed near the edges
+    dmats = [None if wrap else fd_matrix(np.arange(m, dtype=float), 7) / h
+             for wrap, m, h in zip(s.closed, fam.grid_shape, spacings)]
     for li in range(len(fam.times)):
         xl = fam.x[li]
         xdl = fam.xdot[li]
         g = metric_at(fam.force.metric, xl)
         taus = [fam.tangents0[..., axis, :] if li == 0
-                else _axis_tangents(xl, axis, s.closed[axis], spacings[axis])
+                else _axis_tangents(xl, axis, spacings[axis], dmats[axis])
                 for axis in range(k)]
         # checked first: a collapsed layer's tangents would divide by zero
         det = normalized_gram_det(np.stack(taus, axis=-2), g)

@@ -754,13 +754,44 @@ def test_cli_start_up_does_not_import_scipy():
         "out = [rho(1.5), rho.derivative(1.5), rho.inverse(5.0),\n"
         "       *ForceField(moved, MetricSpec(2))([0.1, 0.2], [1.0, 0.5])]\n"
         "print(all(np.isfinite(out)))\n")
+    assert _python("-c", probe).stdout.split() == ["True"]
+
+
+def _python(*args):
+    """A fresh interpreter that imports this tree's `normalshift`."""
     src = str(Path(normalshift.__file__).resolve().parents[1])
     path = [src, os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    out = subprocess.run([sys.executable, "-c", probe], env=env,
-                         capture_output=True, text=True, timeout=120,
-                         check=True)
-    assert out.stdout.split() == ["True"]
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_package_import_leaves_the_collector_as_it_found_it(enabled):
+    probe = (f"import gc\ngc.{'enable' if enabled else 'disable'}()\n"
+             "import normalshift\n"
+             "print(gc.isenabled(), gc.get_freeze_count())\n")
+    assert _python("-c", probe).stdout.split() == [str(enabled), "0"]
+
+
+def test_cli_import_freezes_what_it_built():
+    probe = ("import gc\nimport normalshift.cli\n"
+             "print(gc.isenabled(), gc.get_freeze_count() > 0)\n")
+    assert _python("-c", probe).stdout.split() == ["True", "True"]
+
+
+def test_module_run_writes_the_in_process_bytes(tmp_path):
+    config = SCENARIOS / "cylinder_monodromy.toml"
+    spawned = _python("-m", "normalshift.cli", "monodromy", "--config",
+                      str(config), "--out", str(tmp_path / "spawned"))
+    assert spawned.returncode \
+        == run_cli("monodromy", config, tmp_path / "in_process") == 0
+    names = sorted(os.listdir(tmp_path / "in_process"))
+    assert sorted(os.listdir(tmp_path / "spawned")) == names
+    match, _, _ = filecmp.cmpfiles(tmp_path / "spawned",
+                                   tmp_path / "in_process", names,
+                                   shallow=False)
+    assert match == names
 
 
 def test_every_public_name_resolves():

@@ -144,9 +144,19 @@ _batch_env = st.tuples(
 
 
 def _error(exprs, env, order):
-    with pytest.raises((DomainEvalError, UnboundVariableError)) as exc:
-        eval_tuple(exprs, env, VARS, order)
-    return type(exc.value), str(exc.value)
+    """The error's type and message, the same for 0-d arrays and scalars."""
+    outcomes = set()
+    for bound in (env, _scalars(env)):
+        with pytest.raises((DomainEvalError, UnboundVariableError)) as exc:
+            eval_tuple(exprs, bound, VARS, order)
+        outcomes.add((type(exc.value), str(exc.value)))
+    (outcome,) = outcomes
+    return outcome
+
+
+def _scalars(env):
+    """`env` with its 0-d arrays bound as float64 scalars."""
+    return {name: value[()] for name, value in env.items()}
 
 
 @given(st.lists(_component, min_size=1, max_size=4), st.booleans(),
@@ -162,6 +172,10 @@ def test_tuple_is_its_components_bitwise(srcs, repeat, env):
         for order in (0, 1, 2):
             whole = eval_tuple(exprs, env, VARS, order)
             assert whole[0].shape == batch + (len(exprs),)
+            for got, want in zip(eval_tuple(exprs, _scalars(env), VARS,
+                                            order), whole):
+                assert (got is None and want is None) \
+                    or got.tobytes() == want.tobytes()
             for i, e in enumerate(exprs):
                 alone = eval_tuple((e,), env, VARS, order)
                 for got, want in zip(whole, alone):

@@ -290,19 +290,24 @@ def test_compiled_force_raises_the_reference_error(source, stop, error,
     HWPair(parse("v+0.5*v^3"), parse("1"), 2),
     ABFields(parse("x1^3"), (parse("v^3"), parse("x2^2"))),
     HWPair(parse("v"), parse("w^3+w"), 2),
-    (parse("x1^3*v^2"), parse("xdot1^3-xdot2^2"))],
-    ids=["W", "ab", "h", "custom"])
+    (parse("x1^3*v^2"), parse("xdot1^3-xdot2^2")),
+    HWPair(parse("v*(2+x1*x2)^2+(v+sin(x1))^3"), parse("(1+w)^-2"), 2),
+    ABFields(parse("(x1-v)^3"), (parse("(v*x2)^-1"), parse("exp(x2)^2"))),
+    (parse("(x1+v)^3"), parse("(xdot1*x2+2)^-2"))],
+    ids=["W", "ab", "h", "custom", "W-h-compound", "ab-compound",
+         "custom-compound"])
 def test_one_lane_integer_powers_are_the_reference_bitwise(source):
-    # one lane's columns and speed are float64 scalars in the kernel and
-    # 0-d arrays in `eval_tuple`, and numpy's ** differs on the two in
-    # about 2% of values: a loaded variable is powered as a 0-d array
+    # numpy's ** gives a float64 scalar other bits than an array in about
+    # 2% of values, and a one-lane kernel computes on float64 scalars: it
+    # powers each base as an array, so one lane is its lane in a batch
     rng = np.random.default_rng(2)
     for kind in ("euclidean", "conformal", "explicit"):
         metric = _metric(2, kind)
         force = ForceField(source, metric)
         for x, xdot in rng.uniform(-1.5, 1.5, (400, 2, 2)):
-            assert force(x, xdot).tobytes() \
-                == reference_force(source, metric, x, xdot).tobytes()
+            one = force(x, xdot).tobytes()
+            assert one == reference_force(source, metric, x, xdot).tobytes()
+            assert one == force(x[None], xdot[None])[0].tobytes()
 
 
 def test_structurally_zero_entry_keeps_its_sign():
@@ -354,5 +359,7 @@ def test_compiled_rate_is_the_reference_bitwise(n, want_vw, data):
     compiled = continuation_rate(source, want_vw)
     assert compiled.__name__ == "rate"  # `_compile_rate`'s, for every source
     reference = partial(reference_rate, source, want_vw)
-    assert (_rate_outcome(compiled, x, V, d)
-            == _rate_outcome(reference, x, V, d))
+    outcome = _rate_outcome(compiled, x, V, d)
+    assert outcome == _rate_outcome(reference, x, V, d)
+    if lanes == ((), ()) and type(outcome) is list:  # one lane: scalars
+        assert {kind for kind, _, _ in outcome} == {np.float64}
