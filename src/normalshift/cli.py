@@ -182,7 +182,8 @@ def cmd_check(sc: Scenario, out_dir, report: Report):
         states = (x[lo:lo + rows, None, :], v[None, :])
         # with (h, W), one order-2 jet of W serves all three checks
         w2 = None if hw is None else hw.w_jet2(*states)
-        jet = ab.jet(*states) if w2 is None else fields.derived_jet(hw, w2)
+        jet = (ab.jet(*states) if w2 is None  # `DerivedAB.jet` from w2
+               else fields._derived(sc.dimension, "jet")(hw, w2))
         coll = [] if w2 is None else [collinearity_defect(jet, w2)]
         del w2  # not held while the other residuals are computed
         parts = [closedness_residual(jet), normalizing_residual(jet)] + coll

@@ -7,7 +7,8 @@ speed only.  The two are linked pointwise by
 
     b_i = -(dW/dx^i) / (dW/dv),        a = h(W) / (dW/dv),
 
-and the covariant force components are
+which `_quotient` alone emits, with their first derivatives, for
+`DerivedAB` and the continuation rate; the covariant force components are
 
     F_k = a*N_k + v * sum_i b_i * (2 N^i N_k - delta^i_k),
 
@@ -47,7 +48,6 @@ from .geometry import MetricSpec, coordinate_names, metric_at, state_names
 
 __all__ = [
     "HWPair", "ABFields", "DerivedAB", "ForceField",
-    "derived_jet",
     "closedness_residual", "normalizing_residual", "collinearity_defect",
 ]
 
@@ -155,40 +155,64 @@ class ABFields:
 
 
 class DerivedAB:
-    """(a, b) data computed exactly from an (h, W) pair via the quotient
-    rules, including the first derivatives needed by the PDE residuals and
-    the continuation machinery.  Quacks like `ABFields`."""
+    """(a, b) data of an (h, W) pair, with the first derivatives that the
+    PDE residuals and the continuation read, each reader one function of
+    `_derived` on the pair's jets, for any pair.  Quacks like `ABFields`."""
 
     def __init__(self, hw: HWPair):
         self.hw = hw
         self.dimension = hw.dimension
 
     def b_values(self, x, v):
-        W, wx, wv = self.hw.w_jet1(x, v)
-        return -wx / wv[..., None]
+        return _derived(self.dimension, "b")(self.hw, self.hw.w_jet1(x, v))
 
     def ab_values(self, x, v):  # one order-1 jet of W for both
-        W, wx, wv = self.hw.w_jet1(x, v)
-        return self.hw.h_val(W) / wv, -wx / wv[..., None]
+        return _derived(self.dimension, "ab")(self.hw, self.hw.w_jet1(x, v))
 
     def jet(self, x, v):
         """The (a, b) jet of `ABFields.jet` from one order-2 jet of W."""
-        return derived_jet(self.hw, self.hw.w_jet2(x, v))
+        return _derived(self.dimension, "jet")(self.hw, self.hw.w_jet2(x, v))
 
 
-def derived_jet(hw, w_jet2):
-    """`DerivedAB(hw).jet` from W's order-2 jet `w_jet2` on the same states."""
-    W, wx, wv, wxx, wxv, wvv = w_jet2
-    h, hp = hw.h_jet1(W)
-    a = h / wv
-    ax = (hp[..., None] * wx * wv[..., None] - h[..., None] * wxv) \
-        / wv[..., None] ** 2
-    av = hp - h * wvv / wv ** 2
-    b = -wx / wv[..., None]
-    bx = -(wxx * wv[..., None, None]
-           - wx[..., :, None] * wxv[..., None, :]) / wv[..., None, None] ** 2
-    bv = -(wxv * wv[..., None] - wx * wvv[..., None]) / wv[..., None] ** 2
-    return (a, ax, av), (b, bx, bv)
+def _quotient(c, wx, wv, wxv, wvv, wxx=None, h=None, hp=None):
+    """((a, da/dx, da/dv), (b, db/dx, db/dv)) by the quotient rule from the
+    names emitted for W's jet entries and h(W), h'(W), entry by entry as
+    the tests' array math computes them.  b is emitted, the others are
+    expressions, and None where their inputs (W_xx, h) are not given."""
+    sq, b = f"({wv}*{wv})", [c.let(f"((-{e})/{wv})") for e in wx]
+    bv = [f"((-(({q}*{wv})-({e}*{wvv})))/{sq})" for q, e in zip(wxv, wx)]
+    bx = wxx and [[f"((-(({q}*{wv})-({e}*{s})))/{sq})"
+                   for q, s in zip(row, wxv)] for row, e in zip(wxx, wx)]
+    ax = hp and [f"(((({hp}*{e})*{wv})-({h}*{q}))/{sq})"
+                 for e, q in zip(wx, wxv)]
+    return ((h and f"({h}/{wv})", ax, hp and f"({hp}-(({h}*{wvv})/{sq}))"),
+            (b, bx, bv))
+
+
+@cache
+def _derived(n, what):
+    """`DerivedAB`'s `what` ("b", "ab" or "jet") as one function f(hw, w)
+    of a pair and W's jet `w` from its `w_jet1`, or `w_jet2` for "jet";
+    only the entries `what` returns are emitted."""
+    c, jet, ix = _Compiler((), 0), what == "jet", range(n)
+    c.lines.append("W, Wx, wv, Wxx, Wxv, wvv = w" if jet else "W, Wx, wv = w")
+    if what != "b":  # h's errors come after W's
+        c.lines.append("h, hp = hw.h_jet1(W)" if jet else "h = hw.h_val(W)")
+    (a, ax, av), (b, bx, bv) = _quotient(
+        c, [f"Wx[..., {i}]" for i in ix], "wv", [f"Wxv[..., {i}]" for i in ix],
+        "wvv", [[f"Wxx[..., {i}, {j}]" for j in ix] for i in ix], "h", "hp")
+
+    def fill(name, like, entries, shape=(n,)):  # C-ordered, as array math
+        c.lines.append(f"{name} = np.empty(np.shape({like}))")
+        c.lines += [f"{name}[..., {', '.join(map(str, k))}] = {e}"
+                    for k, e in zip(np.ndindex(shape), entries)]
+    fill("B", "Wx", b)
+    if jet:
+        fill("AX", "Wx", ax)
+        fill("BV", "Wx", bv)
+        fill("BX", "Wxx", [e for row in bx for e in row], (n, n))
+    return c.define(f"{what}(hw, w)", "B" if what == "b" else f"{a}, B"
+                    if what == "ab" else f"({a}, AX, {av}), (B, BX, BV)")
 
 
 # --- velocity frame and forces ----------------------------------------------------
@@ -267,8 +291,9 @@ def _compile_force(src, m, kind):
     called through `w_jet1` and `h_val`, or `ab_values`.  Off a euclidean
     metric the paper's force lowers the velocity with `metric_at` and
     `einsum`, and raises the force with `np.linalg.inv` and `einsum`."""
-    n, pair = m.dimension, kind == "hw"
-    c = _Compiler(state_names(n), 1 if type(src) is HWPair else 0)
+    n, pair, inline = m.dimension, kind == "hw", type(src) is HWPair
+    # only W's gradient is read: every other kernel is an order-0 one
+    c = _Compiler(state_names(n) if inline else (), int(inline))
     x, xdot = c.let("asarray(x, float)"), c.let("asarray(xdot, float)")
     xs, xdots = ([c.let(f"{a}[..., {i}][()]") for i in range(n)]
                  for a in (x, xdot))
@@ -298,7 +323,7 @@ def _compile_force(src, m, kind):
     lows = unit if m.is_euclidean else [c.let(f"({d}/{v})") for d in lows]
     c.loaded.update(zip(state_names(n), xs + [v]))
     c.batch(f"[{join(xs + [v])}]")
-    if type(src) is HWPair:  # W's jet, the |W_v| guard, then h(W)
+    if inline:  # W's jet, the |W_v| guard, then h(W)
         W, grad, _ = c.eval(src.W.ast)
         wv = c.let(f"{c.const(_guard_wv)}({grad.get(n, '0.0')}, {x}, {v})")
         c.loaded["w"] = W
@@ -364,14 +389,12 @@ def _compile_rate(src, exprs, want_vw):
                     for i, name in enumerate(coordinate_names(n))
                     if name in used)
     jets = [c.eval(e.ast) for e in exprs]
-    if derived:  # b = -W_x / W_v, and db/dv by `derived_jet`'s arithmetic
+    if derived:  # b, and db/dv, from W's jet by `_quotient`
         _, grad, hess = jets[0]
         wv = c.let(f"{c.const(_guard_wv)}({grad.get(n, '0.0')}, x, {V})")
         wx = [grad.get(i, "0.0") for i in range(n)]
-        b = [c.let(f"((-{e})/{wv})") for e in wx]
-        wvv = hess.get((n, n), "0.0")
-        bv = [f"((-(({hess.get((i, n), '0.0')}*{wv})-({e}*{wvv})))"
-              f"/({wv}*{wv}))" for i, e in enumerate(wx)]
+        wxv = [hess.get((i, n), "0.0") for i in range(n)]
+        _, (b, _, bv) = _quotient(c, wx, wv, wxv, hess.get((n, n), "0.0"))
     elif exprs:
         b = [val for val, _, _ in jets]
         bv = [grad.get(0, "0.0") for _, grad, _ in jets]

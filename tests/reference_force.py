@@ -1,6 +1,7 @@
-"""The paper's force and the continuation's rate written out as array
-math: the oracles that the compiled `ForceField` kernels and continuation
-rates are held to, bit for bit and error for error.
+"""The paper's force, the continuation's rate and the (a, b) data of an
+(h, W) pair written out as array math: the oracles that the compiled
+`ForceField` kernels, continuation rates and `DerivedAB` readers are
+held to, bit for bit and error for error.
 
     F_k = a N_k + v * sum_i b_i (2 N^i N_k - delta^i_k)
 
@@ -13,6 +14,9 @@ reads it, the g-speed v, at any speed.  `reference_rate` gives
 b.d, and (db/dv).d for V_w: from b alone for `ABFields` data and a
 `DerivedAB` over an `HWPair`, where it never evaluates a or h, and from
 the source's own `b_values` or `jet` for any other source.
+`derived_b_values`, `derived_ab_values` and `derived_jet` give
+`DerivedAB`'s b, (a, b) and jet: b_i = -W_{x_i}/W_v and a = h(W)/W_v
+from W's jet, and their first derivatives by the quotient rule.
 """
 
 import numpy as np
@@ -105,6 +109,35 @@ def reference_force(source, m: MetricSpec, x, xdot) -> np.ndarray:
     return force(source, m, x, xdot)
 
 
+def derived_b_values(hw, x, v):
+    """`DerivedAB(hw).b_values`: b = -W_x / W_v from W's order-1 jet."""
+    _, wx, wv = hw.w_jet1(x, v)
+    return -wx / wv[..., None]
+
+
+def derived_ab_values(hw, x, v):
+    """`DerivedAB(hw).ab_values`: a = h(W) / W_v and b from one order-1
+    jet of W, h after W's errors."""
+    W, wx, wv = hw.w_jet1(x, v)
+    return hw.h_val(W) / wv, -wx / wv[..., None]
+
+
+def derived_jet(hw, w_jet2):
+    """`DerivedAB(hw).jet` from W's order-2 jet `w_jet2` on the same states:
+    a and b, and their first derivatives by the quotient rule."""
+    W, wx, wv, wxx, wxv, wvv = w_jet2
+    h, hp = hw.h_jet1(W)
+    a = h / wv
+    ax = (hp[..., None] * wx * wv[..., None] - h[..., None] * wxv) \
+        / wv[..., None] ** 2
+    av = hp - h * wvv / wv ** 2
+    b = -wx / wv[..., None]
+    bx = -(wxx * wv[..., None, None]
+           - wx[..., :, None] * wxv[..., None, :]) / wv[..., None, None] ** 2
+    bv = -(wxv * wv[..., None] - wx * wvv[..., None]) / wv[..., None] ** 2
+    return (a, ax, av), (b, bx, bv)
+
+
 def reference_rate(ab, want_vw, x, V, d):
     """dV/dt = b(x, V).d, and d(log V_w)/dt = (db/dv)(x, V).d when
     want_vw, at one continuation stage.  For a `DerivedAB` over an
@@ -114,8 +147,7 @@ def reference_rate(ab, want_vw, x, V, d):
     db/dv from its `jet`."""
     if isinstance(ab, DerivedAB) and isinstance(ab.hw, HWPair):
         if not want_vw:
-            _, wx, wv = ab.hw.w_jet1(x, V)
-            bs = (-wx / wv[..., None],)
+            bs = (derived_b_values(ab.hw, x, V),)
         else:
             _, wx, wv, _, wxv, wvv = ab.hw.w_jet2(x, V)
             bs = (-wx / wv[..., None],

@@ -3,7 +3,8 @@ and (a, b) presentations give the same force, a monotone
 reparametrization of W (a gauge transformation) leaves it unchanged,
 (a, b) derived from any (h, W) is closed and normalized, and the
 compiled force of every source on every metric kind is the reference
-force's, as the compiled continuation rate is the reference rate's."""
+force's, as the compiled continuation rate is the reference rate's and
+the compiled `DerivedAB` readers are the array-math quotient's."""
 
 from functools import partial
 
@@ -14,6 +15,7 @@ from test_expr_properties import _div_tree, _leaving, _tree
 
 from normalshift.errors import (
     DomainEvalError,
+    TableError,
     VanishingDerivativeError,
     ZeroSpeedError,
 )
@@ -33,6 +35,9 @@ from normalshift.pfaff import gauge_transform
 from reference_force import (
     ABOnly,
     JetOnly,
+    derived_ab_values,
+    derived_b_values,
+    derived_jet,
     force_ab,
     force_hw,
     reference_force,
@@ -363,3 +368,34 @@ def test_compiled_rate_is_the_reference_bitwise(n, want_vw, data):
     assert outcome == _rate_outcome(reference, x, V, d)
     if lanes == ((), ()) and type(outcome) is list:  # one lane: scalars
         assert {kind for kind, _, _ in outcome} == {np.float64}
+
+
+# --- the compiled (a, b) of an (h, W) pair against its array math ------------------
+
+# each reader's outputs, flat, and the oracle's on the pair
+_READERS = {
+    "b_values": (lambda d, x, v: (d.b_values(x, v),),
+                 lambda hw, x, v: (derived_b_values(hw, x, v),)),
+    "ab_values": (lambda d, x, v: d.ab_values(x, v), derived_ab_values),
+    "jet": (lambda d, x, v: sum(d.jet(x, v), ()),
+            lambda hw, x, v: sum(derived_jet(hw, hw.w_jet2(x, v)), ()))}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_derived_readers_are_the_oracle_bitwise(n, data):
+    pair = data.draw(st.one_of(_valid(n), _failing(n)).filter(
+        lambda source: isinstance(source, HWPair)))
+    gauged = data.draw(st.booleans())
+    if gauged:  # read through `w_jet1` and `h_val`, and no `w_jet2`
+        pair = gauge_transform(pair, parse("2*w"))
+    lanes = data.draw(st.sampled_from([((), ()), ((25,), (25,))]))
+    rng = np.random.default_rng(data.draw(_seed))
+    x = rng.uniform(-1.5, 1.5, lanes[0] + (n,))
+    v = rng.uniform(0.2, 2.0, lanes[1])
+    for reader, (compiled, oracle) in _READERS.items():
+        outcome = _rate_outcome(compiled, DerivedAB(pair), x, v)
+        assert outcome == _rate_outcome(oracle, pair, x, v), reader
+        if gauged and reader == "jet":
+            assert outcome[0] is TableError

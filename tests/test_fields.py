@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -376,6 +377,27 @@ def test_every_source_compiles_one_force(monkeypatch, source, metric):
     f = [ff(*STATES) for _ in range(3)][-1]
     assert defined.count("force(x, xdot)") == 1
     assert f.tobytes() == reference_force(source, metric, *STATES).tobytes()
+
+
+@pytest.mark.parametrize("source", [
+    ab("x1^3", ("v^3", "x2^2")),
+    (parse("x1^3*v^2"), parse("xdot1^3-xdot2^2"))], ids=["ab", "custom"])
+def test_order_0_force_kernels_emit_no_unread_line(monkeypatch, source):
+    # (a, b) data and custom components enter the force by value alone,
+    # so their kernel emits no derivative, which no line would read
+    lines, define = [], fields._Compiler.define
+
+    def kept(self, signature, result):
+        lines.extend(self.lines + [f"return {result}"])
+        return define(self, signature, result)
+    monkeypatch.setattr(fields._Compiler, "define", kept)
+    ForceField(source, EUC2)(*STATES)
+    targets = [(k, t) for k, line in enumerate(lines)
+               if re.fullmatch(r"t\d+", t := line.partition(" = ")[0])]
+    assert targets
+    for k, t in targets:
+        assert any(re.search(rf"\b{t}\b", later) for later in lines[k + 1:]), \
+            lines[k]
 
 
 # --- residuals ----------------------------------------------------------------------
