@@ -3,9 +3,10 @@ checkout, the acceptance rule of a change that must not move any output.
 
     python bench/identity.py --against PATH
 
-The runs are the 9 `scenarios/*.toml` files and the scenarios of the
-three benchmark workloads (`perfbench/workloads.build`) for seeds 7 and
-11: 31 runs.  Each scenario is written once, and both trees run that
+The runs are the `scenarios/*.toml` files (9 of them) and the scenarios
+of the three benchmark workloads (`perfbench/workloads.build`) for seeds
+7 and 11: 31 runs.  A scenario file with no command below stops the tool
+before any run, so none is skipped unnoticed.  Each scenario is written once, and both trees run that
 file through `python -m normalshift.cli` in a fresh process, with
 `PYTHONPATH=<tree>/src` and `PYTHONDONTWRITEBYTECODE=1`, from working
 directories of the same depth, so a relative path reads the same.  Exit
@@ -18,6 +19,7 @@ every run matches.
 from __future__ import annotations
 
 import argparse
+import glob
 import os
 import subprocess
 import sys
@@ -25,7 +27,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (7, 11)
-# the command of each scenario under scenarios/
+# the command of each scenario under scenarios/, as tests/test_cli.py runs it
 SCENARIO_COMMANDS = {
     "check_broken": "check", "check_consistent": "check",
     "circle_shift": "shift", "cylinder_monodromy": "monodromy",
@@ -36,9 +38,15 @@ SCENARIO_COMMANDS = {
 
 def runs():
     """(name, command, scenario text) of every run."""
-    for stem, command in sorted(SCENARIO_COMMANDS.items()):
-        with open(os.path.join(ROOT, "scenarios", stem + ".toml")) as fh:
-            yield stem, command, fh.read()
+    paths = sorted(glob.glob(os.path.join(ROOT, "scenarios", "*.toml")))
+    stems = [os.path.basename(p)[:-len(".toml")] for p in paths]
+    unknown = [s for s in stems if s not in SCENARIO_COMMANDS]
+    if unknown:
+        sys.exit(f"identity: no command for scenarios/{unknown[0]}.toml; "
+                 "add it to SCENARIO_COMMANDS")
+    for stem, path in zip(stems, paths):
+        with open(path) as fh:
+            yield stem, SCENARIO_COMMANDS[stem], fh.read()
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     sys.dont_write_bytecode = True  # perfbench/ is read, never written
     import workloads

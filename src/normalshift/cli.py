@@ -172,19 +172,15 @@ def cmd_check(sc: Scenario, out_dir, report: Report):
     with one jet of the source per block."""
     ab = _require_ab(sc, "check")
     x, v = _state_grid(sc), _v_grid(sc.run, 5)
-    hw = sc.force.source if sc.force.kind == "hw" else None
-    names = ["closedness", "normalizing"]
-    if hw is not None:
-        names.append("collinearity")
+    hw = sc.force.kind == "hw"  # one order-2 jet of W serves all three
+    names = ["closedness", "normalizing"] + ["collinearity"] * hw
     worst = np.empty((len(names), len(x), len(v)))
     rows = max(1, fields.BATCH_POINTS // len(v))
     for lo in range(0, len(x), rows):
         states = (x[lo:lo + rows, None, :], v[None, :])
-        # with (h, W), one order-2 jet of W serves all three checks
-        w2 = None if hw is None else hw.w_jet2(*states)
-        jet = (ab.jet(*states) if w2 is None  # `DerivedAB.jet` from w2
-               else fields._derived(sc.dimension, "jet")(hw, w2))
-        coll = [] if w2 is None else [collinearity_defect(jet, w2)]
+        w2 = ab.hw.w_jet2(*states) if hw else None
+        jet = ab.jet_from(w2) if hw else ab.jet(*states)
+        coll = [collinearity_defect(jet, w2)] if hw else []
         del w2  # not held while the other residuals are computed
         parts = [closedness_residual(jet), normalizing_residual(jet)] + coll
         for k, r in enumerate(parts):

@@ -7,8 +7,7 @@ speed only.  The two are linked pointwise by
 
     b_i = -(dW/dx^i) / (dW/dv),        a = h(W) / (dW/dv),
 
-which `_quotient` alone emits, with their first derivatives, for
-`DerivedAB` and the continuation rate; the covariant force components are
+both written by `_quotient` alone; the covariant force components are
 
     F_k = a*N_k + v * sum_i b_i * (2 N^i N_k - delta^i_k),
 
@@ -171,48 +170,42 @@ class DerivedAB:
 
     def jet(self, x, v):
         """The (a, b) jet of `ABFields.jet` from one order-2 jet of W."""
-        return _derived(self.dimension, "jet")(self.hw, self.hw.w_jet2(x, v))
+        return self.jet_from(self.hw.w_jet2(x, v))
+
+    def jet_from(self, w2):  # from W's jet `w_jet2` on the states of `jet`
+        return _derived(self.dimension, "jet")(self.hw, w2)
 
 
-def _quotient(c, wx, wv, wxv, wvv, wxx=None, h=None, hp=None):
+def _quotient(c, wx, wv, wxv, wvv, wxx=(), h=None, hp=None):
     """((a, da/dx, da/dv), (b, db/dx, db/dv)) by the quotient rule from the
-    names emitted for W's jet entries and h(W), h'(W), entry by entry as
-    the tests' array math computes them.  b is emitted, the others are
-    expressions, and None where their inputs (W_xx, h) are not given."""
+    names of W's jet entries and h(W), h'(W), as the tests' array math
+    computes them; b is emitted, the rest are expressions."""
     sq, b = f"({wv}*{wv})", [c.let(f"((-{e})/{wv})") for e in wx]
     bv = [f"((-(({q}*{wv})-({e}*{wvv})))/{sq})" for q, e in zip(wxv, wx)]
-    bx = wxx and [[f"((-(({q}*{wv})-({e}*{s})))/{sq})"
-                   for q, s in zip(row, wxv)] for row, e in zip(wxx, wx)]
-    ax = hp and [f"(((({hp}*{e})*{wv})-({h}*{q}))/{sq})"
-                 for e, q in zip(wx, wxv)]
-    return ((h and f"({h}/{wv})", ax, hp and f"({hp}-(({h}*{wvv})/{sq}))"),
-            (b, bx, bv))
+    bx = [[f"((-(({q}*{wv})-({e}*{s})))/{sq})" for q, s in zip(row, wxv)]
+          for row, e in zip(wxx, wx)]
+    ax = [f"(((({hp}*{e})*{wv})-({h}*{q}))/{sq})" for e, q in zip(wx, wxv)]
+    return (f"({h}/{wv})", ax, f"({hp}-(({h}*{wvv})/{sq}))"), (b, bx, bv)
 
 
 @cache
 def _derived(n, what):
-    """`DerivedAB`'s `what` ("b", "ab" or "jet") as one function f(hw, w)
-    of a pair and W's jet `w` from its `w_jet1`, or `w_jet2` for "jet";
-    only the entries `what` returns are emitted."""
-    c, jet, ix = _Compiler((), 0), what == "jet", range(n)
-    c.lines.append("W, Wx, wv, Wxx, Wxv, wvv = w" if jet else "W, Wx, wv = w")
-    if what != "b":  # h's errors come after W's
-        c.lines.append("h, hp = hw.h_jet1(W)" if jet else "h = hw.h_val(W)")
+    """The `DerivedAB` reader `what` as one function f(hw, w) of a pair and
+    W's jet `w`: its unpacking, h(W) after it, then the stacked result."""
+    unpack, result = {
+        "b": ("W, Wx, wv = w", "{b}"),
+        "ab": ("W, Wx, wv = w; h = hw.h_val(W)", "{a}, {b}"),
+        "jet": ("W, Wx, wv, Wxx, Wxv, wvv = w; h, hp = hw.h_jet1(W)",
+                "({a}, {ax}, {av}), ({b}, {bx}, {bv})")}[what]
+    c, ix = _Compiler((), 0), range(n)
+    c.lines.append(unpack)
     (a, ax, av), (b, bx, bv) = _quotient(
         c, [f"Wx[..., {i}]" for i in ix], "wv", [f"Wxv[..., {i}]" for i in ix],
         "wvv", [[f"Wxx[..., {i}, {j}]" for j in ix] for i in ix], "h", "hp")
-
-    def fill(name, like, entries, shape=(n,)):  # C-ordered, as array math
-        c.lines.append(f"{name} = np.empty(np.shape({like}))")
-        c.lines += [f"{name}[..., {', '.join(map(str, k))}] = {e}"
-                    for k, e in zip(np.ndindex(shape), entries)]
-    fill("B", "Wx", b)
-    if jet:
-        fill("AX", "Wx", ax)
-        fill("BV", "Wx", bv)
-        fill("BX", "Wxx", [e for row in bx for e in row], (n, n))
-    return c.define(f"{what}(hw, w)", "B" if what == "b" else f"{a}, B"
-                    if what == "ab" else f"({a}, AX, {av}), (B, BX, BV)")
+    stack = lambda q, k=-1: f"np.stack([{', '.join(q)}], {k})"  # noqa: E731
+    return c.define(f"{what}(hw, w)", result.format(
+        a=a, ax=stack(ax), av=av, b=stack(b), bx=stack(map(stack, bx), -2),
+        bv=stack(bv)))
 
 
 # --- velocity frame and forces ----------------------------------------------------
@@ -292,7 +285,6 @@ def _compile_force(src, m, kind):
     metric the paper's force lowers the velocity with `metric_at` and
     `einsum`, and raises the force with `np.linalg.inv` and `einsum`."""
     n, pair, inline = m.dimension, kind == "hw", type(src) is HWPair
-    # only W's gradient is read: every other kernel is an order-0 one
     c = _Compiler(state_names(n) if inline else (), int(inline))
     x, xdot = c.let("asarray(x, float)"), c.let("asarray(xdot, float)")
     xs, xdots = ([c.let(f"{a}[..., {i}][()]") for i in range(n)]
@@ -392,9 +384,10 @@ def _compile_rate(src, exprs, want_vw):
     if derived:  # b, and db/dv, from W's jet by `_quotient`
         _, grad, hess = jets[0]
         wv = c.let(f"{c.const(_guard_wv)}({grad.get(n, '0.0')}, x, {V})")
-        wx = [grad.get(i, "0.0") for i in range(n)]
-        wxv = [hess.get((i, n), "0.0") for i in range(n)]
-        _, (b, _, bv) = _quotient(c, wx, wv, wxv, hess.get((n, n), "0.0"))
+        _, (b, _, bv) = _quotient(
+            c, [grad.get(i, "0.0") for i in range(n)], wv,
+            [hess.get((i, n), "0.0") for i in range(n)],
+            hess.get((n, n), "0.0"))
     elif exprs:
         b = [val for val, _, _ in jets]
         bv = [grad.get(0, "0.0") for _, grad, _ in jets]

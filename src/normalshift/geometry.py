@@ -286,20 +286,14 @@ class Hypersurface:
 
 def grid_axes(s: Hypersurface):
     """Node coordinates per parameter axis."""
-    axes = []
-    for (lo, hi), m, wrap in zip(s.ranges, s.grid, s.closed):
-        if wrap:
-            axes.append(lo + (hi - lo) * np.arange(m) / m)
-        else:
-            axes.append(np.linspace(lo, hi, m))
-    return tuple(axes)
+    return tuple(lo + (hi - lo) * np.arange(m) / m if wrap
+                 else np.linspace(lo, hi, m)
+                 for (lo, hi), m, wrap in zip(s.ranges, s.grid, s.closed))
 
 
 def grid_spacings(s: Hypersurface):
-    out = []
-    for (lo, hi), m, wrap in zip(s.ranges, s.grid, s.closed):
-        out.append((hi - lo) / m if wrap else (hi - lo) / (m - 1))
-    return tuple(out)
+    return tuple((hi - lo) / (m if wrap else m - 1)
+                 for (lo, hi), m, wrap in zip(s.ranges, s.grid, s.closed))
 
 
 def base_node_index(s: Hypersurface):
@@ -405,10 +399,8 @@ def surface_grid(s: Hypersurface, m: MetricSpec) -> SurfaceGrid:
     for ax in range(s.n_params):
         rolled = np.roll(normals, -1, axis=ax)
         dots = np.sum(normals * rolled, axis=-1)
-        if not s.closed[ax]:
-            sl = [slice(None)] * dots.ndim
-            sl[ax] = slice(0, -1)
-            dots = dots[tuple(sl)]
+        if not s.closed[ax]:  # an open axis has no pair across its ends
+            dots = dots[(slice(None),) * ax + (slice(0, -1),)]
         if np.any(dots <= 0.0):
             raise FrameError(
                 f"normal field flips orientation along axis {ax + 1}")

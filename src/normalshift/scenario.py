@@ -317,12 +317,10 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError("section is required", "field")
     force = _build_field(fld, n, metric)
 
-    surface = None
-    if "surface" in sections:
-        surface = _build_surface(sections["surface"], n)
+    surface = (_build_surface(sections["surface"], n)
+               if "surface" in sections else None)
 
-    run = dict(RUN_DEFAULTS)
-    run.update(sections.get("run", {}))
+    run = {**RUN_DEFAULTS, **sections.get("run", {})}
     if "nu0" in sections.get("surface", {}):
         run["nu0"] = sections["surface"]["nu0"]
     validate_run(run, manifold)

@@ -188,10 +188,9 @@ def solve_nu(s: Hypersurface, ab, nu0, du=1e-2, compat_tol=1e-6) -> NuField:
     defect = 0.0
     if k > 1:
         nu_rev = nu
-        line = list(base_node_index(s))
-        line[0] = slice(None)
+        line = (slice(None),) + base_node_index(s)[1:]
         start = np.full_like(nu_rev, np.nan)
-        start[tuple(line)] = nu_rev[tuple(line)]
+        start[line] = nu_rev[line]
         nu = _solve_nu_grid(s, ab, nu0, du, list(range(k)), start)
         defect = float(np.max(np.abs(nu - nu_rev)))
     if defect > compat_tol:
@@ -244,13 +243,9 @@ def normal_shift(nu: NuField, force: ForceField, t_max, dt,
         raise IntegrationAborted(
             f"shift family is partial: {err}", partial=err.partial,
             step=err.step, time=err.time) from err
-    layers = xs.shape[0]
-    return ShiftFamily(
-        force, nu, times,
-        xs.reshape((layers,) + grid_shape + (n,)),
-        xds.reshape((layers,) + grid_shape + (n,)),
-        sg.tangents,
-    )
+    shape = xs.shape[:1] + grid_shape + (n,)
+    return ShiftFamily(force, nu, times, xs.reshape(shape),
+                       xds.reshape(shape), sg.tangents)
 
 
 # --- orthogonality measurement ---------------------------------------------------------
